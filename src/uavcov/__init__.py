@@ -11,10 +11,6 @@ validates the other.
 
 from .analytic import (
     CoverageResult,
-    DensityWeight,
-    FixedMomentWeight,
-    UnitWeight,
-    UNIT_WEIGHT,
     cellfree_coverage,
     cos2_moment,
     downlink_coverage,
@@ -36,7 +32,6 @@ from .model import (
     InvalidParameterError,
     NetworkParams,
     NetworkRealization,
-    UavPoint,
     los_probability,
     realize_network,
 )
@@ -61,20 +56,15 @@ __all__ = [
     "ConstantElevation",
     "CoverageEstimate",
     "CoverageResult",
-    "DensityWeight",
     "ElevationModel",
     "EmptyRealizationError",
     "FadingDraw",
-    "FixedMomentWeight",
     "GammaTanElevation",
     "InvalidParameterError",
     "NetworkParams",
     "NetworkRealization",
     "RunConfig",
     "SweepAxis",
-    "UavPoint",
-    "UnitWeight",
-    "UNIT_WEIGHT",
     "associate",
     "cellfree_coverage",
     "cos2_moment",

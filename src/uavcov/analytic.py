@@ -19,76 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import los_probability
 from .numerics.jets import Jet, antiderivative_compose, jet_exp
 from .numerics.laplace import inverse_laplace_cdf
 from .numerics.quadrature import gauss_laguerre, integrate
-from .numerics.special import erf_fn, factorial, gamma_fn
-
-
-# -- weights ----------------------------------------------------------------
-
-
-class WeightModel:
-    """Random per-UAV weight W multiplying the attenuated path gain."""
-
-    def pathloss_moment(self, v, quad=None):
-        """E[W^v] for the path-loss order v = 2/alpha in use."""
-        raise NotImplementedError
-
-    def sample(self, rng, size):
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class UnitWeight(WeightModel):
-    """W = 1 identically."""
-
-    def pathloss_moment(self, v, quad=None):
-        return 1.0
-
-    def sample(self, rng, size):
-        return np.ones(size)
-
-
-@dataclass(frozen=True)
-class FixedMomentWeight(WeightModel):
-    """Only the moment E[W^(2/alpha)] is known, for the alpha it was built for.
-
-    Enough for the distance law; cannot be sampled.
-    """
-
-    moment: float
-
-    def __post_init__(self):
-        if not self.moment > 0.0:
-            raise ValueError(f"moment must be positive, got {self.moment!r}")
-
-    def pathloss_moment(self, v, quad=None):
-        return self.moment
-
-    def sample(self, rng, size):
-        raise NotImplementedError("a bare moment cannot be sampled")
-
-
-@dataclass(frozen=True)
-class DensityWeight(WeightModel):
-    """W with a known density on a finite support, optionally sampleable."""
-
-    density: object
-    support: tuple
-    sampler: object = None
-
-    def pathloss_moment(self, v, quad=None):
-        a, b = self.support
-        return integrate(lambda w: np.asarray(w) ** v * self.density(w), a, b, quad)
-
-    def sample(self, rng, size):
-        if self.sampler is None:
-            raise NotImplementedError("no sampler attached to this weight model")
-        return self.sampler(rng, size)
-
-
-UNIT_WEIGHT = UnitWeight()
 
 
 # -- results ----------------------------------------------------------------
@@ -111,7 +45,7 @@ class CoverageResult:
 # -- angle moments ----------------------------------------------------------
 
 
-def effective_density_factor(params, elev, quad=None):
+def effective_density_factor(params, elev):
     """E[cos^2(Theta) (rho(Theta)(1 - ell^(2/alpha)) + ell^(2/alpha))].
 
     Scaling the planar density by this factor gives the equivalent 2D
@@ -121,28 +55,27 @@ def effective_density_factor(params, elev, quad=None):
     lv = params.ell ** (2.0 / params.alpha)
 
     def fn(theta):
-        rho = 1.0 / (1.0 + params.c2 * np.exp(-params.c1 * np.asarray(theta)))
+        rho = los_probability(theta, params.c1, params.c2)
         return np.cos(theta) ** 2 * (rho * (1.0 - lv) + lv)
 
-    return elev.expect(fn, quad)
+    return elev.expect(fn)
 
 
-def cos2_moment(elev, quad=None):
+def cos2_moment(elev):
     """E[cos^2(Theta)]: the density factor when no attenuation is applied."""
-    return elev.expect(lambda th: np.cos(th) ** 2, quad)
+    return elev.expect(lambda th: np.cos(th) ** 2)
 
 
-def los_cos2_moment(params, elev, quad=None):
+def los_cos2_moment(params, elev):
     """E[rho(Theta) cos^2(Theta)]: density factor when NLoS UAVs are erased."""
 
     def fn(theta):
-        rho = 1.0 / (1.0 + params.c2 * np.exp(-params.c1 * np.asarray(theta)))
-        return rho * np.cos(theta) ** 2
+        return los_probability(theta, params.c1, params.c2) * np.cos(theta) ** 2
 
-    return elev.expect(fn, quad)
+    return elev.expect(fn)
 
 
-def tail_gain_moment(params, elev, order, quad=None):
+def tail_gain_moment(params, elev, order):
     """E[E[L^order | Theta] cos^(order*alpha)(Theta)] for far-field moments.
 
     order=1 gives the mean path-gain mass per unit area at large range,
@@ -151,28 +84,23 @@ def tail_gain_moment(params, elev, order, quad=None):
     lk = params.ell**order
 
     def fn(theta):
-        rho = 1.0 / (1.0 + params.c2 * np.exp(-params.c1 * np.asarray(theta)))
+        rho = los_probability(theta, params.c1, params.c2)
         return (rho + (1.0 - rho) * lk) * np.cos(theta) ** (order * params.alpha)
 
-    return elev.expect(fn, quad)
+    return elev.expect(fn)
 
 
 # -- distance laws ----------------------------------------------------------
 
 
-def peak_gain_cdf(r, params, elev, weight=UNIT_WEIGHT, quad=None):
-    """CDF of the strongest weighted path gain max_i W_i L_i ||U_i||^(-alpha).
+def peak_gain_cdf(r, params, elev):
+    """CDF of the strongest path gain max_i L_i ||U_i||^(-alpha).
 
-    Exponential in r^(-2/alpha): F(r) = exp(-pi density E[W^(2/alpha)]
-    w_eff r^(-2/alpha)).  Vectorized over r; F(r) = 0 for r <= 0.
+    Exponential in r^(-2/alpha): F(r) = exp(-pi density w_eff r^(-2/alpha)).
+    Vectorized over r; F(r) = 0 for r <= 0.
     """
     v = 2.0 / params.alpha
-    rate = (
-        math.pi
-        * params.density
-        * weight.pathloss_moment(v, quad)
-        * effective_density_factor(params, elev, quad)
-    )
+    rate = math.pi * params.density * effective_density_factor(params, elev)
     r = np.asarray(r, dtype=float)
     out = np.where(r > 0.0, np.exp(-rate * np.maximum(r, 1e-300) ** (-v)), 0.0)
     return float(out) if out.ndim == 0 else out
@@ -181,15 +109,15 @@ def peak_gain_cdf(r, params, elev, weight=UNIT_WEIGHT, quad=None):
 _NEAREST_CASES = ("all-los-unit", "los-weighted", "pure-los")
 
 
-def nearest_sq_ccdf(y, params, elev, case, quad=None):
+def nearest_sq_ccdf(y, params, elev, case):
     """CCDF of a squared nearest distance in the equivalent planar process.
 
-    case 'all-los-unit': min ||U_i||^2 with attenuation ignored (L = W = 1);
+    case 'all-los-unit': min ||U_i||^2 with attenuation ignored (L = 1);
     rate pi density E[cos^2].  case 'los-weighted': min (L^(-1/alpha)
     ||U_i||)^2; rate pi density w_eff.  case 'pure-los': min ||U_i||^2 over
     LoS UAVs only; rate pi density E[rho cos^2].
     """
-    rate = nearest_sq_rate(params, elev, case, quad)
+    rate = nearest_sq_rate(params, elev, case)
     y = np.asarray(y, dtype=float)
     if np.any(y < 0.0):
         raise ValueError("squared distances must be >= 0")
@@ -197,14 +125,14 @@ def nearest_sq_ccdf(y, params, elev, case, quad=None):
     return float(out) if out.ndim == 0 else out
 
 
-def nearest_sq_rate(params, elev, case, quad=None):
+def nearest_sq_rate(params, elev, case):
     """The exponential rate pi * density * c used by nearest_sq_ccdf."""
     if case == "all-los-unit":
-        c = cos2_moment(elev, quad)
+        c = cos2_moment(elev)
     elif case == "los-weighted":
-        c = effective_density_factor(params, elev, quad)
+        c = effective_density_factor(params, elev)
     elif case == "pure-los":
-        c = los_cos2_moment(params, elev, quad)
+        c = los_cos2_moment(params, elev)
     else:
         raise ValueError(f"case must be one of {_NEAREST_CASES}, got {case!r}")
     return math.pi * params.density * c
@@ -227,7 +155,7 @@ def thinned_points(realization, ell, alpha):
 # -- interference integral ---------------------------------------------------
 
 
-def interference_integral(u, v, quad=None):
+def interference_integral(u, v):
     """I(u, v) = u^v (pi v / sin(pi v) - int_0^{u^-v} dr/(1 + r^{1/v})).
 
     Evaluated through the equivalent single smooth integral
@@ -246,10 +174,10 @@ def interference_integral(u, v, quad=None):
     def f(y):
         return 1.0 / (1.0 + u * np.asarray(y) ** p)
 
-    return (v * u * p) * integrate(f, 0.0, 1.0, quad)
+    return (v * u * p) * integrate(f, 0.0, 1.0)
 
 
-def _scaled_ig_jet(tau, scale, v, quad=None):
+def _scaled_ig_jet(tau, scale, v):
     """Jet in tau of I(scale/tau, v); used inside the derivative machinery.
 
     Writes I(u, v) = u^v T(u^{-v}) with T(y) = int_y^inf dr/(1 + r^{1/v}),
@@ -258,7 +186,7 @@ def _scaled_ig_jet(tau, scale, v, quad=None):
     """
     tau0 = tau.value
     u0 = scale / tau0
-    i0 = interference_integral(u0, v, quad)
+    i0 = interference_integral(u0, v)
     y = (tau * (1.0 / scale)) ** v
     t0 = i0 * y.value
     t_jet = antiderivative_compose(
@@ -271,9 +199,10 @@ def _scaled_ig_jet(tau, scale, v, quad=None):
 
 
 _LAGUERRE_NODES = (64, 96)
+_NODE_TOL = 1e-9  # node-doubling spread above which the adaptive fallback runs
 
 
-def downlink_coverage(params, elev, quad=None, node_tol=1e-9):
+def downlink_coverage(params, elev):
     """Coverage P[SINR >= beta] for the strongest-UAV downlink.
 
     Conditioned on the association variable D (exponential with rate
@@ -286,13 +215,13 @@ def downlink_coverage(params, elev, quad=None, node_tol=1e-9):
     """
     alpha = params.alpha
     v = 2.0 / alpha
-    w_eff = effective_density_factor(params, elev, quad)
+    w_eff = effective_density_factor(params, elev)
     mu = math.pi * params.density * w_eff
     n = int(params.n_antennas)
     k = n - 1
     tau0 = 1.0 / params.beta
     tau = Jet.variable(tau0, k)
-    ig = _scaled_ig_jet(tau, 1.0, v, quad)
+    ig = _scaled_ig_jet(tau, 1.0, v)
     ig0 = ig.value
     ig_rest = ig - ig0
     inv_tau = 1.0 / tau
@@ -313,15 +242,15 @@ def downlink_coverage(params, elev, quad=None, node_tol=1e-9):
     p_b = laguerre_value(_LAGUERRE_NODES[1])
     spread = abs(p_b - p_a)
     value = p_b
-    if spread > node_tol:
-        value = _downlink_adaptive(params, mu, ig, k, quad)
+    if spread > _NODE_TOL:
+        value = _downlink_adaptive(params, mu, ig, k)
         spread = abs(value - p_b)
 
     clamped = min(1.0, max(0.0, value))
     return CoverageResult(clamped, "exact-integration", max(spread, abs(value - clamped)))
 
 
-def _downlink_adaptive(params, mu, ig, k, quad):
+def _downlink_adaptive(params, mu, ig, k):
     """Fallback: integrate each jet coefficient of the expectation adaptively."""
     alpha = params.alpha
     tau0 = 1.0 / params.beta
@@ -343,13 +272,13 @@ def _downlink_adaptive(params, mu, ig, k, quad):
         return f
 
     coeffs = np.array(
-        [integrate(coeff_fn(j), 0.0, math.inf, quad) for j in range(k + 1)]
+        [integrate(coeff_fn(j), 0.0, math.inf) for j in range(k + 1)]
     )
     e_jet = Jet(coeffs)
     return float((tau**k * e_jet).coeffs[k])
 
 
-def jensen_lower_bound(params, elev, quad=None):
+def jensen_lower_bound(params, elev):
     """Lower bound on downlink coverage from convexity of the conditional tail.
 
     Same jet machinery as downlink_coverage but with the association
@@ -359,20 +288,20 @@ def jensen_lower_bound(params, elev, quad=None):
     """
     alpha = params.alpha
     v = 2.0 / alpha
-    w_eff = effective_density_factor(params, elev, quad)
+    w_eff = effective_density_factor(params, elev)
     mu = math.pi * params.density * w_eff
     n = int(params.n_antennas)
     k = n - 1
     tau = Jet.variable(1.0 / params.beta, k)
-    ig_n = _scaled_ig_jet(tau, float(n), v, quad)
-    noise_term = n * (params.noise / params.power) * gamma_fn(1.0 + alpha / 2.0) / mu ** (alpha / 2.0)
+    ig_n = _scaled_ig_jet(tau, float(n), v)
+    noise_term = n * (params.noise / params.power) * math.gamma(1.0 + alpha / 2.0) / mu ** (alpha / 2.0)
     exponent = (-noise_term) * (1.0 / tau) - ig_n
     value = float((tau**k * jet_exp(exponent)).coeffs[k])
     clamped = min(1.0, max(0.0, value))
     return CoverageResult(clamped, "bound", abs(value - clamped))
 
 
-def cellfree_coverage(params, elev, method="auto", quad=None):
+def cellfree_coverage(params, elev, method="auto"):
     """Coverage when every UAV transmits to the user (SNR of the summed signal).
 
     P[sum_i power G_i L_i ||U_i||^{-alpha} >= beta noise] with
@@ -392,22 +321,23 @@ def cellfree_coverage(params, elev, method="auto", quad=None):
     alpha = params.alpha
     v = 2.0 / alpha
     n = int(params.n_antennas)
-    w_eff = effective_density_factor(params, elev, quad)
+    w_eff = effective_density_factor(params, elev)
     mu = math.pi * params.density * w_eff
-    kappa = mu * gamma_fn(n + v) * gamma_fn(1.0 - v) / factorial(n - 1)
+    kappa = mu * math.gamma(n + v) * math.gamma(1.0 - v) / math.factorial(n - 1)
     t = params.beta * params.noise / params.power
 
     if method == "closed-form" or (method == "auto" and alpha == 4.0):
         if alpha != 4.0:
             raise ValueError("the closed form requires alpha == 4")
-        return CoverageResult(erf_fn(kappa / (2.0 * math.sqrt(t))), "closed-form", 1e-15)
+        return CoverageResult(math.erf(kappa / (2.0 * math.sqrt(t))), "closed-form", 1e-15)
 
-    # Chernoff bound on the CDF: exp(u t - kappa u^v) at the optimal u.
+    # Chernoff bound on the CDF: exp(u t - kappa u^v) at the optimal u,
+    # log bound = -(1 - v)/v t u* with u* = (kappa v / t)^(1/(1-v)).
     # When provably below 1e-13 the inversion would only return contour
-    # roundoff, so the CDF is taken as 0 outright.
-    u_star = (kappa * v / t) ** (1.0 / (1.0 - v))
-    chernoff_log = -(1.0 - v) / v * t * u_star
-    if chernoff_log < math.log(1e-13):
+    # roundoff, so the CDF is taken as 0 outright.  The test runs in log
+    # space because u* overflows a double for alpha near 2.
+    log_u_star = math.log(kappa * v / t) / (1.0 - v)
+    if math.log((1.0 - v) / v * t) + log_u_star > math.log(-math.log(1e-13)):
         return CoverageResult(1.0, "exact-integration", 1e-13)
 
     cdf, clamp = inverse_laplace_cdf(lambda s: np.exp(-kappa * s**v) / s, t)

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics.quadrature import QuadratureSpec, integrate
-from .numerics.special import gammaln_fn
+from .numerics.quadrature import integrate
 
 # LoS model constants for a suburban environment.
 SUBURBAN_C1 = 24.5811
@@ -88,7 +87,7 @@ class ElevationModel:
     def sample(self, rng, size=None):
         raise NotImplementedError
 
-    def expect(self, fn, quad=None):
+    def expect(self, fn):
         """E[fn(Theta)] for a scalar function fn on [0, pi/2)."""
         raise NotImplementedError
 
@@ -110,7 +109,7 @@ class ConstantElevation(ElevationModel):
             return self.theta_bar
         return np.full(size, self.theta_bar)
 
-    def expect(self, fn, quad=None):
+    def expect(self, fn):
         return float(fn(self.theta_bar))
 
 
@@ -142,12 +141,12 @@ class GammaTanElevation(ElevationModel):
         g = rng.gamma(self.shape, scale=1.0 / self.rate, size=size)
         return np.arctan(g)
 
-    def expect(self, fn, quad=None):
+    def expect(self, fn):
         # E[fn(arctan(G/rate))] with G ~ Gamma(shape, 1); integrate against
         # the standardized density on a window holding all but ~1e-15 of mass
         a = self.shape
         rate = self.rate
-        lognorm = gammaln_fn(a)
+        lognorm = math.lgamma(a)
         spread = 12.0 * math.sqrt(a) + 35.0
         lo = max(0.0, a - spread)
         hi = a + spread
@@ -157,35 +156,12 @@ class GammaTanElevation(ElevationModel):
             dens = np.exp((a - 1.0) * np.log(u) - u - lognorm)
             return fn(np.arctan(u / rate)) * dens
 
-        return integrate(integrand, lo, hi, quad)
-
-
-@dataclass(frozen=True)
-class UavPoint:
-    """One UAV: planar position, elevation mark, derived altitude, LoS flag."""
-
-    x: float
-    y: float
-    theta: float
-    altitude: float
-    los: bool
-
-    @property
-    def horizontal_distance(self):
-        return math.hypot(self.x, self.y)
-
-    @property
-    def distance_3d(self):
-        return math.hypot(self.horizontal_distance, self.altitude)
+        return integrate(integrand, lo, hi)
 
 
 @dataclass(frozen=True)
 class NetworkRealization:
-    """One sampled network inside a disk of sim_radius around the user.
-
-    Stores flat arrays rather than objects; the `uavs` property materializes
-    UavPoint views for small-scale inspection.
-    """
+    """One sampled network inside a disk of sim_radius around the user, as flat arrays."""
 
     x: np.ndarray
     y: np.ndarray
@@ -197,22 +173,6 @@ class NetworkRealization:
 
     def __len__(self):
         return self.x.size
-
-    def __getitem__(self, i):
-        return UavPoint(
-            float(self.x[i]),
-            float(self.y[i]),
-            float(self.theta[i]),
-            float(self.altitude[i]),
-            bool(self.los[i]),
-        )
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-    @property
-    def uavs(self):
-        return tuple(self)
 
     @property
     def horizontal_distance(self):
@@ -232,11 +192,6 @@ def sample_projections(density, sim_radius, rng):
     r = sim_radius * np.sqrt(rng.random(n))
     phi = rng.random(n) * (2.0 * math.pi)
     return np.column_stack([r * np.cos(phi), r * np.sin(phi)])
-
-
-def sample_elevation(model, rng, size=None):
-    """Draw elevation angles from an ElevationModel."""
-    return model.sample(rng, size)
 
 
 def realize_network(params, elev, sim_radius, seed):

@@ -66,14 +66,14 @@ class CoverageEstimate:
 # -- truncation control -------------------------------------------------------
 
 
-def interference_tail_mean(params, elev, radius, quad=None):
+def interference_tail_mean(params, elev, radius):
     """Mean path-gain mass (units of L ||U||^-alpha) beyond the guard disk.
 
     Campbell: 2 pi density E[L cos^alpha(Theta)] R^(2-alpha) / (alpha - 2);
     multiply by power and a mean fading gain to get mW.  Added to simulated
     interference sums so truncation is bias-free in the mean.
     """
-    m1 = tail_gain_moment(params, elev, 1, quad)
+    m1 = tail_gain_moment(params, elev, 1)
     return (
         2.0
         * math.pi
@@ -84,7 +84,7 @@ def interference_tail_mean(params, elev, radius, quad=None):
     )
 
 
-def guard_radius(params, elev, tolerance, quad=None):
+def guard_radius(params, elev, tolerance):
     """Radius at which the missing far-field fluctuation is negligible.
 
     Returns the smallest R such that the standard deviation of the
@@ -96,9 +96,9 @@ def guard_radius(params, elev, tolerance, quad=None):
     """
     if not tolerance > 0.0:
         raise InvalidParameterError(f"tolerance must be positive, got {tolerance!r}")
-    mu = math.pi * params.density * effective_density_factor(params, elev, quad)
+    mu = math.pi * params.density * effective_density_factor(params, elev)
     reference = 2.0 * mu ** (params.alpha / 2.0) / (params.alpha - 2.0)
-    m2 = tail_gain_moment(params, elev, 2, quad)
+    m2 = tail_gain_moment(params, elev, 2)
     coeff = math.sqrt(
         4.0 * math.pi * params.density * m2 / (2.0 * params.alpha - 2.0)
     )
@@ -149,6 +149,14 @@ def _chunk_sizes(n_samples, mean_points):
     if n_samples % per:
         sizes.append(n_samples % per)
     return sizes
+
+
+def _chunks(n_samples, radius, density, master_seed):
+    """Yield (size, rng) per chunk: one spawned child seed per chunk, in order."""
+    sizes = _chunk_sizes(n_samples, density * math.pi * radius * radius)
+    children = np.random.SeedSequence(int(master_seed)).spawn(len(sizes))
+    for size, child in zip(sizes, children):
+        yield size, np.random.default_rng(child)
 
 
 def _draw_chunk(params, elev, radius, n, rng):
@@ -216,12 +224,8 @@ def _cellfree_chunk(params, elev, radius, tail_units, n, rng):
 
 
 def _run_chunks(chunk_fn, params, elev, radius, tail_units, n_samples, master_seed):
-    mean_points = params.density * math.pi * radius * radius
-    sizes = _chunk_sizes(n_samples, mean_points)
-    children = np.random.SeedSequence(int(master_seed)).spawn(len(sizes))
     hits = 0
-    for size, child in zip(sizes, children):
-        rng = np.random.default_rng(child)
+    for size, rng in _chunks(n_samples, radius, params.density, master_seed):
         hits += int(chunk_fn(params, elev, radius, tail_units, size, rng).sum())
     mean = hits / n_samples
     return CoverageEstimate(
@@ -274,8 +278,8 @@ def _law_radius(params, rate_constant):
     return math.sqrt(30.0 / max(rate_constant * math.pi * params.density, 1e-300))
 
 
-def sample_peak_gain(params, elev, n_samples, master_seed, weight=None, sim_radius=None):
-    """Per-realization maxima of W L ||U||^-alpha, for distribution tests.
+def sample_peak_gain(params, elev, n_samples, master_seed, sim_radius=None):
+    """Per-realization maxima of L ||U||^-alpha, for distribution tests.
 
     Realizations with no point inside the disk yield 0 (a gain smaller than
     any positive sample; probability ~e^-30 at the default radius).
@@ -284,14 +288,9 @@ def sample_peak_gain(params, elev, n_samples, master_seed, weight=None, sim_radi
     if sim_radius is None:
         w_eff = effective_density_factor(params, elev)
         sim_radius = _law_radius(params, w_eff)
-    sizes = _chunk_sizes(n_samples, params.density * math.pi * sim_radius**2)
-    children = np.random.SeedSequence(int(master_seed)).spawn(len(sizes))
     out = []
-    for size, child in zip(sizes, children):
-        rng = np.random.default_rng(child)
+    for size, rng in _chunks(n_samples, sim_radius, params.density, master_seed):
         nz, cnz, starts, xi, _, _ = _draw_chunk(params, elev, sim_radius, size, rng)
-        if weight is not None:
-            xi = xi * weight.sample(rng, xi.size)
         vals = np.zeros(size)
         if cnz.size:
             vals[nz] = np.maximum.reduceat(xi, starts)
@@ -309,12 +308,9 @@ def sample_nearest_sq(params, elev, case, n_samples, master_seed, sim_radius=Non
     rate_c = nearest_sq_rate(params, elev, case) / (math.pi * params.density)
     if sim_radius is None:
         sim_radius = _law_radius(params, rate_c)
-    sizes = _chunk_sizes(n_samples, params.density * math.pi * sim_radius**2)
-    children = np.random.SeedSequence(int(master_seed)).spawn(len(sizes))
     v = 2.0 / params.alpha
     out = []
-    for size, child in zip(sizes, children):
-        rng = np.random.default_rng(child)
+    for size, rng in _chunks(n_samples, sim_radius, params.density, master_seed):
         nz, cnz, starts, xi, d3, los = _draw_chunk(params, elev, sim_radius, size, rng)
         vals = np.full(size, np.inf)
         if cnz.size:

@@ -1,6 +1,5 @@
-"""Numerical kernels: special functions, quadrature, jets, Laplace inversion."""
+"""Numerical kernels: quadrature, jets, Laplace inversion."""
 
-from .special import gamma_fn, gammaln_fn, erf_fn, erfc_fn, factorial
 from .quadrature import QuadratureSpec, AccuracyError, integrate, gauss_laguerre
 from .jets import (
     Jet,
@@ -13,11 +12,6 @@ from .jets import (
 from .laplace import inverse_laplace, inverse_laplace_cdf
 
 __all__ = [
-    "gamma_fn",
-    "gammaln_fn",
-    "erf_fn",
-    "erfc_fn",
-    "factorial",
     "QuadratureSpec",
     "AccuracyError",
     "integrate",

@@ -27,17 +27,16 @@ def _talbot_value(transform, t, m):
     gamma = np.empty(m, dtype=complex)
     gamma[0] = 0.5 * np.exp(delta[0])
     gamma[1:] = (1.0 + 1j * theta * (1.0 + cot**2) - 1j * cot) * np.exp(delta[1:])
-    total = 0.0
-    for k in range(m):
-        total += (gamma[k] * transform(delta[k] / t)).real
+    total = float(np.sum((gamma * transform(delta / t)).real))
     return (2.0 / (5.0 * t)) * total
 
 
-def inverse_laplace(transform, t, abs_tol=1e-8, degrees=_DEGREES):
+def inverse_laplace(transform, t, abs_tol=1e-8):
     """Invert a Laplace transform at time t > 0.
 
-    transform maps a complex s (right half plane / Talbot contour) to F(s).
-    Nodes are increased along `degrees` until two successive evaluations
+    transform maps a complex ndarray of contour points s to F(s)
+    elementwise; every node of one Talbot degree is passed in one call.
+    Nodes are increased along _DEGREES until two successive evaluations
     agree within abs_tol; raises AccuracyError otherwise.
     """
     if not t > 0.0:
@@ -45,7 +44,7 @@ def inverse_laplace(transform, t, abs_tol=1e-8, degrees=_DEGREES):
     prev = None
     best = None
     best_diff = math.inf
-    for m in degrees:
+    for m in _DEGREES:
         val = _talbot_value(transform, t, m)
         if not math.isfinite(val):
             raise AccuracyError(
@@ -68,12 +67,12 @@ def inverse_laplace(transform, t, abs_tol=1e-8, degrees=_DEGREES):
     )
 
 
-def inverse_laplace_cdf(transform, t, abs_tol=1e-8, degrees=_DEGREES):
+def inverse_laplace_cdf(transform, t):
     """Invert a transform known to be a CDF in t; the result is clamped to [0, 1].
 
     Returns (value, clamp) where clamp is how far the raw inversion sat
     outside [0, 1]; callers fold it into their error reporting.
     """
-    raw = inverse_laplace(transform, t, abs_tol=abs_tol, degrees=degrees)
+    raw = inverse_laplace(transform, t)
     clamped = min(1.0, max(0.0, raw))
     return clamped, abs(raw - clamped)

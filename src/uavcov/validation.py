@@ -28,9 +28,6 @@ from .montecarlo import (
 )
 from .numerics import (
     Jet,
-    erf_fn,
-    erfc_fn,
-    gamma_fn,
     gauss_laguerre,
     integrate,
     inverse_laplace,
@@ -167,34 +164,34 @@ def _gamma_checks():
             _check(
                 f"gamma-recurrence-x{x}",
                 lambda x=x: _tol_check(
-                    gamma_fn(x + 1.0) / (x * gamma_fn(x)), 1.0, 1e-12
+                    math.gamma(x + 1.0) / (x * math.gamma(x)), 1.0, 1e-12
                 ),
             )
         )
     checks.append(
         _check(
             "gamma-half",
-            lambda: _tol_check(gamma_fn(0.5), math.sqrt(math.pi), 1e-12, relative=True),
+            lambda: _tol_check(math.gamma(0.5), math.sqrt(math.pi), 1e-12, relative=True),
         )
     )
     checks.append(
         _check(
             "gamma-4.5",
             lambda: _tol_check(
-                gamma_fn(4.5), 6.5625 * math.sqrt(math.pi), 1e-12, relative=True
+                math.gamma(4.5), 6.5625 * math.sqrt(math.pi), 1e-12, relative=True
             ),
         )
     )
     checks.append(
         _check(
             "erf-1",
-            lambda: _tol_check(erf_fn(1.0), 0.8427007929497149, 1e-10),
+            lambda: _tol_check(math.erf(1.0), 0.8427007929497149, 1e-10),
         )
     )
     checks.append(
         _check(
             "erfc-symmetry",
-            lambda: _tol_check(erf_fn(0.8) + erfc_fn(0.8), 1.0, 1e-13),
+            lambda: _tol_check(math.erf(0.8) + math.erfc(0.8), 1.0, 1e-13),
         )
     )
     return checks
@@ -316,7 +313,7 @@ def _laplace_checks():
                 f"laplace-levy-t{t}",
                 lambda t=t: _tol_check(
                     inverse_laplace(lambda s: np.exp(-np.sqrt(s)) / s, t),
-                    erfc_fn(0.5 / math.sqrt(t)),
+                    math.erfc(0.5 / math.sqrt(t)),
                     1e-6,
                 ),
             )
@@ -344,24 +341,37 @@ def _ks_result(samples, cdf, args=()):
     }
 
 
+def peak_gain_check(params, elev, n_samples, master_seed):
+    """KS test of sampled strongest path gains against peak_gain_cdf."""
+    xs = sample_peak_gain(params, elev, n_samples, master_seed)
+    return _ks_result(xs, lambda r: peak_gain_cdf(r, params, elev))
+
+
+def nearest_sq_check(params, elev, case, n_samples, master_seed):
+    """KS test of sampled squared nearest distances against their exponential law."""
+    xs = sample_nearest_sq(params, elev, case, n_samples, master_seed)
+    rate = nearest_sq_rate(params, elev, case)
+    return _ks_result(xs, "expon", args=(0.0, 1.0 / rate))
+
+
 def distributions_suite(n_samples=10_000, master_seed=7):
     params = NetworkParams(density=1e-6)
     elev = ConstantElevation(math.radians(25.0))
-    checks = []
-
-    def peak_gain():
-        xs = sample_peak_gain(params, elev, n_samples, master_seed)
-        return _ks_result(xs, lambda r: peak_gain_cdf(r, params, elev))
-
-    checks.append(_check("peak-gain-law", peak_gain))
-
+    checks = [
+        _check(
+            "peak-gain-law",
+            lambda: peak_gain_check(params, elev, n_samples, master_seed),
+        )
+    ]
     for i, case in enumerate(("all-los-unit", "los-weighted", "pure-los")):
-        def nearest(case=case, i=i):
-            xs = sample_nearest_sq(params, elev, case, n_samples, master_seed + 1 + i)
-            rate = nearest_sq_rate(params, elev, case)
-            return _ks_result(xs, "expon", args=(0.0, 1.0 / rate))
-
-        checks.append(_check(f"nearest-sq-{case}", nearest))
+        checks.append(
+            _check(
+                f"nearest-sq-{case}",
+                lambda case=case, i=i: nearest_sq_check(
+                    params, elev, case, n_samples, master_seed + 1 + i
+                ),
+            )
+        )
 
     def thinned_law():
         rate = nearest_sq_rate(params, elev, "los-weighted")

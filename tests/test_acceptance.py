@@ -11,30 +11,20 @@ import time
 
 import numpy as np
 import pytest
-from scipy.stats import kstest
 
-from uavcov.analytic import (
-    cellfree_coverage,
-    cos2_moment,
-    downlink_coverage,
-    effective_density_factor,
-    jensen_lower_bound,
-    peak_gain_cdf,
-)
+from uavcov.analytic import cellfree_coverage, downlink_coverage, jensen_lower_bound
 from uavcov.model import ConstantElevation, GammaTanElevation, NetworkParams
-from uavcov.montecarlo import (
-    estimate_cellfree,
-    estimate_downlink,
-    sample_nearest_sq,
-    sample_peak_gain,
+from uavcov.montecarlo import estimate_cellfree
+from uavcov.validation import (
+    COVERAGE_GRID,
+    coverage_point,
+    nearest_sq_check,
+    numerics_suite,
+    peak_gain_check,
 )
-from uavcov.validation import numerics_suite
 
 TABLE_ELEV = ConstantElevation(math.radians(25.0))
-
-GRID_ANTENNAS = (1, 4, 8)
-GRID_THETA_DEG = (10.0, 20.0, 40.0)
-GRID_DENSITY = (1e-7, 1e-6)
+GRID_SAMPLES = 100_000
 
 
 @pytest.fixture
@@ -48,28 +38,22 @@ def announce(capfd):
 
 @pytest.fixture(scope="module")
 def downlink_grid():
-    """Analytic value and 1e5-sample estimate at all 18 grid points."""
-    seeds = np.random.SeedSequence(20260816).generate_state(18, dtype=np.uint64)
-    results = {}
+    """validation.coverage_point at all 18 points of validation.COVERAGE_GRID."""
+    seeds = np.random.SeedSequence(20260816).generate_state(
+        len(COVERAGE_GRID), dtype=np.uint64
+    )
     start = time.perf_counter()
-    i = 0
-    for n in GRID_ANTENNAS:
-        for theta in GRID_THETA_DEG:
-            for density in GRID_DENSITY:
-                params = NetworkParams(density=density, n_antennas=n)
-                elev = ConstantElevation(math.radians(theta))
-                pa = downlink_coverage(params, elev).value
-                est = estimate_downlink(params, elev, 100_000, int(seeds[i]))
-                results[(n, theta, density)] = (params, elev, pa, est)
-                i += 1
+    results = {
+        point: coverage_point(*point, GRID_SAMPLES, int(seed))
+        for point, seed in zip(COVERAGE_GRID, seeds)
+    }
     return results, time.perf_counter() - start
 
 
 def test_peak_gain_distribution_law(announce):
     params = NetworkParams(density=1e-6)
     start = time.perf_counter()
-    draws = sample_peak_gain(params, TABLE_ELEV, 10_000, 11)
-    pvalue = float(kstest(draws, lambda r: peak_gain_cdf(r, params, TABLE_ELEV)).pvalue)
+    pvalue = peak_gain_check(params, TABLE_ELEV, 10_000, 11)["value"]
     elapsed = time.perf_counter() - start
     ok = pvalue > 0.01 and elapsed < 60.0
     announce(1, ok, f"peak-gain KS p={pvalue:.3f} on 1e4 realizations, {elapsed:.1f}s")
@@ -79,20 +63,8 @@ def test_peak_gain_distribution_law(announce):
 
 def test_nearest_sq_distribution_laws(announce):
     params = NetworkParams(density=1e-6)
-    rate_unit = math.pi * params.density * cos2_moment(TABLE_ELEV)
-    rate_omega = math.pi * params.density * effective_density_factor(params, TABLE_ELEV)
-    p_unit = float(
-        kstest(
-            sample_nearest_sq(params, TABLE_ELEV, "all-los-unit", 10_000, 21),
-            "expon", args=(0.0, 1.0 / rate_unit),
-        ).pvalue
-    )
-    p_omega = float(
-        kstest(
-            sample_nearest_sq(params, TABLE_ELEV, "los-weighted", 10_000, 22),
-            "expon", args=(0.0, 1.0 / rate_omega),
-        ).pvalue
-    )
+    p_unit = nearest_sq_check(params, TABLE_ELEV, "all-los-unit", 10_000, 21)["value"]
+    p_omega = nearest_sq_check(params, TABLE_ELEV, "los-weighted", 10_000, 22)["value"]
     ok = p_unit > 0.01 and p_omega > 0.01
     announce(2, ok, f"nearest-sq KS p={p_unit:.3f} (unit), p={p_omega:.3f} (weighted)")
     assert p_unit > 0.01
@@ -101,17 +73,11 @@ def test_nearest_sq_distribution_laws(announce):
 
 def test_downlink_analytic_matches_monte_carlo_grid(downlink_grid, announce):
     results, elapsed = downlink_grid
-    worst = 0.0
-    failures = []
-    for key, (params, elev, pa, est) in results.items():
-        # a saturated estimate (all samples covered) reports zero binomial
-        # stderr; floor at the estimator resolution 1/n so the comparison
-        # stays the rule-of-three bound instead of demanding exact equality
-        se = max(est.std_error, 1.0 / est.n_samples)
-        z = abs(pa - est.mean) / se
-        worst = max(worst, z)
-        if abs(pa - est.mean) > 3.0 * se:
-            failures.append((key, z))
+    # coverage_point floors the binomial stderr at 1/n for saturated
+    # estimates and passes at |z| <= 3
+    worst = max(check["value"] for check in results.values())
+    failures = [(key, check["value"]) for key, check in results.items()
+                if not check["passed"]]
     ok = not failures and elapsed < 900.0
     announce(3, ok,
               f"18-point grid max |z|={worst:.2f} (limit 3), {elapsed:.0f}s of 900s")
@@ -183,10 +149,13 @@ def test_coverage_orderings_hold(downlink_grid, announce):
     results, _ = downlink_grid
     worst_jensen = -1.0
     worst_cf = -1.0
-    for params, elev, pa, est in results.values():
+    for (n, theta, density), check in results.items():
+        params = NetworkParams(density=density, n_antennas=n)
+        elev = ConstantElevation(math.radians(theta))
+        pa = check["analytic"]
         jb = jensen_lower_bound(params, elev).value
         cf = cellfree_coverage(params, elev).value
-        se = max(est.std_error, 1.0 / est.n_samples)
+        se = max(check["mc_stderr"], 1.0 / GRID_SAMPLES)
         worst_jensen = max(worst_jensen, jb - pa)
         worst_cf = max(worst_cf, pa - cf - 3.0 * se)
     order_ok = worst_jensen <= 1e-6 and worst_cf <= 0.0

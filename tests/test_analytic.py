@@ -14,9 +14,6 @@ import scipy.integrate as si
 from scipy.stats import kstest
 
 from uavcov.analytic import (
-    DensityWeight,
-    FixedMomentWeight,
-    UNIT_WEIGHT,
     cellfree_coverage,
     cos2_moment,
     downlink_coverage,
@@ -119,26 +116,6 @@ def test_peak_gain_cdf_monotone_vectorized():
     assert vals.shape == rs.shape
     assert np.all(vals > 0.0) and np.all(vals < 1.0)
     assert np.all(np.diff(vals) > 0.0)
-
-
-def test_peak_gain_cdf_with_weight_moment():
-    p = NetworkParams(density=1e-6)
-    v = 2.0 / p.alpha
-    # E[W^v] for W ~ Uniform(0.5, 1.5)
-    moment, _ = si.quad(lambda w: w**v, 0.5, 1.5)
-    weight = FixedMomentWeight(moment)
-    r = 1e-6
-    base_rate = math.pi * p.density * OMEGA_CONST_25
-    want = math.exp(-base_rate * moment * r ** (-v))
-    assert peak_gain_cdf(r, p, E25, weight=weight) == pytest.approx(want, rel=1e-12)
-
-
-def test_density_weight_moment_matches_quad():
-    v = 2.0 / 2.75
-    weight = DensityWeight(lambda w: np.where((w >= 0.5) & (w <= 1.5), 1.0, 0.0),
-                           (0.5, 1.5))
-    ref, _ = si.quad(lambda w: w**v, 0.5, 1.5, epsabs=1e-13)
-    assert weight.pathloss_moment(v) == pytest.approx(ref, rel=1e-10)
 
 
 def test_nearest_sq_rates_and_ccdf():
@@ -358,6 +335,20 @@ def test_cellfree_monotone():
         for d in (3e-7, 1e-6, 3e-6)
     ]
     assert np.all(np.diff(dens) > 0.0)
+
+
+@pytest.mark.parametrize("density", (1e-7, 1e-6))
+@pytest.mark.parametrize("n", (1, 4, 16))
+@pytest.mark.parametrize("beta_db", (-10.0, 20.0))
+@pytest.mark.parametrize("theta_deg", (0.0, 15.0, 35.0))
+@pytest.mark.parametrize("alpha", (2.05, 2.1, 2.3))
+def test_cellfree_near_alpha_two_is_finite(alpha, theta_deg, beta_db, n, density):
+    # the Chernoff shortcut's optimal point overflows a double as alpha -> 2
+    p = NetworkParams(
+        density=density, alpha=alpha, n_antennas=n, beta=10.0 ** (beta_db / 10.0)
+    )
+    got = cellfree_coverage(p, ConstantElevation(math.radians(theta_deg))).value
+    assert math.isfinite(got) and 0.0 <= got <= 1.0
 
 
 def test_cellfree_vanishes_for_sparse_network():

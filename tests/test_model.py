@@ -185,13 +185,3 @@ def test_gamma_tan_rejects_bad_parameters():
         GammaTanElevation(3.0, 0.0)
     with pytest.raises(InvalidParameterError):
         ConstantElevation(math.pi / 2)
-
-
-def test_uav_point_view():
-    p = NetworkParams(density=1e-5)
-    real = realize_network(p, ConstantElevation(0.3), 1000.0, 3)
-    if len(real) == 0:
-        pytest.skip("empty draw")
-    u = real[0]
-    assert u.altitude == pytest.approx(math.hypot(u.x, u.y) * math.tan(u.theta))
-    assert u.distance_3d == pytest.approx(math.hypot(u.x, u.y) / math.cos(u.theta))
