@@ -7,9 +7,11 @@ Everything here reduces to four ingredients:
   is the planar density times E[cos^2(Theta) (rho(Theta)(1 - ell^(2/alpha))
   + ell^(2/alpha))];
 * exponential laws for the nearest weighted point of that equivalent process;
-* a smooth interference integral I(u, v) entering every SINR expression;
-* jets for the (N-1)-th derivative that converts Gamma(N, 1) fading into
-  coverage, with a Gauss-Laguerre expectation over the association distance.
+* an interference integral I(u, v), an incomplete beta function, entering
+  every SINR expression;
+* the exponential of a power series (jet_exp), whose first N coefficients
+  turn Gamma(N, 1) fading into coverage; every term is nonnegative, and one
+  adaptive integral takes the expectation over the association distance.
 
 Angles are radians; powers linear mW; beta is a linear SINR threshold.
 """
@@ -18,11 +20,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import beta as beta_fn, betainc
 
 from .model import los_probability
-from .numerics.jets import Jet, antiderivative_compose, jet_exp
+from .numerics.jets import jet_exp
 from .numerics.laplace import inverse_laplace_cdf
-from .numerics.quadrature import gauss_laguerre, integrate
+from .numerics.quadrature import DEFAULT_QUAD, integrate
 
 
 # -- results ----------------------------------------------------------------
@@ -33,8 +36,8 @@ class CoverageResult:
     """A coverage probability plus how it was obtained.
 
     method is one of 'exact-integration', 'closed-form', 'bound';
-    numerical_error is the internal consistency estimate (node-doubling
-    spread, inversion clamp, quadrature tolerance), not a statistical error.
+    numerical_error is the internal accuracy estimate (quadrature tolerance,
+    inversion clamp, clamp into [0, 1]), not a statistical error.
     """
 
     value: float
@@ -158,10 +161,9 @@ def thinned_points(realization, ell, alpha):
 def interference_integral(u, v):
     """I(u, v) = u^v (pi v / sin(pi v) - int_0^{u^-v} dr/(1 + r^{1/v})).
 
-    Evaluated through the equivalent single smooth integral
-    I = (v u / (1 - v)) int_0^1 dy / (1 + u y^{1/(1-v)}),
-    which avoids the catastrophic cancellation of the defining form for
-    small u (substitutions r = x^v, x = 1/(u z), z = y^{1/(1-v)}).
+    Closed form: I = v u^v B(1 - v, v) I_q(1 - v, v) with q = u/(1 + u) and
+    I_q the regularized incomplete beta function; unlike the defining form
+    it does not cancel for small u.
     """
     if not 0.0 < v < 1.0:
         raise ValueError(f"v must lie in (0, 1), got {v!r}")
@@ -169,134 +171,79 @@ def interference_integral(u, v):
         raise ValueError(f"u must be >= 0, got {u!r}")
     if u == 0.0:
         return 0.0
-    p = 1.0 / (1.0 - v)
-
-    def f(y):
-        return 1.0 / (1.0 + u * np.asarray(y) ** p)
-
-    return (v * u * p) * integrate(f, 0.0, 1.0)
+    return _ig_series(u, v, 0)[0]
 
 
-def _scaled_ig_jet(tau, scale, v):
-    """Jet in tau of I(scale/tau, v); used inside the derivative machinery.
+def _ig_series(s0, v, k):
+    """I0 = I(s0, v) and b_1..b_k with I(s0 (1 - h), v) = I0 - sum_j b_j h^j.
 
-    Writes I(u, v) = u^v T(u^{-v}) with T(y) = int_y^inf dr/(1 + r^{1/v}),
-    gets T's value from interference_integral (no cancellation) and its
-    higher coefficients from T' = -1/(1 + y^{1/v}) by composition.
+    b_j = v s0^v B(j - v, 1 + v) I_q(j - v, 1 + v), q = s0/(1 + s0): every
+    b_j is nonnegative and they sum to I0 over all j.
     """
-    tau0 = tau.value
-    u0 = scale / tau0
-    i0 = interference_integral(u0, v)
-    y = (tau * (1.0 / scale)) ** v
-    t0 = i0 * y.value
-    t_jet = antiderivative_compose(
-        t0, lambda yj: -1.0 / (1.0 + yj ** (1.0 / v)), y
-    )
-    return t_jet / y
+    j = np.arange(k + 1, dtype=float)
+    a = np.where(j == 0, 1.0 - v, j - v)
+    b = np.where(j == 0, v, 1.0 + v)
+    terms = v * s0**v * beta_fn(a, b) * betainc(a, b, s0 / (1.0 + s0))
+    return float(terms[0]), terms[1:]
 
 
 # -- coverage ---------------------------------------------------------------
 
 
-_LAGUERRE_NODES = (64, 96)
-_NODE_TOL = 1e-9  # node-doubling spread above which the adaptive fallback runs
-
-
 def downlink_coverage(params, elev):
     """Coverage P[SINR >= beta] for the strongest-UAV downlink.
 
-    Conditioned on the association variable D (exponential with rate
-    pi density w_eff), coverage is the (N-1)-th tau-derivative of
-    tau^{N-1} E[exp(-noise D^{alpha/2} / (tau power) - pi density w_eff D
-    I(1/tau))] at tau = 1/beta; jets carry the derivative and Gauss-Laguerre
-    the expectation, with the jet's constant-term exponential folded into
-    the Laguerre weight.  Node counts are doubled as an accuracy check,
-    with adaptive quadrature as fallback.
+    With Gamma(N, 1) serving fading, coverage is the sum of the first N
+    Taylor coefficients in h of the Laplace transform L(beta (1 - h)) of
+    the normalized interference-plus-noise.  Conditioned on z, the
+    association variable scaled to a unit exponential, log L is
+    -c s z^{alpha/2} - z I(s) with s = beta (1 - h) and c = noise / (power
+    (pi density w_eff)^{alpha/2}); its h-coefficients beyond the first are
+    nonnegative, so jet_exp's coefficients are too and nothing cancels.
+    One adaptive integral over z, with the exponential weight folded into
+    the row, gives the value; numerical_error is the quadrature tolerance
+    (plus the distance of any clamp into [0, 1]).
     """
     alpha = params.alpha
-    v = 2.0 / alpha
-    w_eff = effective_density_factor(params, elev)
-    mu = math.pi * params.density * w_eff
-    n = int(params.n_antennas)
-    k = n - 1
-    tau0 = 1.0 / params.beta
-    tau = Jet.variable(tau0, k)
-    ig = _scaled_ig_jet(tau, 1.0, v)
-    ig0 = ig.value
-    ig_rest = ig - ig0
-    inv_tau = 1.0 / tau
-    noise_coef = params.noise / params.power
+    mu = math.pi * params.density * effective_density_factor(params, elev)
+    c = params.noise / params.power / mu ** (alpha / 2.0)
+    s0 = params.beta
+    i0, b = _ig_series(s0, 2.0 / alpha, int(params.n_antennas) - 1)
+    # z = scale * y puts the integrand's decay at y ~ 1, however small the
+    # noise term makes it in z
+    scale = 1.0 / (1.0 + i0 + (c * s0) ** (2.0 / alpha))
 
-    def laguerre_value(m):
-        nodes, weights = gauss_laguerre(m)
-        fold = 1.0 / (1.0 + ig0)
-        acc = Jet.constant(0.0, k)
-        for x, w in zip(nodes, weights):
-            z = x * fold
-            exponent = (-noise_coef * (z / mu) ** (alpha / 2.0)) * inv_tau - z * ig_rest
-            acc = acc + w * jet_exp(exponent)
-        e_jet = acc * fold
-        return float((tau**k * e_jet).coeffs[k])
+    def f(y):
+        z = scale * np.asarray(y, dtype=float)[..., None]
+        noise = c * s0 * z ** (alpha / 2.0)
+        row = np.concatenate([-noise - z * (1.0 + i0), z * b], axis=-1)
+        row[..., 1:2] += noise
+        return jet_exp(row).sum(axis=-1)
 
-    p_a = laguerre_value(_LAGUERRE_NODES[0])
-    p_b = laguerre_value(_LAGUERRE_NODES[1])
-    spread = abs(p_b - p_a)
-    value = p_b
-    if spread > _NODE_TOL:
-        value = _downlink_adaptive(params, mu, ig, k)
-        spread = abs(value - p_b)
-
+    value = scale * integrate(f, 0.0, math.inf)
     clamped = min(1.0, max(0.0, value))
-    return CoverageResult(clamped, "exact-integration", max(spread, abs(value - clamped)))
-
-
-def _downlink_adaptive(params, mu, ig, k):
-    """Fallback: integrate each jet coefficient of the expectation adaptively."""
-    alpha = params.alpha
-    tau0 = 1.0 / params.beta
-    tau = Jet.variable(tau0, k)
-    inv_tau = 1.0 / tau
-    noise_coef = params.noise / params.power
-
-    def coeff_fn(j):
-        def f(z):
-            z = np.atleast_1d(np.asarray(z, dtype=float))
-            out = np.empty(z.size)
-            for i, zi in enumerate(z):
-                exponent = (
-                    (-noise_coef * (zi / mu) ** (alpha / 2.0)) * inv_tau - zi * ig
-                )
-                out[i] = math.exp(-zi) * jet_exp(exponent).coeffs[j]
-            return out
-
-        return f
-
-    coeffs = np.array(
-        [integrate(coeff_fn(j), 0.0, math.inf) for j in range(k + 1)]
-    )
-    e_jet = Jet(coeffs)
-    return float((tau**k * e_jet).coeffs[k])
+    tol = max(DEFAULT_QUAD.abs_tol, DEFAULT_QUAD.rel_tol * abs(value))
+    return CoverageResult(clamped, "exact-integration", tol + abs(value - clamped))
 
 
 def jensen_lower_bound(params, elev):
     """Lower bound on downlink coverage from convexity of the conditional tail.
 
-    Same jet machinery as downlink_coverage but with the association
-    expectation pulled inside the exponent: the bound is the (N-1)-th
-    coefficient of tau^{N-1} exp(-N noise Gamma(1+alpha/2) / (tau power
-    (pi density w_eff)^{alpha/2}) - I(N/tau)) at tau = 1/beta.
+    The association expectation moves inside the exponent: the bound sums
+    the first N h-coefficients of exp(-T s - I(N s)) at s = beta (1 - h),
+    with T = N noise Gamma(1 + alpha/2) / (power (pi density w_eff)^{alpha/2}).
+    That is Jensen's inequality for N = 1 only: with N >= 2 and a dominant
+    noise term the value can exceed downlink_coverage.
     """
     alpha = params.alpha
-    v = 2.0 / alpha
-    w_eff = effective_density_factor(params, elev)
-    mu = math.pi * params.density * w_eff
+    mu = math.pi * params.density * effective_density_factor(params, elev)
     n = int(params.n_antennas)
-    k = n - 1
-    tau = Jet.variable(1.0 / params.beta, k)
-    ig_n = _scaled_ig_jet(tau, float(n), v)
+    s0 = params.beta
+    i0, b = _ig_series(n * s0, 2.0 / alpha, n - 1)
     noise_term = n * (params.noise / params.power) * math.gamma(1.0 + alpha / 2.0) / mu ** (alpha / 2.0)
-    exponent = (-noise_term) * (1.0 / tau) - ig_n
-    value = float((tau**k * jet_exp(exponent)).coeffs[k])
+    row = np.concatenate([[-noise_term * s0 - i0], b])
+    row[1:2] += noise_term * s0
+    value = float(jet_exp(row).sum())
     clamped = min(1.0, max(0.0, value))
     return CoverageResult(clamped, "bound", abs(value - clamped))
 

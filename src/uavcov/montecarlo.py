@@ -144,7 +144,7 @@ def sinr(realization, fading, serving, params):
 
 
 def _chunk_sizes(n_samples, mean_points):
-    per = max(64, min(int(_POINTS_PER_CHUNK / max(mean_points, 1.0)), 65536))
+    per = max(1, min(int(_POINTS_PER_CHUNK / max(mean_points, 1.0)), 65536))
     sizes = [per] * (n_samples // per)
     if n_samples % per:
         sizes.append(n_samples % per)

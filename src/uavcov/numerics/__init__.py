@@ -1,14 +1,7 @@
-"""Numerical kernels: quadrature, jets, Laplace inversion."""
+"""Numerical kernels: quadrature, series exponential, Laplace inversion."""
 
 from .quadrature import QuadratureSpec, AccuracyError, integrate, gauss_laguerre
-from .jets import (
-    Jet,
-    JetSingularityError,
-    antiderivative_compose,
-    jet_eval,
-    jet_exp,
-    jet_log,
-)
+from .jets import jet_exp
 from .laplace import inverse_laplace, inverse_laplace_cdf
 
 __all__ = [
@@ -16,12 +9,7 @@ __all__ = [
     "AccuracyError",
     "integrate",
     "gauss_laguerre",
-    "Jet",
-    "JetSingularityError",
-    "jet_eval",
     "jet_exp",
-    "jet_log",
-    "antiderivative_compose",
     "inverse_laplace",
     "inverse_laplace_cdf",
 ]

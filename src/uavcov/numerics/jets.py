@@ -1,207 +1,25 @@
-"""Truncated Taylor-series arithmetic (jets) for high-order derivatives.
+"""Taylor coefficients of the exponential of a power series.
 
-A Jet stores coefficients c[k] = f^(k)(x0)/k! up to a fixed order.  The
-usual power-series recurrences propagate sums, products, quotients, exp,
-log and real powers, so d^n/dx^n of a composite expression comes out of
-n! * c[n] without any finite-difference noise.  Orders here are small
-(antenna counts), so the O(K^2) Cauchy products are irrelevant cost-wise.
+A row a = (a_0, ..., a_{K-1}) stands for the truncated series
+sum_j a_j h^j; jet_exp returns the first K coefficients of exp of it.  The
+recurrence e_k = (1/k) sum_j j a_j e_{k-j} runs over the last axis, so a
+whole batch of rows (one per quadrature node, say) costs K numpy steps.
+When every a_j with j >= 1 is nonnegative, so is every e_k: nothing cancels.
 """
-
-import math
 
 import numpy as np
 
 
-class JetSingularityError(ArithmeticError):
-    """Division or log/power applied to a jet whose constant term is invalid."""
-
-
-class Jet:
-    """Taylor coefficients of a scalar function at a point, up to fixed order."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = np.asarray(coeffs, dtype=float)
-        if self.coeffs.ndim != 1 or self.coeffs.size == 0:
-            raise ValueError("coeffs must be a nonempty 1-d array")
-
-    @classmethod
-    def variable(cls, value, order):
-        """The identity function x at x0=value: coefficients (value, 1, 0, ...)."""
-        c = np.zeros(order + 1)
-        c[0] = value
-        if order >= 1:
-            c[1] = 1.0
-        return cls(c)
-
-    @classmethod
-    def constant(cls, value, order):
-        c = np.zeros(order + 1)
-        c[0] = value
-        return cls(c)
-
-    @property
-    def order(self):
-        return self.coeffs.size - 1
-
-    @property
-    def value(self):
-        return float(self.coeffs[0])
-
-    def derivative_coefficient(self, n):
-        """f^(n)(x0) = n! * c[n]."""
-        if n > self.order:
-            raise IndexError(f"jet holds orders 0..{self.order}, asked for {n}")
-        return math.factorial(n) * float(self.coeffs[n])
-
-    def truncated(self, order):
-        if order >= self.order:
-            return self
-        return Jet(self.coeffs[: order + 1].copy())
-
-    def shifted_derivative(self):
-        """Jet of f' at the same point, one order lower."""
-        if self.order == 0:
-            return Jet(np.zeros(1))
-        k = np.arange(1, self.order + 1)
-        return Jet(self.coeffs[1:] * k)
-
-    # -- arithmetic -------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, Jet):
-            return other
-        if np.isscalar(other):
-            return Jet.constant(float(other), self.order)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        n = min(self.order, o.order)
-        return Jet(self.coeffs[: n + 1] + o.coeffs[: n + 1])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet(-self.coeffs)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, Jet):
-            n = min(self.order, other.order)
-            a = self.coeffs[: n + 1]
-            b = other.coeffs[: n + 1]
-            return Jet(np.convolve(a, b)[: n + 1])
-        if np.isscalar(other):
-            return Jet(self.coeffs * float(other))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet):
-            return self * other._reciprocal(min(self.order, other.order))
-        if np.isscalar(other):
-            return Jet(self.coeffs / float(other))
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if np.isscalar(other):
-            return self._reciprocal(self.order) * float(other)
-        return NotImplemented
-
-    def _reciprocal(self, order):
-        a = self.coeffs
-        if a[0] == 0.0:
-            raise JetSingularityError("reciprocal of a jet with zero constant term")
-        c = np.zeros(order + 1)
-        c[0] = 1.0 / a[0]
-        for k in range(1, order + 1):
-            jmax = min(k, self.order)
-            acc = 0.0
-            for j in range(1, jmax + 1):
-                acc += a[j] * c[k - j]
-            c[k] = -acc / a[0]
-        return Jet(c)
-
-    def __pow__(self, r):
-        if isinstance(r, int) or (np.isscalar(r) and float(r).is_integer() and abs(r) <= 64):
-            n = int(r)
-            if n == 0:
-                return Jet.constant(1.0, self.order)
-            if n > 0:
-                out = self
-                for _ in range(n - 1):
-                    out = out * self
-                return out
-            return 1.0 / (self ** (-n))
-        if self.coeffs[0] <= 0.0:
-            raise JetSingularityError(
-                "real power needs a positive constant term, got "
-                f"{self.coeffs[0]!r}"
-            )
-        return jet_exp(float(r) * jet_log(self))
-
-    def __repr__(self):
-        return f"Jet({np.array2string(self.coeffs, precision=8)})"
-
-
 def jet_exp(a):
-    """exp of a jet: e_k = (1/k) sum_j j * a_j * e_{k-j}."""
-    c = a.coeffs
-    out = np.zeros_like(c)
-    out[0] = math.exp(c[0])
-    for k in range(1, c.size):
-        acc = 0.0
-        for j in range(1, k + 1):
-            acc += j * c[j] * out[k - j]
-        out[k] = acc / k
-    return Jet(out)
+    """Coefficients of exp(sum_j a_j h^j) along the last axis of a.
 
-
-def jet_log(a):
-    """log of a jet with positive constant term (via log' = a'/a)."""
-    if a.coeffs[0] <= 0.0:
-        raise JetSingularityError("log of a jet with nonpositive constant term")
-    w = a.shifted_derivative() / a.truncated(max(a.order - 1, 0))
-    out = np.zeros(a.order + 1)
-    out[0] = math.log(a.coeffs[0])
-    for k in range(1, a.order + 1):
-        out[k] = w.coeffs[k - 1] / k
-    return Jet(out)
-
-
-def antiderivative_compose(f0, fprime, y):
-    """Jet of F(y(x)) given F(y(x0)) = f0 and the derivative map F' = fprime.
-
-    fprime receives the jet of y and must return the jet of F'(y); the chain
-    rule d/dx F(y) = F'(y) y' then fills the higher coefficients.  Used when
-    F itself is only available as an integral.
+    Rows whose constant term exp(a_0) underflows come out as exact zeros.
     """
-    if y.order == 0:
-        return Jet(np.array([f0]))
-    w = fprime(y) * y.shifted_derivative()
-    out = np.zeros(y.order + 1)
-    out[0] = f0
-    for k in range(1, y.order + 1):
-        out[k] = w.coeffs[k - 1] / k
-    return Jet(out)
-
-
-def jet_eval(f, center, order):
-    """Evaluate f on the identity jet at center; returns the resulting Jet."""
-    result = f(Jet.variable(center, order))
-    if not isinstance(result, Jet):
-        return Jet.constant(float(result), order)
-    return result
+    a = np.asarray(a, dtype=float)
+    out = np.zeros_like(a)
+    out[..., 0] = np.exp(a[..., 0])
+    # zero the dead rows' coefficients too, so that an infinite a_j meets no 0
+    da = np.where(out[..., :1] > 0.0, a, 0.0) * np.arange(a.shape[-1])
+    for k in range(1, a.shape[-1]):
+        out[..., k] = np.einsum("...j,...j->...", da[..., 1 : k + 1], out[..., k - 1 :: -1]) / k
+    return out

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate as si
+from scipy.special import erfcx
 from scipy.stats import kstest
 
 from uavcov.analytic import (
@@ -33,6 +34,7 @@ from uavcov.model import (
     los_probability,
     realize_network,
 )
+from uavcov.montecarlo import estimate_downlink
 
 E25 = ConstantElevation(math.radians(25.0))
 E20 = ConstantElevation(math.radians(20.0))
@@ -235,6 +237,19 @@ def test_downlink_interference_limited_scale_free():
         assert downlink_coverage(params, elev).value == pytest.approx(base, rel=1e-9)
 
 
+def test_downlink_alpha4_single_antenna_closed_form():
+    # alpha = 4, N = 1: coverage is int_0^inf exp(-a z - b z^2) dz, an erfc
+    # in closed form; the second point is noise-limited with coverage ~1e-11
+    for density, beta, noise, theta in ((1e-6, 0.1, 10.0**-9.25, 25.0), (1e-12, 1e3, 1e-3, 60.0)):
+        p = NetworkParams(density=density, alpha=4.0, beta=beta, noise=noise)
+        elev = ConstantElevation(math.radians(theta))
+        mu = math.pi * density * effective_density_factor(p, elev)
+        a = 1.0 + interference_integral(beta, 0.5)
+        b = beta * noise / (p.power * mu**2)
+        want = math.sqrt(math.pi / (4.0 * b)) * erfcx(a / (2.0 * math.sqrt(b)))
+        assert downlink_coverage(p, elev).value == pytest.approx(want, rel=1e-9)
+
+
 def test_downlink_low_threshold_saturates():
     p = NetworkParams(density=1e-6, beta=1e-9)
     assert downlink_coverage(p, E25).value == pytest.approx(1.0, abs=1e-6)
@@ -257,6 +272,20 @@ def test_downlink_monotone_in_threshold_and_antennas():
 def test_downlink_reported_error_is_small():
     got = downlink_coverage(NetworkParams(density=1e-6, n_antennas=4), E25)
     assert got.numerical_error < 1e-8
+
+
+@pytest.mark.parametrize(
+    "alpha, n, n_samples, seed",
+    [(6.0, 8, 20_000, 6008)] + [(4.0, n, 10_000, 4000 + n) for n in (16, 32, 48, 64)],
+)
+def test_downlink_matches_monte_carlo_at_low_density(alpha, n, n_samples, seed):
+    # sparse networks: alpha = 6 puts the mass at very small z, alpha = 4 with
+    # many antennas needs high-order coefficients
+    p = NetworkParams(density=1e-7, alpha=alpha, n_antennas=n)
+    got = downlink_coverage(p, E25)
+    est = estimate_downlink(p, E25, n_samples, seed)
+    z = abs(got.value - est.mean) / max(est.std_error, 1.0 / n_samples)
+    assert z <= 3.0, (got, est.mean, est.std_error)
 
 
 def test_jensen_bound_frozen_oracle_and_ordering():

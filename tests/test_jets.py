@@ -1,5 +1,5 @@
-"""Truncated Taylor arithmetic against closed forms, finite differences,
-and high-precision differentiation of random composition trees."""
+"""The series exponential against closed forms, finite differences and
+high-precision differentiation of random rows."""
 
 import math
 
@@ -7,113 +7,89 @@ import mpmath
 import numpy as np
 import pytest
 
-from uavcov.numerics import (
-    Jet,
-    JetSingularityError,
-    antiderivative_compose,
-    jet_eval,
-    jet_exp,
-    jet_log,
-)
-from uavcov.validation import (
-    ensure_variable,
-    evaluate_expression,
-    finite_difference,
-    random_expression,
-)
+from uavcov.numerics import jet_exp
+from uavcov.validation import finite_difference
 
 
 def test_exponential_series():
-    e = jet_exp(Jet.variable(0.0, 5))
-    assert np.allclose(e.coeffs, [1, 1, 1 / 2, 1 / 6, 1 / 24, 1 / 120], atol=1e-15)
+    e = jet_exp([0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+    assert np.allclose(e, [1, 1, 1 / 2, 1 / 6, 1 / 24, 1 / 120], atol=1e-15)
 
 
 def test_reciprocal_series():
-    inv = 1.0 / Jet.variable(2.0, 3)
-    assert np.allclose(inv.coeffs, [0.5, -0.25, 0.125, -0.0625], atol=1e-15)
+    # exp(sum_j h^j / j) = 1/(1 - h): every coefficient is 1
+    row = np.r_[0.0, 1.0 / np.arange(1, 8)]
+    assert np.allclose(jet_exp(row), np.ones(8), rtol=1e-14)
 
 
 def test_log_series():
-    lg = jet_log(Jet.variable(1.0, 4))
-    assert np.allclose(lg.coeffs, [0, 1, -1 / 2, 1 / 3, -1 / 4], atol=1e-15)
+    # the series of log(1 + h) exponentiates back to 1 + h
+    k = np.arange(1, 5)
+    assert np.allclose(jet_exp(np.r_[0.0, (-1.0) ** (k + 1) / k]), [1, 1, 0, 0, 0], atol=1e-15)
 
 
 def test_product_rule():
-    t = Jet.variable(1.3, 4)
-    left = (t * t) * jet_exp(t)
-    right = jet_eval(lambda x: x * x * jet_exp(x), 1.3, 4)
-    assert np.allclose(left.coeffs, right.coeffs, rtol=1e-14)
+    # exp(a + b) = exp(a) exp(b): the Cauchy product of the two rows
+    a, b = np.random.default_rng(7).uniform(-1.0, 1.0, size=(2, 6))
+    assert np.allclose(jet_exp(a + b), np.convolve(jet_exp(a), jet_exp(b))[:6], rtol=1e-13)
 
 
 def test_integer_and_real_powers_agree():
-    t = Jet.variable(1.7, 5)
-    assert np.allclose((t**3).coeffs, (t ** 3.0).coeffs, rtol=1e-12)
-    # negative integer power via reciprocal
-    assert np.allclose((t**-2).coeffs, (1.0 / (t * t)).coeffs, rtol=1e-13)
-
-
-def test_division_by_zero_constant_term():
-    with pytest.raises(JetSingularityError):
-        1.0 / Jet.variable(0.0, 3)
+    # (x0 + h)^r = exp(r log(x0 + h)) has binomial coefficients
+    x0, k = 1.7, np.arange(6)
+    log_row = np.r_[math.log(x0), (-1.0) ** (k[1:] + 1) / (k[1:] * x0 ** k[1:])]
+    for r in (3.0, 0.37, -2.0):
+        want = [np.prod(r - np.arange(n)) / math.factorial(n) * x0 ** (r - n) for n in k]
+        assert np.allclose(jet_exp(r * log_row), want, rtol=1e-13, atol=1e-14), r
 
 
 def test_derivative_coefficient_scaling():
     # f = exp(2t) at 0: n-th derivative is 2^n
-    f = jet_exp(2.0 * Jet.variable(0.0, 6))
+    f = jet_exp([0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     for n in range(7):
-        assert f.derivative_coefficient(n) == pytest.approx(2.0**n, rel=1e-13)
-
-
-def test_antiderivative_compose_log():
-    # T(y) = log(1+y) via T' = 1/(1+y), folded over y(t) = t^2 at t0=0.9
-    y = Jet.variable(0.9, 5) ** 2
-    t_jet = antiderivative_compose(
-        math.log(1.0 + 0.81), lambda u: 1.0 / (1.0 + u), y
-    )
-    direct = jet_log(1.0 + y)
-    assert np.allclose(t_jet.coeffs, direct.coeffs, rtol=1e-12)
+        assert math.factorial(n) * f[n] == pytest.approx(2.0**n, rel=1e-13)
 
 
 def test_third_derivative_vs_finite_difference():
-    f = lambda t: t * t * math.exp(-1.0 / t) / (1.0 + t) if not isinstance(t, Jet) \
-        else t * t * jet_exp(-1.0 / t) / (1.0 + t)
-    jet = f(Jet.variable(0.8, 4))
-    d3 = jet.derivative_coefficient(3)
-    fd = finite_difference(lambda t: f(t), 0.8, 3)
-    assert d3 == pytest.approx(fd, rel=1e-6)
+    # exp(-1/t) at 0.8, from the row of -1/t = -(1/t0) sum_k (-h/t0)^k
+    t0 = 0.8
+    row = -(1.0 / t0) * (-1.0 / t0) ** np.arange(5)
+    fd = finite_difference(lambda t: math.exp(-1.0 / t), t0, 3)
+    assert 6.0 * jet_exp(row)[3] == pytest.approx(fd, rel=1e-6)
 
 
 def test_random_compositions_against_mpmath():
-    """20 random smooth trees: jet derivatives match mpmath.diff to order 7."""
+    """20 random rows: n! e_n matches mpmath.diff of exp(p(t)) to order 7."""
     rng = np.random.default_rng(424242)
     order = 7
+    rows = rng.uniform(-1.5, 1.5, size=(20, order + 1))
+    coeffs = jet_exp(rows)
     with mpmath.workdps(40):
-        for _ in range(20):
-            tree = ensure_variable(random_expression(rng, depth=3))
-            x0 = float(rng.uniform(0.4, 1.2))
-            jet = evaluate_expression(tree, Jet.variable(x0, order))
+        for row, got in zip(rows, coeffs):
+            f = lambda t: mpmath.exp(mpmath.polyval([mpmath.mpf(c) for c in row[::-1]], t))
             for n in range(order + 1):
-                ref = mpmath.diff(
-                    lambda t: evaluate_expression(tree, t, mpmath.exp, mpmath.log),
-                    mpmath.mpf(x0),
-                    n,
-                )
-                d_jet = jet.derivative_coefficient(n)
-                assert abs(d_jet - float(ref)) <= 1e-5 * max(1.0, abs(float(ref))), (
-                    f"tree {tree} order {n}: jet {d_jet} vs mpmath {ref}"
-                )
-
-
-def test_shifted_derivative_drops_leading():
-    t = Jet.variable(0.5, 4)
-    f = jet_exp(t)
-    shifted = f.shifted_derivative()
-    for n in range(4):
-        assert shifted.coeffs[n] == pytest.approx((n + 1) * f.coeffs[n + 1], rel=1e-14)
+                ref = float(mpmath.diff(f, 0, n))
+                d_jet = math.factorial(n) * got[n]
+                assert abs(d_jet - ref) <= 1e-5 * max(1.0, abs(ref)), (row, n, d_jet, ref)
 
 
 def test_truncated_keeps_prefix():
-    t = jet_exp(Jet.variable(0.0, 6))
-    cut = t.truncated(3)
-    assert cut.order == 3
-    assert np.allclose(cut.coeffs, t.coeffs[:4])
+    # the first K coefficients never depend on row entries beyond K
+    row = np.random.default_rng(3).uniform(-1.0, 1.0, size=9)
+    assert np.array_equal(jet_exp(row)[:4], jet_exp(row[:4]))
+
+
+def test_batched_rows_match_single_rows():
+    rows = np.random.default_rng(5).uniform(-2.0, 2.0, size=(3, 4, 6))
+    batched = jet_exp(rows)
+    assert batched.shape == rows.shape
+    for idx in np.ndindex(3, 4):
+        assert np.array_equal(batched[idx], jet_exp(rows[idx]))
+
+
+def test_underflowed_rows_are_zero():
+    rows = np.array([[-800.0, np.inf, 1.0, 2.0], [-np.inf, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        out = jet_exp(rows)
+    assert np.array_equal(out[:2], np.zeros((2, 4)))
+    assert np.allclose(out[2], [1.0, 1.0, 0.5, 1.0 / 6.0])

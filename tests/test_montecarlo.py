@@ -221,6 +221,15 @@ def test_estimate_stable_under_different_chunking(monkeypatch):
     assert abs(est.mean - want) <= 4.0 * est.std_error
 
 
+def test_chunk_sizes_respect_point_budget():
+    # arithmetic only: no chunk holds more points than the budget or one realization
+    for mean_points in (0.5, 30.0, 3738.0, 31_250.0, 31_251.0, 3.7e6, 1e9):
+        for n_samples in (1, 63, 64, 1000, 100_000):
+            sizes = mc._chunk_sizes(n_samples, mean_points)
+            assert sum(sizes) == n_samples and min(sizes) >= 1
+            assert max(sizes) * mean_points <= max(mc._POINTS_PER_CHUNK, mean_points)
+
+
 def test_reported_stderr_matches_empirical_spread():
     p = NetworkParams(density=1e-6)
     reps, n = 25, 2000

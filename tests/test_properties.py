@@ -1,0 +1,85 @@
+"""Property tests of the analytic coverage expressions over the input ranges
+the config accepts: values are probabilities, the bounds are ordered, and
+more antennas never lower coverage."""
+
+import dataclasses
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from uavcov.analytic import cellfree_coverage, downlink_coverage, jensen_lower_bound
+from uavcov.model import ConstantElevation, GammaTanElevation, InvalidParameterError, NetworkParams
+from uavcov.numerics import AccuracyError
+
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=100, deadline=None, database=None)
+
+
+@st.composite
+def scenarios(draw):
+    """(params, elevation) drawn over the ranges of the config file."""
+    params = NetworkParams(
+        density=10.0 ** draw(st.floats(-8.0, -5.0)),
+        alpha=draw(st.floats(2.05, 6.0)),
+        n_antennas=draw(st.integers(1, 64)),
+        beta=10.0 ** (draw(st.floats(-20.0, 45.0)) / 10.0),
+        noise=draw(st.sampled_from((0.0, 10.0 ** -9.25))),
+    )
+    if draw(st.booleans()):
+        elev = ConstantElevation(math.radians(draw(st.floats(0.0, 80.0))))
+    else:
+        elev = GammaTanElevation(draw(st.floats(0.5, 8.0)), math.radians(draw(st.floats(0.5, 80.0))))
+    return params, elev
+
+
+def _probability(fn, params, elev):
+    """fn's result, checked to be a probability; None when it raised a typed error."""
+    try:
+        got = fn(params, elev)
+    except (AccuracyError, InvalidParameterError):
+        return None
+    assert math.isfinite(got.value) and 0.0 <= got.value <= 1.0, got
+    assert math.isfinite(got.numerical_error) and got.numerical_error >= 0.0, got
+    return got
+
+
+@PROPERTY_SETTINGS
+@given(scenarios())
+def test_downlink_and_jensen_are_ordered_probabilities(scenario):
+    params, elev = scenario
+    dl = _probability(downlink_coverage, params, elev)
+    jb = _probability(jensen_lower_bound, params, elev)
+    # with noise and N >= 2 the "bound" is not one: see the xfail test below
+    if dl is not None and jb is not None and (params.n_antennas == 1 or params.noise == 0.0):
+        assert jb.value <= dl.value + jb.numerical_error + dl.numerical_error, (jb, dl)
+
+
+@pytest.mark.xfail(strict=True, reason="jensen_lower_bound exceeds the downlink for N >= 2 "
+                   "when noise dominates (an mpmath route agrees with downlink_coverage)")
+def test_jensen_bound_holds_when_noise_limited():
+    params = NetworkParams(density=1.78e-6, alpha=4.0, n_antennas=4, beta=0.01)
+    elev = ConstantElevation(math.radians(60.0))
+    assert jensen_lower_bound(params, elev).value <= downlink_coverage(params, elev).value
+
+
+@PROPERTY_SETTINGS
+@given(scenarios())
+def test_downlink_never_beats_cellfree(scenario):
+    params, elev = scenario
+    if params.noise == 0.0:
+        return
+    dl = _probability(downlink_coverage, params, elev)
+    cf = _probability(cellfree_coverage, params, elev)
+    if dl is not None and cf is not None:
+        assert dl.value <= cf.value + dl.numerical_error + cf.numerical_error, (dl, cf)
+
+
+@PROPERTY_SETTINGS
+@given(scenarios(), st.integers(1, 16))
+def test_downlink_nondecreasing_in_antennas(scenario, extra):
+    params, elev = scenario
+    more = dataclasses.replace(params, n_antennas=min(64, params.n_antennas + extra))
+    lo = _probability(downlink_coverage, params, elev)
+    hi = _probability(downlink_coverage, more, elev)
+    if lo is not None and hi is not None:
+        assert lo.value <= hi.value + lo.numerical_error + hi.numerical_error, (lo, hi)
