@@ -4,9 +4,9 @@ UAVs form a planar Poisson process with i.i.d. elevation-angle marks that
 set each station's altitude; links are line-of-sight with an angle-dependent
 probability, non-LoS links attenuated by a constant factor.  The package
 computes downlink and cell-free coverage probabilities two independent ways,
-by analytic expressions (truncated-series coefficient extraction plus
-numerical inverse Laplace) and by vectorized Monte Carlo, so each route
-validates the other.
+by analytic expressions (truncated-series coefficient extraction and a
+stable-law integral) and by vectorized Monte Carlo, so each route validates
+the other.
 """
 
 from .analytic import (
@@ -27,7 +27,6 @@ from .analytic import (
 from .config import ConfigError, RunConfig, SweepAxis, parse_config, render_config
 from .model import (
     ConstantElevation,
-    ElevationModel,
     GammaTanElevation,
     InvalidParameterError,
     NetworkParams,
@@ -56,7 +55,6 @@ __all__ = [
     "ConstantElevation",
     "CoverageEstimate",
     "CoverageResult",
-    "ElevationModel",
     "EmptyRealizationError",
     "FadingDraw",
     "GammaTanElevation",

@@ -1,6 +1,6 @@
 """Closed-form and semi-analytic coverage expressions.
 
-Everything here reduces to four ingredients:
+Everything here reduces to five ingredients:
 
 * the effective density factor: the marked 3D process, seen through
   attenuated path gains, behaves like a planar Poisson process whose density
@@ -11,7 +11,9 @@ Everything here reduces to four ingredients:
   every SINR expression;
 * the exponential of a power series (jet_exp), whose first N coefficients
   turn Gamma(N, 1) fading into coverage; every term is nonnegative, and one
-  adaptive integral takes the expectation over the association distance.
+  adaptive integral takes the expectation over the association distance;
+* Zolotarev's integral for the one-sided stable law of the summed cell-free
+  signal, which gives cell-free coverage as one integral of terms in [0, 1].
 
 Angles are radians; powers linear mW; beta is a linear SINR threshold.
 """
@@ -24,7 +26,6 @@ from scipy.special import beta as beta_fn, betainc
 
 from .model import los_probability
 from .numerics.jets import jet_exp
-from .numerics.laplace import inverse_laplace_cdf
 from .numerics.quadrature import DEFAULT_QUAD, integrate
 
 
@@ -35,9 +36,9 @@ from .numerics.quadrature import DEFAULT_QUAD, integrate
 class CoverageResult:
     """A coverage probability plus how it was obtained.
 
-    method is one of 'exact-integration', 'closed-form', 'bound';
-    numerical_error is the internal accuracy estimate (quadrature tolerance,
-    inversion clamp, clamp into [0, 1]), not a statistical error.
+    method is 'exact-integration' (downlink, cell-free) or 'bound' (Jensen);
+    numerical_error is the internal accuracy estimate (quadrature tolerance
+    plus any clamp into [0, 1]), not a statistical error.
     """
 
     value: float
@@ -248,44 +249,48 @@ def jensen_lower_bound(params, elev):
     return CoverageResult(clamped, "bound", abs(value - clamped))
 
 
-def cellfree_coverage(params, elev, method="auto"):
+def cellfree_coverage(params, elev):
     """Coverage when every UAV transmits to the user (SNR of the summed signal).
 
-    P[sum_i power G_i L_i ||U_i||^{-alpha} >= beta noise] with
-    G_i ~ Gamma(N, 1).  The sum's Laplace exponent is kappa s^{2/alpha} with
-    kappa = pi density w_eff Gamma(N + 2/alpha) Gamma(1 - 2/alpha) / (N-1)!,
-    so coverage is one minus the inverse transform of exp(-kappa s^{2/alpha})/s
-    at t = beta noise / power.  alpha = 4 admits the closed form
-    erf(kappa / (2 sqrt(t))).
-
-    method: 'auto' (closed form when alpha == 4, otherwise inversion),
-    'closed-form' (requires alpha == 4), or 'inversion'.
+    S = sum_i G_i L_i ||U_i||^{-alpha}, G_i ~ Gamma(N, 1), is one-sided stable
+    with Laplace exponent kappa s^v, v = 2/alpha, kappa = pi density w_eff
+    Gamma(N + v) Gamma(1 - v) / (N-1)!.  With z = kappa t^{-v} at
+    t = beta noise / power, Zolotarev's representation gives
+    P[S >= t] = (1/pi) int_0^pi (1 - exp(-C A)) dpsi, phi = pi - psi,
+    C A = (z sin(v phi)^v sin((1-v) phi)^{1-v} / sin(phi))^{1/(1-v)}:
+    one integral of terms in [0, 1].  C A >= (psi_s/psi)^{1/(1-v)}, psi_s =
+    z sin(pi v), so the integrand is exactly 1 below psi_lo = psi_s e^{-4(1-v)}.
+    The rest runs in s = (log(psi/psi_lo) / (1-v))^{1/3}, which keeps the drop
+    near psi_s, only (1-v) psi_s wide, inside the Kronrod panels for every
+    alpha.  numerical_error is the quadrature tolerance (plus any clamp).
     """
     if params.noise <= 0.0:
         raise ValueError("cell-free coverage is defined against noise > 0")
-    if method not in ("auto", "closed-form", "inversion"):
-        raise ValueError(f"unknown method {method!r}")
-    alpha = params.alpha
-    v = 2.0 / alpha
+    v = 2.0 / params.alpha
+    k = 1.0 / (1.0 - v)
     n = int(params.n_antennas)
-    w_eff = effective_density_factor(params, elev)
-    mu = math.pi * params.density * w_eff
-    kappa = mu * math.gamma(n + v) * math.gamma(1.0 - v) / math.factorial(n - 1)
+    mu = math.pi * params.density * effective_density_factor(params, elev)
     t = params.beta * params.noise / params.power
+    # in logs: kappa overflows for N >= 171 and as alpha -> 2
+    log_z = math.log(mu) + math.lgamma(n + v) + math.lgamma(1.0 - v) - math.lgamma(n) - v * math.log(t)
+    log_lo = min(math.log(math.pi), log_z + math.log(math.sin(math.pi * v)) - 4.0 / k)
 
-    if method == "closed-form" or (method == "auto" and alpha == 4.0):
-        if alpha != 4.0:
-            raise ValueError("the closed form requires alpha == 4")
-        return CoverageResult(math.erf(kappa / (2.0 * math.sqrt(t))), "closed-form", 1e-15)
+    def f(s):
+        s = np.asarray(s, dtype=float)
+        w = s**3 / k
+        psi = np.minimum(np.exp(log_lo + w), math.pi)
+        log_ca = k * (
+            log_z
+            + v * np.log(np.sin((1.0 - v) * math.pi + v * psi))
+            + (1.0 - v) * np.log(np.sin((1.0 - v) * (math.pi - psi)))
+            - np.log(np.sin(psi))
+        )
+        # (1 - exp(-C A)) dpsi / psi_lo
+        return -np.expm1(-np.exp(np.minimum(log_ca, 709.0))) * np.exp(w) * 3.0 * s * s / k
 
-    # Chernoff bound on the CDF: exp(u t - kappa u^v) at the optimal u,
-    # log bound = -(1 - v)/v t u* with u* = (kappa v / t)^(1/(1-v)).
-    # When provably below 1e-13 the inversion would only return contour
-    # roundoff, so the CDF is taken as 0 outright.  The test runs in log
-    # space because u* overflows a double for alpha near 2.
-    log_u_star = math.log(kappa * v / t) / (1.0 - v)
-    if math.log((1.0 - v) / v * t) + log_u_star > math.log(-math.log(1e-13)):
-        return CoverageResult(1.0, "exact-integration", 1e-13)
-
-    cdf, clamp = inverse_laplace_cdf(lambda s: np.exp(-kappa * s**v) / s, t)
-    return CoverageResult(float(1.0 - cdf), "exact-integration", max(clamp, 1e-8))
+    rest = integrate(f, 0.0, (k * (math.log(math.pi) - log_lo)) ** (1.0 / 3.0))
+    scale = math.exp(log_lo) / math.pi
+    value = scale * (1.0 + rest)
+    clamped = min(1.0, max(0.0, value))
+    tol = scale * max(DEFAULT_QUAD.abs_tol, DEFAULT_QUAD.rel_tol * rest)
+    return CoverageResult(clamped, "exact-integration", tol + abs(value - clamped))

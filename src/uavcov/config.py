@@ -114,6 +114,13 @@ def _get_float(pairs, key, default=None):
         raise ConfigError(key, f"expected a number, got {pairs[key]!r}") from None
 
 
+def _from_db(pairs, key):
+    try:
+        return 10.0 ** (_get_float(pairs, key) / 10.0)
+    except OverflowError:
+        raise ConfigError(key, f"{pairs[key]} dB overflows a double") from None
+
+
 def _get_int(pairs, key, default=None):
     if key not in pairs:
         return default
@@ -149,7 +156,7 @@ def parse_config(text):
 
     noise_key = _exclusive(pairs, "noise_dbm", "noise_mw")
     if noise_key == "noise_dbm":
-        noise = 10.0 ** (_get_float(pairs, "noise_dbm") / 10.0)
+        noise = _from_db(pairs, "noise_dbm")
     elif noise_key == "noise_mw":
         noise = _get_float(pairs, "noise_mw")
     else:
@@ -157,7 +164,7 @@ def parse_config(text):
 
     beta_key = _exclusive(pairs, "beta_db", "beta")
     if beta_key == "beta_db":
-        beta = 10.0 ** (_get_float(pairs, "beta_db") / 10.0)
+        beta = _from_db(pairs, "beta_db")
     elif beta_key == "beta":
         beta = _get_float(pairs, "beta")
     else:
@@ -176,7 +183,7 @@ def parse_config(text):
             c2=_get_float(pairs, "c2", 39.5971),
         )
     except InvalidParameterError as exc:
-        raise ConfigError(_blame_param(str(exc)), str(exc)) from None
+        raise ConfigError(_blame_param(str(exc), noise_key, beta_key), str(exc)) from None
 
     theta_key = _exclusive(pairs, "theta_bar_deg", "theta_bar_rad")
     if theta_key == "theta_bar_rad":
@@ -247,16 +254,16 @@ def parse_config(text):
     )
 
 
-def _blame_param(message):
-    # map a NetworkParams complaint back to the config key it came from
+def _blame_param(message, noise_key, beta_key):
+    # map a NetworkParams complaint back to the config key the document used
     for word, key in (
         ("density", "lambda"),
         ("power", "power_mw"),
         ("n_antennas", "n_antennas"),
-        ("noise", "noise_mw"),
+        ("noise", noise_key),
         ("alpha", "alpha"),
         ("ell", "ell"),
-        ("beta", "beta"),
+        ("beta", beta_key),
         ("c1", "c1"),
         ("c2", "c2"),
     ):

@@ -5,6 +5,8 @@ each UAV independently draws an elevation angle Theta seen from the typical
 user at the origin, so its altitude is ||X|| tan(Theta) and its 3D distance
 ||X|| sec(Theta).  A Bernoulli line-of-sight mark with probability
 rho(Theta) = 1/(1 + c2 exp(-c1 Theta)) selects the attenuation L in {1, ell}.
+An elevation law is any object with sample(rng, size), drawing Theta, and
+expect(fn) = E[fn(Theta)] for a vectorized fn on [0, pi/2).
 
 Angles are radians everywhere; powers are linear milliwatts.
 """
@@ -50,6 +52,10 @@ class NetworkParams:
     c2: float = SUBURBAN_C2
 
     def __post_init__(self):
+        for name in ("density", "power", "noise", "alpha", "ell", "beta", "c1", "c2"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidParameterError(f"{name} must be finite, got {value!r}")
         if not self.density > 0.0:
             raise InvalidParameterError(f"density must be positive, got {self.density!r}")
         if not self.power > 0.0:
@@ -81,19 +87,8 @@ def los_probability(theta, c1=SUBURBAN_C1, c2=SUBURBAN_C2):
     return float(out) if np.isscalar(theta) else out
 
 
-class ElevationModel:
-    """Distribution of the elevation angle mark, independent of position."""
-
-    def sample(self, rng, size=None):
-        raise NotImplementedError
-
-    def expect(self, fn):
-        """E[fn(Theta)] for a scalar function fn on [0, pi/2)."""
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class ConstantElevation(ElevationModel):
+class ConstantElevation:
     """Every UAV sees the user under the same elevation angle."""
 
     theta_bar: float
@@ -114,7 +109,7 @@ class ConstantElevation(ElevationModel):
 
 
 @dataclass(frozen=True)
-class GammaTanElevation(ElevationModel):
+class GammaTanElevation:
     """tan(Theta) ~ Gamma(shape, rate=shape/tan(theta_bar)).
 
     The rate choice keeps E[tan(Theta)] = tan(theta_bar) for every shape, so

@@ -2,7 +2,7 @@
 
 from .quadrature import QuadratureSpec, AccuracyError, integrate, gauss_laguerre
 from .jets import jet_exp
-from .laplace import inverse_laplace, inverse_laplace_cdf
+from .laplace import inverse_laplace
 
 __all__ = [
     "QuadratureSpec",
@@ -11,5 +11,4 @@ __all__ = [
     "gauss_laguerre",
     "jet_exp",
     "inverse_laplace",
-    "inverse_laplace_cdf",
 ]

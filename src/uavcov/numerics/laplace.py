@@ -65,14 +65,3 @@ def inverse_laplace(transform, t, abs_tol=1e-8):
         estimate=best,
         error_bound=best_diff,
     )
-
-
-def inverse_laplace_cdf(transform, t):
-    """Invert a transform known to be a CDF in t; the result is clamped to [0, 1].
-
-    Returns (value, clamp) where clamp is how far the raw inversion sat
-    outside [0, 1]; callers fold it into their error reporting.
-    """
-    raw = inverse_laplace(transform, t)
-    clamped = min(1.0, max(0.0, raw))
-    return clamped, abs(raw - clamped)

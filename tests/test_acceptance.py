@@ -12,7 +12,12 @@ import time
 import numpy as np
 import pytest
 
-from uavcov.analytic import cellfree_coverage, downlink_coverage, jensen_lower_bound
+from uavcov.analytic import (
+    cellfree_coverage,
+    downlink_coverage,
+    effective_density_factor,
+    jensen_lower_bound,
+)
 from uavcov.model import ConstantElevation, GammaTanElevation, NetworkParams
 from uavcov.montecarlo import estimate_cellfree
 from uavcov.validation import (
@@ -124,9 +129,11 @@ def test_cellfree_closed_form_and_simulation_agree(announce):
     for n in (1, 2, 4, 8):
         for beta in betas:
             params = NetworkParams(density=1e-6, n_antennas=n, alpha=4.0, beta=beta)
-            inv = cellfree_coverage(params, TABLE_ELEV, method="inversion").value
-            erf_form = cellfree_coverage(params, TABLE_ELEV, method="closed-form").value
-            worst = max(worst, abs(inv - erf_form))
+            kappa = (math.pi * params.density * effective_density_factor(params, TABLE_ELEV)
+                     * math.gamma(n + 0.5) * math.sqrt(math.pi) / math.factorial(n - 1))
+            t = params.beta * params.noise / params.power
+            erf_form = math.erf(kappa / (2.0 * math.sqrt(t)))
+            worst = max(worst, abs(cellfree_coverage(params, TABLE_ELEV).value - erf_form))
     closed_ok = worst <= 1e-6
 
     worst_z = 0.0
@@ -139,7 +146,7 @@ def test_cellfree_closed_form_and_simulation_agree(announce):
     mc_ok = worst_z <= 3.0
     ok = closed_ok and mc_ok
     announce(6, ok,
-              f"inversion vs erf max gap {worst:.1e} (limit 1e-6); "
+              f"integral vs erf max gap {worst:.1e} (limit 1e-6); "
               f"transition-regime MC max |z|={worst_z:.2f} (limit 3)")
     assert closed_ok
     assert mc_ok

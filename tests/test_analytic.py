@@ -2,8 +2,9 @@
 
 The frozen constants were computed with mpmath at 30 significant digits
 through an independent route (mpmath.quad for every expectation,
-mpmath.taylor for series coefficients, mpmath.invertlaplace for the
-cell-free CDF), not through the library code under test.
+mpmath.taylor for series coefficients, mpmath.invertlaplace or the
+stable power series for the cell-free CDF), not through the library code
+under test.
 """
 
 import math
@@ -35,6 +36,7 @@ from uavcov.model import (
     realize_network,
 )
 from uavcov.montecarlo import estimate_downlink
+from uavcov.numerics import inverse_laplace
 
 E25 = ConstantElevation(math.radians(25.0))
 E20 = ConstantElevation(math.radians(20.0))
@@ -325,19 +327,46 @@ def test_cellfree_frozen_oracles():
 
 
 def test_cellfree_alpha4_closed_form_equals_inversion():
+    # at alpha = 4 the stable CDF is erfc(kappa / (2 sqrt t)), so coverage is erf
     for n in (1, 2, 4, 8):
         for beta in (0.01, 0.1, 1.0, 10.0):
             p = NetworkParams(density=1e-6, alpha=4.0, n_antennas=n, beta=beta)
-            a = cellfree_coverage(p, E25, method="closed-form").value
-            b = cellfree_coverage(p, E25, method="inversion").value
-            assert abs(a - b) <= 1e-6, (n, beta)
-            assert cellfree_coverage(p, E25).method == "closed-form"
+            kappa = (math.pi * p.density * effective_density_factor(p, E25)
+                     * math.gamma(n + 0.5) * math.sqrt(math.pi) / math.factorial(n - 1))
+            t = p.beta * p.noise / p.power
+            got = cellfree_coverage(p, E25).value
+            assert abs(got - math.erf(kappa / (2.0 * math.sqrt(t)))) <= 1e-6, (n, beta)
+            talbot = 1.0 - inverse_laplace(lambda s: np.exp(-kappa * np.sqrt(s)) / s, t)
+            assert abs(got - talbot) <= 1e-6, (n, beta)
 
 
-def test_cellfree_closed_form_requires_alpha4():
-    p = NetworkParams(density=1e-6)
-    with pytest.raises(ValueError):
-        cellfree_coverage(p, E25, method="closed-form")
+# alpha, N, density, beta dB, theta deg -> mpmath, dps=60: the power series
+# (1/pi) sum_k (-1)^(k+1) Gamma(k v) sin(k pi v) z^k / k! of P[S >= t]; the
+# first two agree with mpmath.quad of Zolotarev's integral to 17 digits
+CELLFREE_SERIES_ORACLES = [
+    # Talbot inversion raised AccuracyError at these two
+    ((2.1, 2, 1e-8, 40.0, 60.0), 0.99038252314581143),
+    ((2.3, 1, 1e-7, 40.0, 25.0), 0.99997477415264815),
+    # small coverage: relative accuracy
+    ((2.05, 1, 1e-8, 75.0, 25.0), 5.9275777170720154e-5),
+    ((6.0, 8, 1e-8, 35.0, 25.0), 1.5470668183436808e-5),
+    ((4.0, 1, 1e-10, 45.0, 25.0), 3.833031579910519e-7),
+]
+
+
+@pytest.mark.parametrize("case,want", CELLFREE_SERIES_ORACLES,
+                         ids=[f"alpha{c[0]}-N{c[1]}-{c[3]:g}dB" for c, _ in CELLFREE_SERIES_ORACLES])
+def test_cellfree_series_oracles(case, want):
+    alpha, n, density, beta_db, theta_deg = case
+    p = NetworkParams(density=density, alpha=alpha, n_antennas=n, beta=10.0 ** (beta_db / 10.0))
+    got = cellfree_coverage(p, ConstantElevation(math.radians(theta_deg)))
+    assert abs(got.value - want) <= got.numerical_error <= 1e-9 * want, got
+
+
+def test_cellfree_many_antennas():
+    # Gamma(N + 2/alpha) overflows a double from N = 171 on
+    got = cellfree_coverage(NetworkParams(density=1e-6, n_antennas=180), E25)
+    assert got.value == 1.0
 
 
 def test_cellfree_requires_noise():
@@ -372,7 +401,7 @@ def test_cellfree_monotone():
 @pytest.mark.parametrize("theta_deg", (0.0, 15.0, 35.0))
 @pytest.mark.parametrize("alpha", (2.05, 2.1, 2.3))
 def test_cellfree_near_alpha_two_is_finite(alpha, theta_deg, beta_db, n, density):
-    # the Chernoff shortcut's optimal point overflows a double as alpha -> 2
+    # kappa t^-v and the exponent 1/(1 - v) grow without bound as alpha -> 2
     p = NetworkParams(
         density=density, alpha=alpha, n_antennas=n, beta=10.0 ** (beta_db / 10.0)
     )

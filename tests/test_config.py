@@ -99,6 +99,28 @@ def test_parameter_range_violation_blames_config_key():
     assert exc.value.key == "lambda"
 
 
+@pytest.mark.parametrize("doc,key", [
+    ("lambda = inf\n", "lambda"),
+    ("power_mw = inf\n", "power_mw"),
+    ("noise_mw = inf\n", "noise_mw"),
+    ("noise_dbm = inf\n", "noise_dbm"),
+    ("noise_dbm = nan\n", "noise_dbm"),
+    ("noise_dbm = 4000\n", "noise_dbm"),
+    ("alpha = inf\n", "alpha"),
+    ("ell = nan\n", "ell"),
+    ("beta = inf\n", "beta"),
+    ("beta_db = inf\n", "beta_db"),
+    ("beta_db = 4000\n", "beta_db"),
+    ("beta_db = -inf\n", "beta_db"),
+    ("c1 = inf\n", "c1"),
+    ("c2 = -inf\n", "c2"),
+])
+def test_non_finite_values_blame_the_key_used(doc, key):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(doc)
+    assert exc.value.key == key
+
+
 def test_gamma_tan_elevation_parses():
     cfg = parse_config("elevation = gamma_tan\nshape = 3\ntheta_bar_deg = 20\n")
     assert isinstance(cfg.elevation, GammaTanElevation)

@@ -1,7 +1,10 @@
-"""The demos are scripts no other test runs: check that their uavcov imports resolve."""
+"""The demos are scripts no other test runs: check, from their source alone,
+that their uavcov imports resolve and that they call those names only with
+keywords the signatures accept."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -12,14 +15,20 @@ DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
 def test_demo_uavcov_imports_resolve(path):
     tree = ast.parse(path.read_text(), filename=str(path))
-    imports = [
-        node for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom)
-        and node.module
-        and node.module.split(".")[0] == "uavcov"
-    ]
-    assert imports, f"{path.name} imports nothing from uavcov"
-    for node in imports:
-        module = importlib.import_module(node.module)
-        for alias in node.names:
-            assert hasattr(module, alias.name), f"{path.name}: {node.module}.{alias.name}"
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "uavcov":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), f"{path.name}: {node.module}.{alias.name}"
+                imported[alias.asname or alias.name] = getattr(module, alias.name)
+    assert imported, f"{path.name} imports nothing from uavcov"
+    # every keyword passed to an imported callable must be one of its parameters
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in imported:
+            params = inspect.signature(imported[node.func.id]).parameters
+            if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()):
+                continue
+            for kw in node.keywords:
+                assert kw.arg is None or kw.arg in params, \
+                    f"{path.name}:{node.lineno}: {node.func.id}({kw.arg}=...)"

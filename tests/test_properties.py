@@ -1,6 +1,6 @@
 """Property tests of the analytic coverage expressions over the input ranges
-the config accepts: values are probabilities, the bounds are ordered, and
-more antennas never lower coverage."""
+the config accepts: values are probabilities, the bounds are ordered, more
+antennas never lower coverage and a higher threshold never raises it."""
 
 import dataclasses
 import math
@@ -83,3 +83,18 @@ def test_downlink_nondecreasing_in_antennas(scenario, extra):
     hi = _probability(downlink_coverage, more, elev)
     if lo is not None and hi is not None:
         assert lo.value <= hi.value + lo.numerical_error + hi.numerical_error, (lo, hi)
+
+
+@PROPERTY_SETTINGS
+@given(scenarios(), st.floats(0.0, 20.0), st.integers(1, 16))
+def test_cellfree_monotone_in_threshold_and_antennas(scenario, extra_db, extra):
+    params, elev = scenario
+    params = dataclasses.replace(params, noise=10.0 ** -9.25)
+    higher = dataclasses.replace(params, beta=params.beta * 10.0 ** (extra_db / 10.0))
+    more = dataclasses.replace(params, n_antennas=min(64, params.n_antennas + extra))
+    base = _probability(cellfree_coverage, params, elev)
+    hi = _probability(cellfree_coverage, higher, elev)
+    mo = _probability(cellfree_coverage, more, elev)
+    assert base is not None and hi is not None and mo is not None
+    assert hi.value <= base.value + hi.numerical_error + base.numerical_error, (base, hi)
+    assert base.value <= mo.value + base.numerical_error + mo.numerical_error, (base, mo)
