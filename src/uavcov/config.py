@@ -237,8 +237,8 @@ def parse_config(text):
     if n_samples < 1:
         raise ConfigError("n_samples", f"must be >= 1, got {n_samples}")
     guard_tolerance = _get_float(pairs, "guard_tolerance", 1e-3)
-    if not guard_tolerance > 0:
-        raise ConfigError("guard_tolerance", f"must be positive, got {guard_tolerance}")
+    if not 0.0 < guard_tolerance < 1.0:
+        raise ConfigError("guard_tolerance", f"must lie in (0, 1), got {guard_tolerance}")
 
     return RunConfig(
         params=params,

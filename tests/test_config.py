@@ -114,6 +114,8 @@ def test_parameter_range_violation_blames_config_key():
     ("beta_db = -inf\n", "beta_db"),
     ("c1 = inf\n", "c1"),
     ("c2 = -inf\n", "c2"),
+    ("guard_tolerance = inf\n", "guard_tolerance"),
+    ("guard_tolerance = nan\n", "guard_tolerance"),
 ])
 def test_non_finite_values_blame_the_key_used(doc, key):
     with pytest.raises(ConfigError) as exc:
@@ -146,6 +148,8 @@ def test_invalid_choice_rejected():
 @pytest.mark.parametrize("doc,key", [
     ("n_samples = 0\n", "n_samples"),
     ("guard_tolerance = 0\n", "guard_tolerance"),
+    ("guard_tolerance = 1\n", "guard_tolerance"),
+    ("guard_tolerance = 5\n", "guard_tolerance"),
 ])
 def test_positivity_checks(doc, key):
     with pytest.raises(ConfigError) as exc:

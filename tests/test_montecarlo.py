@@ -1,7 +1,9 @@
 """Monte Carlo estimators: reference-path algebra, truncation control,
 seeding, and statistical consistency with the analytic route."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +189,73 @@ def test_estimates_are_bit_reproducible():
     assert a == b
     c = estimate_downlink(p, E25, 3000, 78)
     assert c.mean != a.mean or c.seed != a.seed
+
+
+def _sha256(values):
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=np.float64).tobytes()).hexdigest()
+
+
+def test_outputs_match_recorded_golden_values():
+    # Exact outputs of the chunk kernels: any change to the draw order or to
+    # a float operation moves these.  The digests are of float64 bytes from
+    # numpy 2.4 on x86-64 with AVX-512, whose SIMD pow/exp may round
+    # differently from the kernels numpy picks on another CPU family.
+    gamma_tan = GammaTanElevation(3.0, math.radians(20.0))
+    for ell, want in ((0.25, 0.787), (1.0, 0.7933333333333333), (0.0, 0.7843333333333333)):
+        assert estimate_downlink(NetworkParams(density=1e-6, ell=ell), E25, 3000, 11).mean == want
+    assert estimate_downlink(NetworkParams(density=1e-6), gamma_tan, 3000, 12).mean == 0.797
+    p_cf = NetworkParams(density=1e-6, beta=1e4, n_antennas=2)
+    assert estimate_cellfree(p_cf, E25, 3000, 13).mean == 0.7416666666666667
+    p = NetworkParams(density=1e-6)
+    assert _sha256(sample_peak_gain(p, E25, 3000, 14)) == (
+        "4bea4a70ad24372861716667c297c5c133b7c80519ea1d803f9989f32d4c3710")
+    for i, (case, want) in enumerate((
+        ("all-los-unit", "128e981380b50f174bdbd6ea03e2499db2d9894577780c6ffa090a4f06c15028"),
+        ("los-weighted", "c412b245e5673def396a45761822655065f6fa243601620b3a545976eea6c7e6"),
+        ("pure-los", "d318e65f31eb8183d6cae17279d58d7cdf7a682ca997690861a272778bbc55da"),
+    )):
+        assert _sha256(sample_nearest_sq(p, E25, case, 3000, 15 + i)) == want, case
+
+
+def test_first_max_index_matches_associate_per_segment():
+    alpha, ell = 2.75, 0.25
+    segments = [
+        ([100.0], [True]),                                 # one point
+        ([50.0, 80.0, 90.0], [True, True, True]),          # max at the start
+        ([90.0, 80.0, 50.0], [True, True, True]),          # max at the end
+        ([70.0, 40.0, 70.0, 40.0], [True] * 4),            # tie: lowest index
+        ([40.0, 40.0], [False, False]),                    # NLoS tie
+        ([30.0, 40.0], [False, True]),                     # attenuation decides
+        ([200.0], [False]),                                # one NLoS point
+        ([30.0, 50.0], [True, True]),                      # 50 is not this max...
+        ([50.0, 60.0], [True, True]),                      # ...but is this one
+    ]
+    reals = [_make_realization(x, [0.0] * len(x), [0.0] * len(x), los) for x, los in segments]
+    xi = np.concatenate(
+        [r.distance_3d ** -alpha * np.where(r.los, 1.0, ell) for r in reals])
+    cnz = np.array([len(r) for r in reals])
+    starts = np.concatenate(([0], np.cumsum(cnz)[:-1]))
+    got = mc._first_max_index(xi, np.maximum.reduceat(xi, starts), cnz, starts)
+    want = [s + associate(r, alpha, ell) for s, r in zip(starts, reals)]
+    assert got.tolist() == want
+
+
+def test_chunk_kernels_peak_allocation_per_point():
+    # one 500-realization chunk holds ~4.7e5 points; the kernels fill a few
+    # point-sized buffers in place instead of a fresh array per step
+    p = NetworkParams(density=1e-6)
+    radius = guard_radius(p, E25, 1e-3)
+    tail = interference_tail_mean(p, E25, radius)
+    n, seed = 500, 7
+    points = int(np.random.default_rng(seed).poisson(p.density * math.pi * radius**2, n).sum())
+    for chunk in (mc._downlink_chunk, mc._cellfree_chunk):
+        tracemalloc.start()
+        try:
+            chunk(p, E25, radius, tail, n, np.random.default_rng(seed))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / points <= 30.0, (chunk.__name__, peak / points)
 
 
 def test_estimate_matches_analytic_downlink():

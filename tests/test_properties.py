@@ -86,6 +86,17 @@ def test_downlink_nondecreasing_in_antennas(scenario, extra):
 
 
 @PROPERTY_SETTINGS
+@given(scenarios(), st.floats(0.0, 20.0))
+def test_downlink_nonincreasing_in_threshold(scenario, extra_db):
+    params, elev = scenario
+    higher = dataclasses.replace(params, beta=params.beta * 10.0 ** (extra_db / 10.0))
+    lo = _probability(downlink_coverage, higher, elev)
+    hi = _probability(downlink_coverage, params, elev)
+    if lo is not None and hi is not None:
+        assert lo.value <= hi.value + lo.numerical_error + hi.numerical_error, (hi, lo)
+
+
+@PROPERTY_SETTINGS
 @given(scenarios(), st.floats(0.0, 20.0), st.integers(1, 16))
 def test_cellfree_monotone_in_threshold_and_antennas(scenario, extra_db, extra):
     params, elev = scenario
