@@ -37,7 +37,6 @@ from .model import (
 from .montecarlo import (
     CoverageEstimate,
     EmptyRealizationError,
-    FadingDraw,
     associate,
     estimate_cellfree,
     estimate_downlink,
@@ -45,7 +44,6 @@ from .montecarlo import (
     interference_tail_mean,
     sample_nearest_sq,
     sample_peak_gain,
-    sinr,
 )
 
 __version__ = "0.1.0"
@@ -56,7 +54,6 @@ __all__ = [
     "CoverageEstimate",
     "CoverageResult",
     "EmptyRealizationError",
-    "FadingDraw",
     "GammaTanElevation",
     "InvalidParameterError",
     "NetworkParams",
@@ -84,7 +81,6 @@ __all__ = [
     "render_config",
     "sample_nearest_sq",
     "sample_peak_gain",
-    "sinr",
     "tail_gain_moment",
     "thinned_points",
 ]

@@ -47,25 +47,6 @@ class EmptyRealizationError(ValueError):
 
 
 @dataclass(frozen=True)
-class FadingDraw:
-    """Per-realization fading: Gamma(N,1) toward the server, Exp(1) elsewhere.
-
-    interferer_gains is aligned with the realization's point order; the
-    entry at the serving index is ignored.
-    """
-
-    serving_gain: float
-    interferer_gains: np.ndarray
-
-    @classmethod
-    def sample(cls, rng, n_points, n_antennas):
-        return cls(
-            serving_gain=float(rng.standard_gamma(n_antennas)),
-            interferer_gains=rng.standard_exponential(n_points),
-        )
-
-
-@dataclass(frozen=True)
 class CoverageEstimate:
     """Bernoulli mean with its exact binomial standard error."""
 
@@ -104,10 +85,11 @@ def guard_radius(params, elev, tolerance):
     a reference interference level -- the conditional mean interference at
     the mean association distance, 2 (pi density w_eff)^(alpha/2) power /
     (alpha - 2) -- floored at 10/sqrt(pi density) so a handful of points
-    always exists.
+    always exists.  tolerance must lie in (0, 1): at or above 1 the floor
+    radius would always win and the tolerance would mean nothing.
     """
-    if not tolerance > 0.0:
-        raise InvalidParameterError(f"tolerance must be positive, got {tolerance!r}")
+    if not 0.0 < tolerance < 1.0:
+        raise InvalidParameterError(f"tolerance must lie in (0, 1), got {tolerance!r}")
     mu = math.pi * params.density * effective_density_factor(params, elev)
     reference = 2.0 * mu ** (params.alpha / 2.0) / (params.alpha - 2.0)
     m2 = tail_gain_moment(params, elev, 2)
@@ -130,26 +112,6 @@ def associate(realization, alpha, ell):
     d3 = realization.distance_3d
     gain = d3 ** (-alpha) * np.where(realization.los, 1.0, ell)
     return int(np.argmax(gain))
-
-
-def sinr(realization, fading, serving, params):
-    """SINR of the typical user given a realization and one fading draw."""
-    n = len(realization)
-    if not 0 <= serving < n:
-        raise IndexError(f"serving index {serving} out of range for {n} UAVs")
-    if fading.interferer_gains.shape != (n,):
-        raise ValueError(
-            f"fading arrays must align with the realization: expected ({n},), "
-            f"got {fading.interferer_gains.shape}"
-        )
-    d3 = realization.distance_3d
-    gain = d3 ** (-params.alpha) * np.where(realization.los, 1.0, params.ell)
-    signal = params.power * fading.serving_gain * gain[serving]
-    interference = params.power * (
-        float(fading.interferer_gains @ gain)
-        - fading.interferer_gains[serving] * gain[serving]
-    )
-    return signal / (interference + params.noise)
 
 
 # -- batched sampling ----------------------------------------------------------

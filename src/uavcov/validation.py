@@ -12,7 +12,6 @@ content, not exceptions.
 import math
 
 import numpy as np
-from scipy.stats import kstest
 
 from .analytic import (
     downlink_coverage,
@@ -252,6 +251,9 @@ _KS_ALPHA = 0.01
 
 
 def _ks_result(samples, cdf, args=()):
+    # imported here: at module level scipy.stats adds ~0.8 s to every cold start
+    from scipy.stats import kstest
+
     stat = kstest(samples, cdf, args=args)
     return {
         "passed": bool(stat.pvalue > _KS_ALPHA),

@@ -20,6 +20,7 @@ from uavcov.analytic import (
 from uavcov.model import (
     ConstantElevation,
     GammaTanElevation,
+    InvalidParameterError,
     NetworkParams,
     NetworkRealization,
     realize_network,
@@ -27,7 +28,6 @@ from uavcov.model import (
 from uavcov.montecarlo import (
     CoverageEstimate,
     EmptyRealizationError,
-    FadingDraw,
     associate,
     estimate_cellfree,
     estimate_downlink,
@@ -35,7 +35,6 @@ from uavcov.montecarlo import (
     interference_tail_mean,
     sample_nearest_sq,
     sample_peak_gain,
-    sinr,
 )
 
 E25 = ConstantElevation(math.radians(25.0))
@@ -52,7 +51,7 @@ def _make_realization(x, y, theta, los):
     )
 
 
-# -- association and SINR -------------------------------------------------------
+# -- association ----------------------------------------------------------------
 
 
 def test_associate_prefers_strong_attenuated_gain():
@@ -75,49 +74,6 @@ def test_associate_empty_raises():
         associate(real, 2.75, 0.25)
 
 
-def test_sinr_single_uav_closed_form():
-    p = NetworkParams(density=1e-6)
-    real = _make_realization([200.0], [0.0], [math.radians(30.0)], [True])
-    fading = FadingDraw(serving_gain=1.7, interferer_gains=np.array([0.9]))
-    d3 = 200.0 / math.cos(math.radians(30.0))
-    want = p.power * 1.7 * d3**-p.alpha / p.noise
-    assert sinr(real, fading, 0, p) == pytest.approx(want, rel=1e-12)
-
-
-def test_sinr_excludes_serving_gain_from_interference():
-    p = NetworkParams(density=1e-6, noise=0.0)
-    real = _make_realization(
-        [100.0, 300.0], [0.0, 0.0], [0.0, 0.0], [True, True]
-    )
-    fading = FadingDraw(serving_gain=2.0, interferer_gains=np.array([5.0, 0.5]))
-    # serving index 0: its own exp(1) draw (5.0) must not appear anywhere
-    want = (2.0 * 100.0**-p.alpha) / (0.5 * 300.0**-p.alpha)
-    assert sinr(real, fading, 0, p) == pytest.approx(want, rel=1e-12)
-
-
-def test_sinr_validates_inputs():
-    p = NetworkParams(density=1e-6)
-    real = _make_realization([100.0], [0.0], [0.0], [True])
-    fading = FadingDraw(serving_gain=1.0, interferer_gains=np.array([1.0]))
-    with pytest.raises(IndexError):
-        sinr(real, fading, 3, p)
-    with pytest.raises(ValueError):
-        sinr(real, FadingDraw(1.0, np.array([1.0, 2.0])), 0, p)
-
-
-def test_identical_pair_interference_limited_half_coverage():
-    # two co-located UAVs, no noise, N=1: SINR = Exp(1)/Exp(1), P[>= 1] = 1/2
-    p = NetworkParams(density=1e-6, noise=0.0, beta=1.0)
-    real = _make_realization([120.0, 120.0], [0.0, 0.0], [0.3, 0.3], [True, True])
-    rng = np.random.default_rng(2024)
-    n = 4000
-    hits = 0
-    for _ in range(n):
-        fading = FadingDraw.sample(rng, 2, 1)
-        hits += sinr(real, fading, 0, p) >= 1.0
-    assert abs(hits / n - 0.5) <= 4.0 * math.sqrt(0.25 / n)
-
-
 # -- truncation control ----------------------------------------------------------
 
 
@@ -125,6 +81,15 @@ def test_guard_radius_floor_engages_for_loose_tolerance():
     p = NetworkParams(density=1e-4)
     floor = 10.0 / math.sqrt(math.pi * p.density)
     assert guard_radius(p, E25, 0.1) == pytest.approx(floor, rel=1e-12)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-3, 1.0, 5.0, math.inf, math.nan])
+def test_guard_radius_rejects_tolerance_outside_unit_interval(tol):
+    p = NetworkParams(density=1e-6)
+    with pytest.raises(InvalidParameterError, match="tolerance"):
+        guard_radius(p, E25, tol)
+    with pytest.raises(InvalidParameterError, match="tolerance"):
+        estimate_downlink(p, E25, 10, 0, guard_tolerance=tol)
 
 
 def test_guard_radius_tightens_with_tolerance():
