@@ -22,7 +22,7 @@ import numpy as np
 from . import validation
 from .analytic import cellfree_coverage, downlink_coverage
 from .config import ConfigError, apply_sweep_value, parse_config
-from .montecarlo import estimate_cellfree, estimate_downlink
+from .montecarlo import estimate_cellfree, estimate_downlink, estimate_sweep
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -42,6 +42,10 @@ CSV_COLUMNS = (
 )
 
 
+# sweep axes on which one Monte Carlo draw serves every row (estimate_sweep)
+_SHARED_AXES = ("beta", "lambda")
+
+
 def _analytic_value(metric, params, elev):
     if metric == "cellfree":
         return cellfree_coverage(params, elev).value
@@ -53,14 +57,25 @@ def _mc_estimate(metric, params, elev, n_samples, seed, guard_tolerance):
     return fn(params, elev, n_samples, seed, guard_tolerance=guard_tolerance)
 
 
-def evaluate_point(task):
-    """Worker: one sweep point.  task is a plain tuple so it pickles.
+def _timed(job):
+    """Worker: job = (fn, args).  Returns ((result, error message), seconds);
+    a raised exception gives (None, its message)."""
+    fn, args = job
+    start = time.perf_counter()
+    try:
+        outcome = fn(*args), None
+    except Exception as exc:
+        outcome = None, str(exc)
+    return outcome, time.perf_counter() - start
 
-    Returns a row dict; numeric failures set the affected cells to nan and
-    carry the message in 'error' instead of raising.
+
+def _row(sweep_var, sweep_value, analytic, mc, n_samples, seed, seconds):
+    """Assemble one output row.
+
+    analytic and mc are (result, error message) pairs, or None for a half
+    the mode does not run; numeric failures set the affected cells to nan
+    and carry the message in 'error'.
     """
-    (sweep_var, sweep_value, metric, mode, params, elev, n_samples, seed,
-     guard_tolerance) = task
     row = {
         "sweep_var": sweep_var,
         "sweep_value": sweep_value,
@@ -70,42 +85,54 @@ def evaluate_point(task):
         "z_score": None,
         "n_samples": None,
         "seed": None,
-        "wall_ms": None,
+        "wall_ms": round(seconds * 1e3, 3),
         "error": None,
     }
-    start = time.perf_counter()
     errors = []
-    if mode in ("analytic", "both"):
-        try:
-            row["p_analytic"] = _analytic_value(metric, params, elev)
-        except Exception as exc:
-            row["p_analytic"] = float("nan")
-            errors.append(f"analytic: {exc}")
-    if mode in ("montecarlo", "both"):
+    if analytic is not None:
+        value, error = analytic
+        row["p_analytic"] = float("nan") if error else value
+        if error:
+            errors.append(f"analytic: {error}")
+    if mc is not None:
+        est, error = mc
         row["n_samples"] = n_samples
         row["seed"] = seed
-        try:
-            est = _mc_estimate(metric, params, elev, n_samples, seed, guard_tolerance)
-            row["p_mc"] = est.mean
-            row["mc_stderr"] = est.std_error
-        except Exception as exc:
-            row["p_mc"] = float("nan")
-            row["mc_stderr"] = float("nan")
-            errors.append(f"montecarlo: {exc}")
-    if mode == "both":
+        row["p_mc"] = float("nan") if error else est.mean
+        row["mc_stderr"] = float("nan") if error else est.std_error
+        if error:
+            errors.append(f"montecarlo: {error}")
+    if analytic is not None and mc is not None:
         pa, pm, se = row["p_analytic"], row["p_mc"], row["mc_stderr"]
-        if pa is not None and pm is not None and np.isfinite(pa) and np.isfinite(pm):
+        if np.isfinite(pa) and np.isfinite(pm):
             diff = pa - pm
-            if se and se > 0.0:
+            if se > 0.0:
                 row["z_score"] = diff / se
             else:
                 row["z_score"] = 0.0 if diff == 0.0 else float("inf")
         else:
             row["z_score"] = float("nan")
-    row["wall_ms"] = round((time.perf_counter() - start) * 1e3, 3)
     if errors:
         row["error"] = "; ".join(errors)
     return row
+
+
+def evaluate_point(task):
+    """Worker: one sweep point.  task is a plain tuple so it pickles.
+
+    Returns a row dict; numeric failures set the affected cells to nan and
+    carry the message in 'error' instead of raising.
+    """
+    (sweep_var, sweep_value, metric, mode, params, elev, n_samples, seed,
+     guard_tolerance) = task
+    analytic = mc = None
+    a_seconds = mc_seconds = 0.0
+    if mode in ("analytic", "both"):
+        analytic, a_seconds = _timed((_analytic_value, (metric, params, elev)))
+    if mode in ("montecarlo", "both"):
+        mc, mc_seconds = _timed(
+            (_mc_estimate, (metric, params, elev, n_samples, seed, guard_tolerance)))
+    return _row(sweep_var, sweep_value, analytic, mc, n_samples, seed, a_seconds + mc_seconds)
 
 
 def _build_tasks(cfg):
@@ -154,15 +181,48 @@ def _bad_row(variable, value, message):
     }
 
 
+def _map(fn, items, workers):
+    if workers > 1 and len(items) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
+def _shared_rows(good, workers):
+    """Rows of a beta or lambda sweep whose Monte Carlo half is one run.
+
+    The run uses the first row's seed, and every row reports it.  A row's
+    wall_ms is its own analytic time plus an equal share of the run, so the
+    rows still add up to the sweep's time.
+    """
+    _, _, metric, mode, _, elev, n_samples, seed, guard_tolerance = good[0]
+    row_params = [t[4] for t in good]
+    jobs = [(estimate_sweep,
+             (metric, row_params, elev, n_samples, seed, None, guard_tolerance))]
+    if mode == "both":
+        jobs += [(_analytic_value, (metric, t[4], t[5])) for t in good]
+    ((estimates, mc_error), mc_seconds), *analytic = _map(_timed, jobs, workers)
+    share = mc_seconds / len(good)
+    rows = []
+    for j, t in enumerate(good):
+        a, a_seconds = analytic[j] if analytic else (None, 0.0)
+        mc = (None if mc_error else estimates[j], mc_error)
+        rows.append(_row(t[0], t[1], a, mc, n_samples, seed, a_seconds + share))
+    return rows
+
+
 def run_sweep(cfg, workers=1):
-    """Evaluate every sweep point; deterministic row order by sweep index."""
+    """Evaluate every sweep point; deterministic row order by sweep index.
+
+    A beta or lambda sweep with a Monte Carlo half draws once for all of
+    its rows (montecarlo.estimate_sweep); other axes run one draw per row.
+    """
     tasks = _build_tasks(cfg)
     good = [t for t in tasks if t[0] != "__bad__"]
-    if workers > 1 and len(good) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            computed = iter(list(pool.map(evaluate_point, good)))
+    if good and cfg.mode != "analytic" and cfg.sweep.variable in _SHARED_AXES:
+        computed = iter(_shared_rows(good, workers))
     else:
-        computed = iter([evaluate_point(t) for t in good])
+        computed = iter(_map(evaluate_point, good, workers))
     rows = []
     variable = cfg.sweep.variable
     for t in tasks:

@@ -24,10 +24,22 @@ path gains; the other holds cos(Theta) (non-constant laws), then the LoS
 uniforms, then the attenuated path gains.  A constant-elevation chunk of
 ~4.7e5 points allocates at peak ~26 bytes per point (downlink) and ~18
 (cell-free).
+
+A chunk kernel stops before the coverage test and returns per-realization
+operands: the serving signal and the interference (downlink), or the
+received sum with the tail compensation (cell-free).  The run then counts
+hits for each of a list of per-row (beta, noise) pairs with the comparison
+a single estimate makes, so one draw serves a whole beta sweep.  A density
+sweep rides on the same draw: the marks are independent of distance, so
+the process at density lambda_j is the one at lambda_0 with distances
+scaled by (lambda_0/lambda_j)^(1/2).  The guard radius and the tail mean
+scale along with it and the points per realization stay put, so only the
+noise moves, to noise (lambda_0/lambda_j)^(alpha/2).  estimate_downlink and
+estimate_cellfree are the one-pair case of estimate_sweep.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -181,47 +193,101 @@ def _first_max_index(xi, xi_max, cnz, starts):
 
 
 def _downlink_chunk(params, elev, radius, tail_units, n, rng):
+    """Operands (signal, interference) of the realizations that hold a UAV.
+
+    signal is the serving fading gain times the serving path gain and
+    interference the other UAVs' sum plus the tail mean, both in units of
+    power.  A realization without a UAV is never covered, at any threshold.
+    """
     # d3 is not needed past the draw: its buffer takes the fading gains
-    nz, cnz, starts, xi, g, _ = _draw_chunk(params, elev, radius, n, rng)
-    covered = np.zeros(n, dtype=bool)
+    _, cnz, starts, xi, g, _ = _draw_chunk(params, elev, radius, n, rng)
     if cnz.size == 0:
-        return covered
+        return np.empty(0), np.empty(0)
     xi_max = np.maximum.reduceat(xi, starts)
     i_star = _first_max_index(xi, xi_max, cnz, starts)
     rng.standard_exponential(out=g)
     g *= xi
     interference = np.add.reduceat(g, starts) - g[i_star] + tail_units
     g_star = rng.standard_gamma(params.n_antennas, size=cnz.size)
-    noise_units = params.noise / params.power
-    covered[nz] = g_star * xi_max >= params.beta * (interference + noise_units)
-    return covered
+    return g_star * xi_max, interference
+
+
+def _downlink_hits(operands, power, beta, noise):
+    signal, interference = operands
+    return int(np.count_nonzero(signal >= beta * (interference + noise / power)))
 
 
 def _cellfree_chunk(params, elev, radius, tail_units, n, rng):
+    """Received signal sum of every realization in units of power, with the
+    tail compensation added (a realization without a UAV holds it alone)."""
     # as in _downlink_chunk, the d3 buffer takes the fading gains
     nz, cnz, starts, xi, g, _ = _draw_chunk(params, elev, radius, n, rng)
     rng.standard_gamma(params.n_antennas, out=g)
-    threshold = params.beta * params.noise / params.power
     compensation = params.n_antennas * tail_units
-    covered = np.full(n, compensation >= threshold, dtype=bool)
+    total = np.full(n, compensation)
     if cnz.size:
         g *= xi
-        s = np.add.reduceat(g, starts)
-        covered[nz] = s + compensation >= threshold
-    return covered
+        total[nz] = np.add.reduceat(g, starts) + compensation
+    return total
 
 
-def _run_chunks(chunk_fn, params, elev, radius, tail_units, n_samples, master_seed):
-    hits = 0
+def _cellfree_hits(total, power, beta, noise):
+    return int(np.count_nonzero(total >= beta * noise / power))
+
+
+_KERNELS = {
+    "downlink": (_downlink_chunk, _downlink_hits),
+    "cellfree": (_cellfree_chunk, _cellfree_hits),
+}
+
+
+def estimate_sweep(
+    metric, rows, elev, n_samples, master_seed, sim_radius=None, guard_tolerance=1e-3
+):
+    """Monte Carlo coverage ('downlink' or 'cellfree') of every row from one run.
+
+    rows is a sequence of NetworkParams that differ from rows[0] in beta
+    and density only.  The geometry is drawn once, at rows[0]'s density,
+    guard radius (or sim_radius) and tail mean, and each row is counted on
+    it: beta is a threshold on the same SINR, and a density lambda_j is the
+    same draw with every distance scaled by (lambda_0/lambda_j)^(1/2), which
+    is the noise scaled by (lambda_0/lambda_j)^(alpha/2).  The estimates are
+    correlated across rows; each is, on its own, distributed as a separate
+    run at that row.  rows[0]'s estimate is the one estimate_downlink or
+    estimate_cellfree returns for rows[0] and the same seed.
+    """
+    params = rows[0]
+    for p in rows:
+        if replace(p, beta=params.beta, density=params.density) != params:
+            raise InvalidParameterError(
+                "rows of one run may differ in beta and density only")
+    if metric == "cellfree" and params.noise <= 0.0:
+        raise InvalidParameterError("cell-free estimation requires noise > 0")
+    n_samples = int(n_samples)
+    if n_samples < 1:
+        raise InvalidParameterError("n_samples must be >= 1")
+    radius = sim_radius if sim_radius is not None else guard_radius(params, elev, guard_tolerance)
+    thresholds = [
+        (p.beta, p.noise * (params.density / p.density) ** (params.alpha / 2.0))
+        for p in rows
+    ]
+    chunk_fn, hits_fn = _KERNELS[metric]
+    tail_units = interference_tail_mean(params, elev, radius)
+    hits = [0] * len(rows)
     for size, rng in _chunks(n_samples, radius, params.density, master_seed):
-        hits += int(chunk_fn(params, elev, radius, tail_units, size, rng).sum())
-    mean = hits / n_samples
-    return CoverageEstimate(
-        mean=mean,
-        std_error=math.sqrt(mean * (1.0 - mean) / n_samples),
-        n_samples=n_samples,
-        seed=int(master_seed),
-    )
+        operands = chunk_fn(params, elev, radius, tail_units, size, rng)
+        for j, (beta, noise) in enumerate(thresholds):
+            hits[j] += hits_fn(operands, params.power, beta, noise)
+    estimates = []
+    for h in hits:
+        mean = h / n_samples
+        estimates.append(CoverageEstimate(
+            mean=mean,
+            std_error=math.sqrt(mean * (1.0 - mean) / n_samples),
+            n_samples=n_samples,
+            seed=int(master_seed),
+        ))
+    return estimates
 
 
 def estimate_downlink(
@@ -232,30 +298,18 @@ def estimate_downlink(
     sim_radius defaults to guard_radius(params, elev, guard_tolerance); the
     far-field mean is always added back to the interference.
     """
-    n_samples = int(n_samples)
-    if n_samples < 1:
-        raise InvalidParameterError("n_samples must be >= 1")
-    radius = sim_radius if sim_radius is not None else guard_radius(params, elev, guard_tolerance)
-    tail_units = interference_tail_mean(params, elev, radius)
-    return _run_chunks(
-        _downlink_chunk, params, elev, radius, tail_units, n_samples, master_seed
-    )
+    return estimate_sweep(
+        "downlink", [params], elev, n_samples, master_seed, sim_radius, guard_tolerance
+    )[0]
 
 
 def estimate_cellfree(
     params, elev, n_samples, master_seed, sim_radius=None, guard_tolerance=1e-3
 ):
     """Monte Carlo cell-free coverage (all UAVs transmit; SNR of the sum)."""
-    if params.noise <= 0.0:
-        raise InvalidParameterError("cell-free estimation requires noise > 0")
-    n_samples = int(n_samples)
-    if n_samples < 1:
-        raise InvalidParameterError("n_samples must be >= 1")
-    radius = sim_radius if sim_radius is not None else guard_radius(params, elev, guard_tolerance)
-    tail_units = interference_tail_mean(params, elev, radius)
-    return _run_chunks(
-        _cellfree_chunk, params, elev, radius, tail_units, n_samples, master_seed
-    )
+    return estimate_sweep(
+        "cellfree", [params], elev, n_samples, master_seed, sim_radius, guard_tolerance
+    )[0]
 
 
 # -- distribution sampling (for statistical tests) -----------------------------

@@ -1,4 +1,5 @@
-"""CLI behavior: schemas, exit codes, worker parity, validate wiring."""
+"""CLI behavior: schemas, exit codes, worker parity, shared-draw sweeps,
+validate wiring."""
 
 import csv
 import io
@@ -7,6 +8,7 @@ import math
 
 import pytest
 
+import uavcov.montecarlo as mc
 from uavcov.analytic import downlink_coverage
 from uavcov.cli import (
     CSV_COLUMNS,
@@ -18,8 +20,9 @@ from uavcov.cli import (
     run_sweep,
     write_csv,
 )
-from uavcov.config import parse_config
+from uavcov.config import apply_sweep_value, parse_config
 from uavcov.model import ConstantElevation, NetworkParams
+from uavcov.montecarlo import estimate_cellfree, estimate_downlink
 
 ANALYTIC_SWEEP = (
     "mode = analytic\n"
@@ -89,18 +92,100 @@ def test_sweep_z_scores_consistent(tmp_path, capsys):
 
 
 def test_parallel_workers_match_serial():
-    doc = (
+    docs = (
         "n_samples = 2000\n"
         "sweep_variable = lambda\n"
-        "sweep_start = 1e-7\nsweep_stop = 1e-6\nsweep_steps = 3\n"
+        "sweep_start = 1e-7\nsweep_stop = 1e-6\nsweep_steps = 3\n",
+        # a cell-free beta sweep: the analytic halves run beside the shared draw
+        "metric = cellfree\nmode = both\nguard_tolerance = 3e-4\nn_samples = 600\n"
+        "sweep_variable = beta\n"
+        "sweep_start = 39\nsweep_stop = 46\nsweep_steps = 3\n",
     )
-    cfg = parse_config(doc)
-    serial = run_sweep(cfg, workers=1)
-    parallel = run_sweep(cfg, workers=2)
-    for a, b in zip(serial, parallel):
-        a = {k: v for k, v in a.items() if k != "wall_ms"}
-        b = {k: v for k, v in b.items() if k != "wall_ms"}
-        assert a == b
+    for doc in docs:
+        cfg = parse_config(doc)
+        serial = run_sweep(cfg, workers=1)
+        parallel = run_sweep(cfg, workers=2)
+        assert len(serial) == len(parallel) == cfg.sweep.steps
+        for a, b in zip(serial, parallel):
+            a = {k: v for k, v in a.items() if k != "wall_ms"}
+            b = {k: v for k, v in b.items() if k != "wall_ms"}
+            assert a == b
+
+
+# -- beta and lambda sweeps: one Monte Carlo draw serves every row ---------------
+
+SHARED_SWEEPS = {
+    "downlink-beta": (
+        "n_samples = 4000\nmaster_seed = 21\n"
+        "sweep_variable = beta\nsweep_start = -10\nsweep_stop = 10\nsweep_steps = 5\n"),
+    "cellfree-beta": (
+        "metric = cellfree\nguard_tolerance = 3e-4\nn_samples = 2000\nmaster_seed = 22\n"
+        "sweep_variable = beta\nsweep_start = 38\nsweep_stop = 47\nsweep_steps = 4\n"),
+    # noise at -60 dBm makes the low densities noise-limited, so the rows differ
+    "downlink-lambda": (
+        "noise_dbm = -60\nn_samples = 4000\nmaster_seed = 23\n"
+        "sweep_variable = lambda\nsweep_start = 1e-7\nsweep_stop = 1e-5\nsweep_steps = 5\n"),
+    "cellfree-lambda": (
+        "metric = cellfree\nbeta_db = 40\nguard_tolerance = 3e-4\nn_samples = 2000\n"
+        "master_seed = 24\n"
+        "sweep_variable = lambda\nsweep_start = 1e-7\nsweep_stop = 1e-5\nsweep_steps = 5\n"),
+    "gamma-tan-lambda": (
+        "elevation = gamma_tan\nshape = 3\ntheta_bar_deg = 20\nnoise_dbm = -65\n"
+        "n_samples = 3000\nmaster_seed = 25\n"
+        "sweep_variable = lambda\nsweep_start = 1e-7\nsweep_stop = 1e-5\nsweep_steps = 5\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_SWEEPS))
+def test_shared_draw_rows_agree_with_analytic(name):
+    cfg = parse_config(SHARED_SWEEPS[name])
+    rows = run_sweep(cfg)
+    n = cfg.n_samples
+    for row in rows:
+        assert row["error"] is None and row["seed"] == rows[0]["seed"]
+        z = (row["p_analytic"] - row["p_mc"]) / max(row["mc_stderr"], 1.0 / n)
+        assert abs(z) <= 3.0, (row["sweep_value"], row["p_analytic"], row["p_mc"])
+    # row 0 is the estimate a single run at its params and seed returns
+    params, elev = apply_sweep_value(cfg, rows[0]["sweep_value"])
+    fn = estimate_cellfree if cfg.metric == "cellfree" else estimate_downlink
+    est = fn(params, elev, n, rows[0]["seed"], guard_tolerance=cfg.guard_tolerance)
+    assert (rows[0]["p_mc"], rows[0]["mc_stderr"]) == (est.mean, est.std_error)
+
+
+def _count_draws(monkeypatch):
+    calls = []
+    draw = mc._draw_chunk
+
+    def counted(*args):
+        calls.append(1)
+        return draw(*args)
+
+    monkeypatch.setattr(mc, "_draw_chunk", counted)
+    return calls
+
+
+@pytest.mark.parametrize("metric", ["downlink", "cellfree"])
+@pytest.mark.parametrize("axis", [
+    "sweep_variable = beta\nsweep_start = 38\nsweep_stop = 44\nsweep_steps = 4\n",
+    "sweep_variable = lambda\nsweep_start = 1e-7\nsweep_stop = 1e-5\nsweep_steps = 4\n",
+    "sweep_variable = theta_bar\nsweep_start = 10\nsweep_stop = 40\nsweep_steps = 4\n",
+], ids=["beta", "lambda", "theta_bar"])
+def test_shared_sweeps_draw_once(monkeypatch, metric, axis):
+    cfg = parse_config(f"metric = {metric}\nmode = montecarlo\nn_samples = 300\n" + axis)
+    calls = _count_draws(monkeypatch)
+    rows = run_sweep(cfg)
+    sweep_calls = len(calls)
+    fn = estimate_cellfree if metric == "cellfree" else estimate_downlink
+    per_row = []
+    for row in rows:
+        del calls[:]
+        params, elev = apply_sweep_value(cfg, row["sweep_value"])
+        fn(params, elev, cfg.n_samples, row["seed"])
+        per_row.append(len(calls))
+    if cfg.sweep.variable == "theta_bar":
+        assert sweep_calls == sum(per_row) == len(rows) * per_row[0]
+    else:
+        assert sweep_calls == per_row[0]
 
 
 def test_missing_config_file_exits_config(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """The demos are scripts no other test runs: check, from their source alone,
 that their uavcov imports resolve and that they call those names only with
-keywords the signatures accept."""
+keywords the signatures accept; and that every demo config parses into a
+sweep whose rows all build."""
 
 import ast
 import importlib
@@ -8,6 +9,9 @@ import inspect
 from pathlib import Path
 
 import pytest
+
+from uavcov.cli import _build_tasks
+from uavcov.config import parse_config
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
@@ -32,3 +36,15 @@ def test_demo_uavcov_imports_resolve(path):
             for kw in node.keywords:
                 assert kw.arg is None or kw.arg in params, \
                     f"{path.name}:{node.lineno}: {node.func.id}({kw.arg}=...)"
+
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.cfg"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_demo_config_builds_every_row(path):
+    # parse only: builds the sweep tasks and runs no coverage computation
+    cfg = parse_config(path.read_text(encoding="utf-8"))
+    tasks = _build_tasks(cfg)
+    assert len(tasks) == cfg.sweep.steps
+    assert [t for t in tasks if t[0] == "__bad__"] == []

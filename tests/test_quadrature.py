@@ -45,6 +45,15 @@ def test_oscillatory_against_scipy():
     assert ours == pytest.approx(ref, abs=1e-11)
 
 
+def test_kronrod_weights_are_full_precision():
+    # 15-digit weights summed to 1.999999999999994: every constant
+    # integrand came out 3e-15 relative low
+    from uavcov.numerics import quadrature
+
+    assert abs(quadrature._WK.sum() - 2.0) <= 4e-16
+    assert abs(integrate(lambda x: 1.0 + 0.0 * x, 0.0, math.pi) / math.pi - 1.0) <= 4e-16
+
+
 def test_tolerance_tightening_changes_little():
     f = lambda x: np.sqrt(np.maximum(x, 0.0)) * np.exp(-x)
     loose = integrate(f, 0.0, np.inf, QuadratureSpec(rel_tol=1e-6, abs_tol=1e-10))
