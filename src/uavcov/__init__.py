@@ -24,7 +24,7 @@ from .analytic import (
     tail_gain_moment,
     thinned_points,
 )
-from .config import ConfigError, RunConfig, SweepAxis, parse_config, render_config
+from .config import ConfigError, RunConfig, SweepAxis, parse_config
 from .model import (
     ConstantElevation,
     GammaTanElevation,
@@ -78,7 +78,6 @@ __all__ = [
     "parse_config",
     "peak_gain_cdf",
     "realize_network",
-    "render_config",
     "sample_nearest_sq",
     "sample_peak_gain",
     "tail_gain_moment",

@@ -3,10 +3,10 @@
 The on-disk format is UTF-8 text, one `key = value` per line, `#` comments.
 Human units are accepted on input (noise_dbm, beta_db, theta_bar_deg) and
 converted to the internal linear-mW / linear-ratio / radian conventions at
-parse time.  render_config emits the exact-unit twins (noise_mw, beta,
-theta_bar_rad) whose float repr round-trips bit-exactly.  An empty document
-is valid and yields the default scenario: density 1e-6, 50 mW, one antenna,
-suburban LoS constants, constant 25 deg elevation, mode 'both'.
+parse time; their exact-unit twins (noise_mw, beta, theta_bar_rad) are
+accepted as well.  An empty document is valid and yields the default
+scenario: density 1e-6, 50 mW, one antenna, suburban LoS constants,
+constant 25 deg elevation, mode 'both'.
 """
 
 import math
@@ -270,48 +270,6 @@ def _blame_param(message, noise_key, beta_key):
         if word in message:
             return key
     return None
-
-
-def render_config(cfg):
-    """Emit a document that parses back to an identical RunConfig.
-
-    Uses the exact-unit keys (noise_mw, beta, theta_bar_rad); float repr
-    round-trips bit-exactly.
-    """
-    p = cfg.params
-    lines = [
-        f"lambda = {p.density!r}",
-        f"power_mw = {p.power!r}",
-        f"n_antennas = {p.n_antennas}",
-        f"noise_mw = {p.noise!r}",
-        f"alpha = {p.alpha!r}",
-        f"ell = {p.ell!r}",
-        f"beta = {p.beta!r}",
-        f"c1 = {p.c1!r}",
-        f"c2 = {p.c2!r}",
-    ]
-    if isinstance(cfg.elevation, ConstantElevation):
-        lines.append("elevation = constant")
-        lines.append(f"theta_bar_rad = {cfg.elevation.theta_bar!r}")
-    else:
-        lines.append("elevation = gamma_tan")
-        lines.append(f"theta_bar_rad = {cfg.elevation.theta_bar!r}")
-        lines.append(f"shape = {cfg.elevation.shape!r}")
-    lines.append(f"metric = {cfg.metric}")
-    lines.append(f"mode = {cfg.mode}")
-    lines.append(f"n_samples = {cfg.n_samples}")
-    lines.append(f"master_seed = {cfg.master_seed}")
-    lines.append(f"guard_tolerance = {cfg.guard_tolerance!r}")
-    if cfg.sweep is not None:
-        lines.append(f"sweep_variable = {cfg.sweep.variable}")
-        lines.append(f"sweep_start = {cfg.sweep.start!r}")
-        lines.append(f"sweep_stop = {cfg.sweep.stop!r}")
-        lines.append(f"sweep_steps = {cfg.sweep.steps}")
-        lines.append(f"sweep_scale = {cfg.sweep.scale}")
-    if cfg.output_path is not None:
-        lines.append(f"output_path = {cfg.output_path}")
-    lines.append(f"output_format = {cfg.output_format}")
-    return "\n".join(lines) + "\n"
 
 
 def apply_sweep_value(cfg, display_value):

@@ -3,10 +3,12 @@
 Ground projections form a homogeneous Poisson process of the given density;
 each UAV independently draws an elevation angle Theta seen from the typical
 user at the origin, so its altitude is ||X|| tan(Theta) and its 3D distance
-||X|| sec(Theta).  A Bernoulli line-of-sight mark with probability
+||X|| sqrt(1 + tan^2(Theta)).  A Bernoulli line-of-sight mark with probability
 rho(Theta) = 1/(1 + c2 exp(-c1 Theta)) selects the attenuation L in {1, ell}.
-An elevation law is any object with sample(rng, size), drawing Theta, and
-expect(fn) = E[fn(Theta)] for a vectorized fn on [0, pi/2).
+An elevation law is any object with sample_tan(rng, size), drawing a fresh
+array of tan(Theta) (the altitude mark per unit range; the angle itself is
+needed only by the LoS law), and expect(fn) = E[fn(Theta)] for a vectorized
+fn on [0, pi/2).
 
 Angles are radians everywhere; powers are linear milliwatts.
 """
@@ -79,11 +81,19 @@ class NetworkParams:
 
 
 def los_probability(theta, c1=SUBURBAN_C1, c2=SUBURBAN_C2):
-    """P[line of sight | elevation angle theta], theta in radians in [0, pi/2]."""
+    """P[line of sight | elevation angle theta], theta in radians in [0, pi/2].
+
+    Computed as 1/(1 + c2 exp(-c1 theta)) in one output array, step by step
+    in that order; NaN is outside the range.
+    """
     th = np.asarray(theta, dtype=float)
-    if np.any(th < 0.0) or np.any(th > math.pi / 2):
+    if th.size and not (th.min() >= 0.0 and th.max() <= math.pi / 2):
         raise InvalidParameterError("elevation angle must lie in [0, pi/2] radians")
-    out = 1.0 / (1.0 + c2 * np.exp(-c1 * th))
+    out = np.multiply(th, -c1, out=np.empty_like(th))
+    np.exp(out, out=out)
+    out *= c2
+    out += 1.0
+    np.divide(1.0, out, out=out)
     return float(out) if np.isscalar(theta) else out
 
 
@@ -99,10 +109,8 @@ class ConstantElevation:
                 f"theta_bar must lie in [0, pi/2) radians, got {self.theta_bar!r}"
             )
 
-    def sample(self, rng, size=None):
-        if size is None:
-            return self.theta_bar
-        return np.full(size, self.theta_bar)
+    def sample_tan(self, rng, size):
+        return np.full(size, np.tan(self.theta_bar))
 
     def expect(self, fn):
         return float(fn(self.theta_bar))
@@ -132,9 +140,8 @@ class GammaTanElevation:
     def rate(self):
         return self.shape / math.tan(self.theta_bar)
 
-    def sample(self, rng, size=None):
-        g = rng.gamma(self.shape, scale=1.0 / self.rate, size=size)
-        return np.arctan(g)
+    def sample_tan(self, rng, size):
+        return rng.gamma(self.shape, scale=1.0 / self.rate, size=size)
 
     def expect(self, fn):
         # E[fn(arctan(G/rate))] with G ~ Gamma(shape, 1); integrate against
@@ -195,9 +202,9 @@ def realize_network(params, elev, sim_radius, seed):
     rng = np.random.default_rng(seed)
     xy = sample_projections(params.density, sim_radius, rng)
     n = xy.shape[0]
-    theta = np.asarray(elev.sample(rng, n), dtype=float)
-    hd = np.hypot(xy[:, 0], xy[:, 1])
-    altitude = hd * np.tan(theta)
+    tan_theta = elev.sample_tan(rng, n)
+    theta = np.arctan(tan_theta)
+    altitude = np.hypot(xy[:, 0], xy[:, 1]) * tan_theta
     los = rng.random(n) < los_probability(theta, params.c1, params.c2)
     return NetworkRealization(
         x=xy[:, 0],

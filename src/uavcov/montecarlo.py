@@ -20,10 +20,13 @@ the downlink, Gamma(N, 1) per point for cell-free).  The kernel holds two
 point-sized float buffers and fills them in place, so the arithmetic and
 its bits are those of the plain array expressions: one buffer holds the
 radius uniforms, then the 3D distances, then the fading gains times the
-path gains; the other holds cos(Theta) (non-constant laws), then the LoS
-uniforms, then the attenuated path gains.  A constant-elevation chunk of
-~4.7e5 points allocates at peak ~26 bytes per point (downlink) and ~18
-(cell-free).
+path gains; the other holds sqrt(1 + tan^2 Theta) (non-constant laws),
+then the LoS uniforms, then the attenuated path gains.  A non-constant law
+adds the tan(Theta) draws, turned into Theta in place for the LoS law,
+and the LoS probabilities; the 3D distance r sqrt(1 + tan^2 Theta) needs
+no cosine.  A chunk of ~4.7e5 points allocates at peak ~26 bytes per point
+(downlink) and ~18 (cell-free) under constant elevation, ~33 for both
+under gamma_tan.
 
 A chunk kernel stops before the coverage test and returns per-realization
 operands: the serving signal and the interference (downlink), or the
@@ -166,9 +169,13 @@ def _draw_chunk(params, elev, radius, n, rng):
         xi = rng.random(total)
         los = xi < los_probability(elev.theta_bar, params.c1, params.c2)
     else:
-        theta = np.asarray(elev.sample(rng, total), dtype=float)
-        xi = np.cos(theta)
-        d3 /= xi
+        # d3 = r sqrt(1 + tan^2); the angle is wanted only by the LoS law
+        tan_theta = elev.sample_tan(rng, total)
+        xi = np.square(tan_theta)
+        xi += 1.0
+        np.sqrt(xi, out=xi)
+        d3 *= xi
+        theta = np.arctan(tan_theta, out=tan_theta)
         rng.random(out=xi)
         los = xi < los_probability(theta, params.c1, params.c2)
     np.power(d3, -params.alpha, out=xi)

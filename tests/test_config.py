@@ -1,4 +1,4 @@
-"""Config parsing: defaults, unit conversion, validation, round-trips."""
+"""Config parsing: defaults, unit conversion, validation."""
 
 import math
 
@@ -11,7 +11,6 @@ from uavcov.config import (
     SweepAxis,
     apply_sweep_value,
     parse_config,
-    render_config,
 )
 from uavcov.model import ConstantElevation, GammaTanElevation
 
@@ -233,32 +232,6 @@ def test_apply_sweep_value_guards_antenna_integrality():
 def test_apply_sweep_value_without_sweep_raises():
     with pytest.raises(ConfigError):
         apply_sweep_value(parse_config(""), 1.0)
-
-
-# -- round trips ----------------------------------------------------------------
-
-
-def test_render_parse_round_trip_is_exact():
-    doc = (
-        "lambda = 3.7e-7\npower_mw = 120\nn_antennas = 4\nnoise_dbm = -95.5\n"
-        "alpha = 3.1\nell = 0.4\nbeta_db = 2.5\nelevation = gamma_tan\n"
-        "shape = 2.5\ntheta_bar_deg = 33\nmetric = cellfree\nmode = analytic\n"
-        "n_samples = 5000\nmaster_seed = 99\nguard_tolerance = 0.0003\n"
-        "sweep_variable = beta\nsweep_start = -20\nsweep_stop = 10\n"
-        "sweep_steps = 7\noutput_format = json\n"
-    )
-    cfg = parse_config(doc)
-    again = parse_config(render_config(cfg))
-    assert again == cfg
-    # rendering is idempotent
-    assert render_config(again) == render_config(cfg)
-
-
-def test_round_trip_preserves_awkward_floats():
-    cfg = parse_config("lambda = 1.2345678901234567e-06\nbeta = 0.30000000000000004\n")
-    again = parse_config(render_config(cfg))
-    assert again.params.density == cfg.params.density
-    assert again.params.beta == cfg.params.beta
 
 
 def test_runconfig_is_plain_data():

@@ -76,6 +76,27 @@ def test_los_probability_domain():
         los_probability(math.pi / 2 + 0.1, 24.5811, 39.5971)
 
 
+@pytest.mark.parametrize("theta", [-1e-12, math.pi / 2 + 1e-12, math.nan])
+def test_los_probability_rejects_angles_just_outside_or_nan(theta):
+    with pytest.raises(InvalidParameterError):
+        los_probability(theta)
+    with pytest.raises(InvalidParameterError):
+        los_probability(np.array([0.3, theta, 0.4]))
+
+
+def test_los_probability_is_the_written_out_law_bit_for_bit():
+    # odd lengths exercise the SIMD loops' remainders
+    c1, c2 = 24.5811, 39.5971
+    for n in (1, 7, 1001):
+        theta = np.linspace(0.0, math.pi / 2, n) if n > 1 else np.array([math.pi / 2])
+        want = 1.0 / (1.0 + c2 * np.exp(-c1 * theta))
+        assert np.array_equal(los_probability(theta, c1, c2), want)
+    got = los_probability(0.3, c1, c2)
+    assert type(got) is float
+    assert got == float(1.0 / (1.0 + c2 * np.exp(-c1 * np.float64(0.3))))
+    assert los_probability(np.empty(0)).shape == (0,)
+
+
 def test_poisson_counts():
     p = NetworkParams(density=5e-6)
     radius = 2000.0
@@ -132,8 +153,8 @@ def test_realization_reproducible():
 def test_constant_elevation_marks():
     e = ConstantElevation(math.radians(25.0))
     rng = np.random.default_rng(0)
-    s = e.sample(rng, 50)
-    assert np.allclose(s, math.radians(25.0))
+    s = e.sample_tan(rng, 50)
+    assert np.allclose(s, math.tan(math.radians(25.0)))
     # expectation of a function collapses to the function value
     assert e.expect(lambda t: np.cos(t) ** 2) == pytest.approx(
         math.cos(math.radians(25.0)) ** 2, rel=1e-14
@@ -149,14 +170,14 @@ def test_gamma_tan_shape_one_is_exponential():
     # a=1: tan(theta) ~ Exp(rate) with rate = 1/tan(theta_bar)
     e = GammaTanElevation(1.0, math.radians(45.0))
     rng = np.random.default_rng(5)
-    s = np.tan(e.sample(rng, 20000))
+    s = e.sample_tan(rng, 20000)
     assert kstest(s, "expon", args=(0.0, math.tan(math.radians(45.0)))).pvalue > 0.01
 
 
 def test_gamma_tan_concentrates_at_large_shape():
     e = GammaTanElevation(1e6, math.radians(30.0))
     rng = np.random.default_rng(6)
-    s = e.sample(rng, 5000)
+    s = np.arctan(e.sample_tan(rng, 5000))
     assert abs(np.degrees(np.mean(s)) - 30.0) < 0.1
 
 
@@ -165,7 +186,7 @@ def test_gamma_tan_mean_tangent():
     for shape in (0.5, 1.0, 3.0, 20.0):
         e = GammaTanElevation(shape, 0.6)
         rng = np.random.default_rng(int(shape * 10))
-        s = np.tan(e.sample(rng, 200000))
+        s = e.sample_tan(rng, 200000)
         se = s.std() / math.sqrt(len(s))
         assert abs(s.mean() - math.tan(0.6)) <= 4.0 * se
 
@@ -174,7 +195,7 @@ def test_gamma_tan_expectation_matches_sampling():
     e = GammaTanElevation(3.0, 0.5)
     val = e.expect(lambda t: np.cos(t) ** 2)
     rng = np.random.default_rng(8)
-    s = np.cos(e.sample(rng, 400000)) ** 2
+    s = 1.0 / (1.0 + e.sample_tan(rng, 400000) ** 2)  # cos^2(arctan T)
     assert val == pytest.approx(float(s.mean()), abs=4.0 * float(s.std()) / 600.0)
 
 

@@ -182,6 +182,20 @@ def test_outputs_match_recorded_golden_values():
         assert _sha256(sample_nearest_sq(p, E25, case, 3000, 15 + i)) == want, case
 
 
+def test_gamma_tan_outputs_match_recorded_golden_values():
+    # The non-constant branch of _draw_chunk: the tangent draws, the LoS
+    # uniforms and the LoS law must keep their order and their bits.
+    gamma_tan = GammaTanElevation(3.0, math.radians(20.0))
+    p_cf = NetworkParams(density=1e-6, beta=1e4, n_antennas=2)
+    assert estimate_cellfree(p_cf, gamma_tan, 3000, 16).mean == 0.7066666666666667
+    p = NetworkParams(density=1e-6)
+    radius = guard_radius(p, gamma_tan, 1e-3)
+    los = mc._draw_chunk(p, gamma_tan, radius, 200, np.random.default_rng(18))[5]
+    assert los.size == 204954
+    assert hashlib.sha256(np.ascontiguousarray(los).tobytes()).hexdigest() == (
+        "1167c4ad2ff7d3ae8d35a6af81fe3e81c7a13d49565d70106677107923d2a8ec")
+
+
 def test_first_max_index_matches_associate_per_segment():
     alpha, ell = 2.75, 0.25
     segments = [
@@ -207,20 +221,23 @@ def test_first_max_index_matches_associate_per_segment():
 
 def test_chunk_kernels_peak_allocation_per_point():
     # one 500-realization chunk holds ~4.7e5 points; the kernels fill a few
-    # point-sized buffers in place instead of a fresh array per step
+    # point-sized buffers in place instead of a fresh array per step.  A
+    # non-constant law adds the tangent draws and the LoS probabilities.
     p = NetworkParams(density=1e-6)
-    radius = guard_radius(p, E25, 1e-3)
-    tail = interference_tail_mean(p, E25, radius)
     n, seed = 500, 7
-    points = int(np.random.default_rng(seed).poisson(p.density * math.pi * radius**2, n).sum())
-    for chunk in (mc._downlink_chunk, mc._cellfree_chunk):
-        tracemalloc.start()
-        try:
-            chunk(p, E25, radius, tail, n, np.random.default_rng(seed))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / points <= 30.0, (chunk.__name__, peak / points)
+    for elev, bound in ((E25, 30.0), (GammaTanElevation(3.0, math.radians(20.0)), 34.0)):
+        radius = guard_radius(p, elev, 1e-3)
+        tail = interference_tail_mean(p, elev, radius)
+        points = int(np.random.default_rng(seed).poisson(
+            p.density * math.pi * radius**2, n).sum())
+        for chunk in (mc._downlink_chunk, mc._cellfree_chunk):
+            tracemalloc.start()
+            try:
+                chunk(p, elev, radius, tail, n, np.random.default_rng(seed))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak / points <= bound, (elev, chunk.__name__, peak / points)
 
 
 def test_estimate_matches_analytic_downlink():
