@@ -5,6 +5,13 @@ point (CSV by default); `point <config>` evaluates the base configuration
 once and prints JSON; `validate <suite>` runs a cross-check suite, prints
 the JSON report to stdout and PASS/FAIL lines to stderr.
 
+`sweep` and `point` share one path, run_sweep: `point` is the config with
+its sweep removed, which is one point.  The points are grouped into Monte
+Carlo draws (one per beta or lambda sweep, one per point otherwise), and
+every draw and every analytic value is one job for the same pool worker,
+evaluate_point.  `--workers` takes 1 to os.cpu_count(), and no more
+processes start than there are jobs.
+
 Exit codes: 0 success, 1 validation failure, 2 config error, 3 numeric
 error in at least one point (failed points carry nan cells; the run still
 completes).
@@ -13,16 +20,18 @@ completes).
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
 from . import validation
 from .analytic import cellfree_coverage, downlink_coverage
 from .config import ConfigError, apply_sweep_value, parse_config
-from .montecarlo import estimate_cellfree, estimate_downlink, estimate_sweep
+from .montecarlo import estimate_sweep
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -46,20 +55,9 @@ CSV_COLUMNS = (
 _SHARED_AXES = ("beta", "lambda")
 
 
-def _analytic_value(metric, params, elev):
-    if metric == "cellfree":
-        return cellfree_coverage(params, elev).value
-    return downlink_coverage(params, elev).value
-
-
-def _mc_estimate(metric, params, elev, n_samples, seed, guard_tolerance):
-    fn = estimate_cellfree if metric == "cellfree" else estimate_downlink
-    return fn(params, elev, n_samples, seed, guard_tolerance=guard_tolerance)
-
-
-def _timed(job):
-    """Worker: job = (fn, args).  Returns ((result, error message), seconds);
-    a raised exception gives (None, its message)."""
+def evaluate_point(job):
+    """Pool worker: job = (fn, args).  Returns ((result, error message),
+    seconds); a raised exception gives (None, its message)."""
     fn, args = job
     start = time.perf_counter()
     try:
@@ -90,8 +88,8 @@ def _row(sweep_var, sweep_value, analytic, mc, n_samples, seed, seconds):
     }
     errors = []
     if analytic is not None:
-        value, error = analytic
-        row["p_analytic"] = float("nan") if error else value
+        result, error = analytic
+        row["p_analytic"] = float("nan") if error else result.value
         if error:
             errors.append(f"analytic: {error}")
     if mc is not None:
@@ -117,55 +115,6 @@ def _row(sweep_var, sweep_value, analytic, mc, n_samples, seed, seconds):
     return row
 
 
-def evaluate_point(task):
-    """Worker: one sweep point.  task is a plain tuple so it pickles.
-
-    Returns a row dict; numeric failures set the affected cells to nan and
-    carry the message in 'error' instead of raising.
-    """
-    (sweep_var, sweep_value, metric, mode, params, elev, n_samples, seed,
-     guard_tolerance) = task
-    analytic = mc = None
-    a_seconds = mc_seconds = 0.0
-    if mode in ("analytic", "both"):
-        analytic, a_seconds = _timed((_analytic_value, (metric, params, elev)))
-    if mode in ("montecarlo", "both"):
-        mc, mc_seconds = _timed(
-            (_mc_estimate, (metric, params, elev, n_samples, seed, guard_tolerance)))
-    return _row(sweep_var, sweep_value, analytic, mc, n_samples, seed, a_seconds + mc_seconds)
-
-
-def _build_tasks(cfg):
-    axis = cfg.sweep
-    if axis is None:
-        raise ConfigError("sweep_variable", "the sweep command needs a sweep")
-    values = axis.values()
-    seeds = np.random.SeedSequence(cfg.master_seed).generate_state(
-        len(values), dtype=np.uint64
-    )
-    tasks = []
-    for value, seed in zip(values, seeds):
-        try:
-            params, elev = apply_sweep_value(cfg, float(value))
-        except Exception as exc:
-            tasks.append(("__bad__", float(value), str(exc)))
-            continue
-        tasks.append(
-            (
-                axis.variable,
-                float(value),
-                cfg.metric,
-                cfg.mode,
-                params,
-                elev,
-                cfg.n_samples,
-                int(seed),
-                cfg.guard_tolerance,
-            )
-        )
-    return tasks
-
-
 def _bad_row(variable, value, message):
     return {
         "sweep_var": variable,
@@ -181,55 +130,79 @@ def _bad_row(variable, value, message):
     }
 
 
+def _points(cfg):
+    """(value, seed, (params, elevation) or None, error message) per point.
+
+    A config without a sweep is one point, at its base parameters.  The
+    seeds are SeedSequence(master_seed).generate_state(n), whose first value
+    does not depend on n.
+    """
+    axis = cfg.sweep
+    values = [float("nan")] if axis is None else [float(v) for v in axis.values()]
+    seeds = np.random.SeedSequence(cfg.master_seed).generate_state(
+        len(values), dtype=np.uint64
+    )
+    points = []
+    for value, seed in zip(values, seeds):
+        try:
+            setting = (cfg.params, cfg.elevation) if axis is None else apply_sweep_value(cfg, value)
+            points.append((value, int(seed), setting, None))
+        except Exception as exc:
+            points.append((value, int(seed), None, str(exc)))
+    return points
+
+
 def _map(fn, items, workers):
-    if workers > 1 and len(items) > 1:
+    """[fn(item) for item in items] on min(workers, len(items)) processes."""
+    workers = min(workers, len(items))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
 
 
-def _shared_rows(good, workers):
-    """Rows of a beta or lambda sweep whose Monte Carlo half is one run.
-
-    The run uses the first row's seed, and every row reports it.  A row's
-    wall_ms is its own analytic time plus an equal share of the run, so the
-    rows still add up to the sweep's time.
-    """
-    _, _, metric, mode, _, elev, n_samples, seed, guard_tolerance = good[0]
-    row_params = [t[4] for t in good]
-    jobs = [(estimate_sweep,
-             (metric, row_params, elev, n_samples, seed, None, guard_tolerance))]
-    if mode == "both":
-        jobs += [(_analytic_value, (metric, t[4], t[5])) for t in good]
-    ((estimates, mc_error), mc_seconds), *analytic = _map(_timed, jobs, workers)
-    share = mc_seconds / len(good)
-    rows = []
-    for j, t in enumerate(good):
-        a, a_seconds = analytic[j] if analytic else (None, 0.0)
-        mc = (None if mc_error else estimates[j], mc_error)
-        rows.append(_row(t[0], t[1], a, mc, n_samples, seed, a_seconds + share))
-    return rows
-
-
 def run_sweep(cfg, workers=1):
-    """Evaluate every sweep point; deterministic row order by sweep index.
+    """Evaluate every point of cfg; rows in sweep order.
 
-    A beta or lambda sweep with a Monte Carlo half draws once for all of
-    its rows (montecarlo.estimate_sweep); other axes run one draw per row.
+    Points that do not build become error rows.  The others are grouped
+    into Monte Carlo draws: a beta or lambda sweep is one draw at its first
+    good row's seed, which montecarlo.estimate_sweep counts for every row;
+    any other point is its own draw; mode = analytic has none.  Each draw
+    and each analytic value is one evaluate_point job.  A row's wall_ms is
+    its analytic time plus its draw's time over the draw's size, so the
+    rows add up to the run's time.
     """
-    tasks = _build_tasks(cfg)
-    good = [t for t in tasks if t[0] != "__bad__"]
-    if good and cfg.mode != "analytic" and cfg.sweep.variable in _SHARED_AXES:
-        computed = iter(_shared_rows(good, workers))
-    else:
-        computed = iter(_map(evaluate_point, good, workers))
+    variable = "" if cfg.sweep is None else cfg.sweep.variable
+    points = _points(cfg)
+    good = [i for i, point in enumerate(points) if point[3] is None]
+    draws = []
+    if cfg.mode != "analytic" and good:
+        draws = [good] if variable in _SHARED_AXES else [[i] for i in good]
+    analytic = [] if cfg.mode == "montecarlo" else good
+    coverage = cellfree_coverage if cfg.metric == "cellfree" else downlink_coverage
+    jobs = []
+    for draw in draws:
+        _, seed, (_, elev), _ = points[draw[0]]
+        params = [points[i][2][0] for i in draw]
+        jobs.append((estimate_sweep, (cfg.metric, params, elev, cfg.n_samples, seed,
+                                      None, cfg.guard_tolerance)))
+    jobs += [(coverage, points[i][2]) for i in analytic]
+    done = iter(_map(evaluate_point, jobs, workers))
+    mc_out = {}
+    for draw in draws:
+        (estimates, error), seconds = next(done)
+        for j, i in enumerate(draw):
+            mc = (None if error else estimates[j]), error
+            mc_out[i] = mc, points[draw[0]][1], seconds / len(draw)
+    a_out = {i: next(done) for i in analytic}
     rows = []
-    variable = cfg.sweep.variable
-    for t in tasks:
-        if t[0] == "__bad__":
-            rows.append(_bad_row(variable, t[1], t[2]))
-        else:
-            rows.append(next(computed))
+    for i, (value, _, _, error) in enumerate(points):
+        if error is not None:
+            rows.append(_bad_row(variable, value, error))
+            continue
+        a, a_seconds = a_out.get(i, (None, 0.0))
+        mc, seed, mc_seconds = mc_out.get(i, (None, None, 0.0))
+        rows.append(_row(variable, value, a, mc, cfg.n_samples, seed, a_seconds + mc_seconds))
     return rows
 
 
@@ -308,21 +281,7 @@ def cmd_point(args):
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    seed = int(
-        np.random.SeedSequence(cfg.master_seed).generate_state(1, dtype=np.uint64)[0]
-    )
-    task = (
-        "",
-        float("nan"),
-        cfg.metric,
-        cfg.mode,
-        cfg.params,
-        cfg.elevation,
-        cfg.n_samples,
-        seed,
-        cfg.guard_tolerance,
-    )
-    row = evaluate_point(task)
+    row = run_sweep(replace(cfg, sweep=None))[0]
     result = _jsonable(row)
     del result["sweep_var"], result["sweep_value"]
     result["metric"] = cfg.metric
@@ -358,6 +317,17 @@ def cmd_validate(args):
     return EXIT_OK if report["passed"] else EXIT_VALIDATION
 
 
+def _worker_count(text):
+    limit = os.cpu_count() or 1
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if not 1 <= n <= limit:
+        raise argparse.ArgumentTypeError(f"must lie in 1..{limit} (the CPU count), got {n}")
+    return n
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="uavcov",
@@ -367,8 +337,8 @@ def build_parser():
 
     p_sweep = sub.add_parser("sweep", help="run the configured parameter sweep")
     p_sweep.add_argument("config", help="config file path, or - for stdin")
-    p_sweep.add_argument("--workers", type=int, default=1,
-                         help="worker processes (default 1)")
+    p_sweep.add_argument("--workers", type=_worker_count, default=1,
+                         help="worker processes, 1 to the CPU count (default 1)")
     p_sweep.add_argument("--output", default=None,
                          help="override output path (- for stdout)")
     p_sweep.add_argument("--format", choices=("csv", "json"), default=None,

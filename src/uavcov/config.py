@@ -223,6 +223,8 @@ def parse_config(text):
         steps = _get_int(pairs, "sweep_steps", steps)
         if steps < 1:
             raise ConfigError("sweep_steps", f"must be >= 1, got {steps}")
+        if scale in ("db", "degrees") and scale != _DEFAULT_SCALES[variable]:
+            raise ConfigError("sweep_scale", f"{scale!r} does not apply to a {variable} sweep")
         if scale == "log" and (start <= 0 or stop <= 0):
             raise ConfigError("sweep_scale", "log spacing needs positive bounds")
         if variable == "shape" and not isinstance(elevation, GammaTanElevation):
@@ -236,6 +238,9 @@ def parse_config(text):
     n_samples = _get_int(pairs, "n_samples", 100_000)
     if n_samples < 1:
         raise ConfigError("n_samples", f"must be >= 1, got {n_samples}")
+    master_seed = _get_int(pairs, "master_seed", 1)
+    if master_seed < 0:
+        raise ConfigError("master_seed", f"must be >= 0, got {master_seed}")
     guard_tolerance = _get_float(pairs, "guard_tolerance", 1e-3)
     if not 0.0 < guard_tolerance < 1.0:
         raise ConfigError("guard_tolerance", f"must lie in (0, 1), got {guard_tolerance}")
@@ -246,7 +251,7 @@ def parse_config(text):
         metric=_get_choice(pairs, "metric", _METRICS, "downlink"),
         mode=_get_choice(pairs, "mode", _MODES, "both"),
         n_samples=n_samples,
-        master_seed=_get_int(pairs, "master_seed", 1),
+        master_seed=master_seed,
         guard_tolerance=guard_tolerance,
         sweep=sweep,
         output_path=pairs.get("output_path"),

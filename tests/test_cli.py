@@ -5,9 +5,11 @@ import csv
 import io
 import json
 import math
+import os
 
 import pytest
 
+import uavcov.cli as cli
 import uavcov.montecarlo as mc
 from uavcov.analytic import downlink_coverage
 from uavcov.cli import (
@@ -110,6 +112,73 @@ def test_parallel_workers_match_serial():
             a = {k: v for k, v in a.items() if k != "wall_ms"}
             b = {k: v for k, v in b.items() if k != "wall_ms"}
             assert a == b
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    started = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_pool_starts_no_more_workers_than_jobs(monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "started", [])
+    two_rows = ("mode = analytic\nsweep_variable = theta_bar\n"
+                "sweep_start = 10\nsweep_stop = 20\nsweep_steps = 2\n")
+    assert len(run_sweep(parse_config(two_rows), workers=64)) == 2
+    # a beta sweep in mode both: one shared draw and three analytic values
+    shared = ("n_samples = 200\nsweep_variable = beta\n"
+              "sweep_start = -10\nsweep_stop = 0\nsweep_steps = 3\n")
+    assert len(run_sweep(parse_config(shared), workers=64)) == 3
+    # one job runs in-process: no pool at all
+    one_row = two_rows.replace("sweep_steps = 2", "sweep_steps = 1")
+    assert len(run_sweep(parse_config(one_row), workers=64)) == 1
+    assert _RecordingPool.started == [2, 4]
+
+
+@pytest.mark.parametrize("value", ["0", "-1", str((os.cpu_count() or 1) + 1), "two"])
+def test_workers_outside_one_to_cpu_count_rejected(monkeypatch, tmp_path, capsys, value):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", None)  # no pool may start
+    cfg = _cfg_file(tmp_path, ANALYTIC_SWEEP)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", cfg, "--workers", value])
+    assert exc.value.code == EXIT_CONFIG
+    assert "--workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("metric,beta_db", [("downlink", -10), ("cellfree", 40)])
+@pytest.mark.parametrize("axis", ["theta_bar", "beta"])
+def test_point_is_the_row_of_a_one_step_sweep(tmp_path, capsys, metric, beta_db, axis):
+    # theta_bar rows draw one by one, beta rows share a draw: both give point's row
+    base = (f"metric = {metric}\nmode = both\nbeta_db = {beta_db}\ntheta_bar_deg = 25\n"
+            "guard_tolerance = 3e-4\nn_samples = 500\nmaster_seed = 9\n")
+    at = 25 if axis == "theta_bar" else beta_db
+    sweep = base + (f"sweep_variable = {axis}\n"
+                    f"sweep_start = {at}\nsweep_stop = {at}\nsweep_steps = 1\n")
+    (row,) = run_sweep(parse_config(sweep))
+    assert main(["point", _cfg_file(tmp_path, base)]) == EXIT_OK
+    point = json.loads(capsys.readouterr().out)
+    assert row["error"] is None and row["p_mc"] is not None
+    for key in ("seed", "n_samples", "p_analytic", "p_mc", "mc_stderr", "z_score"):
+        assert point[key] == row[key], key
+
+
+def test_negative_master_seed_exits_config(tmp_path, capsys):
+    cfg = _cfg_file(tmp_path, "mode = montecarlo\nn_samples = 100\nmaster_seed = -3\n")
+    assert main(["point", cfg]) == EXIT_CONFIG
+    assert "master_seed" in capsys.readouterr().err
 
 
 # -- beta and lambda sweeps: one Monte Carlo draw serves every row ---------------

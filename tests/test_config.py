@@ -149,6 +149,7 @@ def test_invalid_choice_rejected():
     ("guard_tolerance = 0\n", "guard_tolerance"),
     ("guard_tolerance = 1\n", "guard_tolerance"),
     ("guard_tolerance = 5\n", "guard_tolerance"),
+    ("master_seed = -1\n", "master_seed"),
 ])
 def test_positivity_checks(doc, key):
     with pytest.raises(ConfigError) as exc:
@@ -195,6 +196,36 @@ def test_log_scale_needs_positive_bounds():
     with pytest.raises(ConfigError) as exc:
         parse_config(doc)
     assert exc.value.key == "sweep_scale"
+
+
+def test_master_seed_zero_is_accepted():
+    assert parse_config("master_seed = 0\n").master_seed == 0
+
+
+@pytest.mark.parametrize("variable,scale", [
+    ("theta_bar", "db"),
+    ("lambda", "db"),
+    ("n_antennas", "db"),
+    ("beta", "degrees"),
+    ("lambda", "degrees"),
+    ("shape", "degrees"),
+])
+def test_unit_scale_only_on_its_own_axis(variable, scale):
+    # db is read only by a beta sweep and degrees only by a theta_bar sweep
+    doc = (f"elevation = gamma_tan\nshape = 3\nsweep_variable = {variable}\n"
+           f"sweep_start = 5\nsweep_stop = 60\nsweep_scale = {scale}\n")
+    with pytest.raises(ConfigError) as exc:
+        parse_config(doc)
+    assert exc.value.key == "sweep_scale"
+
+
+@pytest.mark.parametrize("variable,scale", [
+    ("beta", "db"), ("beta", "linear"), ("theta_bar", "degrees"), ("theta_bar", "linear"),
+])
+def test_unit_scale_on_its_own_axis_parses(variable, scale):
+    doc = (f"sweep_variable = {variable}\n"
+           f"sweep_start = 1\nsweep_stop = 2\nsweep_scale = {scale}\n")
+    assert parse_config(doc).sweep.scale == scale
 
 
 def test_shape_sweep_needs_gamma_tan():

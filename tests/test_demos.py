@@ -1,7 +1,7 @@
 """The demos are scripts no other test runs: check, from their source alone,
 that their uavcov imports resolve and that they call those names only with
 keywords the signatures accept; and that every demo config parses into a
-sweep whose rows all build."""
+sweep whose points all build."""
 
 import ast
 import importlib
@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from uavcov.cli import _build_tasks
+from uavcov.cli import _points
 from uavcov.config import parse_config
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
@@ -43,8 +43,8 @@ CONFIGS = sorted((Path(__file__).resolve().parents[1] / "demos" / "configs").glo
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
 def test_demo_config_builds_every_row(path):
-    # parse only: builds the sweep tasks and runs no coverage computation
+    # parse only: lists the sweep's points and runs no coverage computation
     cfg = parse_config(path.read_text(encoding="utf-8"))
-    tasks = _build_tasks(cfg)
-    assert len(tasks) == cfg.sweep.steps
-    assert [t for t in tasks if t[0] == "__bad__"] == []
+    points = _points(cfg)
+    assert len(points) == cfg.sweep.steps
+    assert [error for *_, error in points if error is not None] == []
