@@ -13,11 +13,7 @@ import math
 import numpy as np
 from scipy.stats import kstest
 
-from uavcov.analytic import (
-    cos2_moment,
-    effective_density_factor,
-    peak_gain_cdf,
-)
+from uavcov.analytic import effective_density_factor, nearest_sq_rate, peak_gain_cdf
 from uavcov.model import ConstantElevation, NetworkParams
 from uavcov.montecarlo import sample_nearest_sq, sample_peak_gain
 
@@ -26,7 +22,8 @@ elev = ConstantElevation(math.radians(25.0))
 n = 4_000
 
 omega = effective_density_factor(params, elev)
-print(f"E[cos^2 Theta] = {cos2_moment(elev):.6f}")
+rates = {case: nearest_sq_rate(params, elev, case) for case in ("all-los-unit", "los-weighted")}
+print(f"E[cos^2 Theta] = {rates['all-los-unit'] / (math.pi * params.density):.6f}")
 print(f"effective density factor omega = {omega:.6f}")
 print(f"(attenuation thins the usable network to {100 * omega:.1f}% "
       "of its nominal density)")
@@ -43,10 +40,7 @@ for q in (0.25, 0.5, 0.75):
     print(f"  q{int(100 * q):02d}: empirical {emp:.3e}, analytic {ana:.3e}")
 print()
 
-for case, rate in (
-    ("all-los-unit", math.pi * params.density * cos2_moment(elev)),
-    ("los-weighted", math.pi * params.density * omega),
-):
+for case, rate in rates.items():
     sq = sample_nearest_sq(params, elev, case, n, master_seed=2718)
     ks = kstest(sq, "expon", args=(0.0, 1.0 / rate))
     print(f"nearest-distance^2, case {case}:")

@@ -48,9 +48,8 @@ for t, seed in ((10.0, 1), (float(best), 2), (40.0, 3)):
     elev = ConstantElevation(math.radians(t))
     pa = downlink_coverage(params, elev).value
     est = estimate_downlink(params, elev, 20_000, seed)
-    z = (pa - est.mean) / est.std_error
     print(f"  theta {t:5.2f}: analytic {pa:.5f}, "
-          f"simulated {est.mean:.5f} +- {est.std_error:.5f} (z = {z:+.2f})")
+          f"simulated {est.mean:.5f} +- {est.std_error:.5f} (z = {est.z_score(pa):+.2f})")
 
 print()
 print("Jensen lower bound at the optimum:")

@@ -12,13 +12,10 @@ the other.
 from .analytic import (
     CoverageResult,
     cellfree_coverage,
-    cos2_moment,
     downlink_coverage,
     effective_density_factor,
     interference_integral,
     jensen_lower_bound,
-    los_cos2_moment,
-    nearest_sq_ccdf,
     nearest_sq_rate,
     peak_gain_cdf,
     tail_gain_moment,
@@ -62,7 +59,6 @@ __all__ = [
     "SweepAxis",
     "associate",
     "cellfree_coverage",
-    "cos2_moment",
     "downlink_coverage",
     "effective_density_factor",
     "estimate_cellfree",
@@ -71,9 +67,7 @@ __all__ = [
     "interference_integral",
     "interference_tail_mean",
     "jensen_lower_bound",
-    "los_cos2_moment",
     "los_probability",
-    "nearest_sq_ccdf",
     "nearest_sq_rate",
     "parse_config",
     "peak_gain_cdf",

@@ -19,7 +19,7 @@ Angles are radians; powers linear mW; beta is a linear SINR threshold.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import beta as beta_fn, betainc
@@ -46,6 +46,13 @@ class CoverageResult:
     numerical_error: float
 
 
+def _clamped(value, method, tol):
+    """value clamped into [0, 1]; the clamp distance joins the error, so a
+    clamped value never reports an accuracy it does not have."""
+    clamped = min(1.0, max(0.0, value))
+    return CoverageResult(clamped, method, tol + abs(value - clamped))
+
+
 # -- angle moments ----------------------------------------------------------
 
 
@@ -61,20 +68,6 @@ def effective_density_factor(params, elev):
     def fn(theta):
         rho = los_probability(theta, params.c1, params.c2)
         return np.cos(theta) ** 2 * (rho * (1.0 - lv) + lv)
-
-    return elev.expect(fn)
-
-
-def cos2_moment(elev):
-    """E[cos^2(Theta)]: the density factor when no attenuation is applied."""
-    return elev.expect(lambda th: np.cos(th) ** 2)
-
-
-def los_cos2_moment(params, elev):
-    """E[rho(Theta) cos^2(Theta)]: density factor when NLoS UAVs are erased."""
-
-    def fn(theta):
-        return los_probability(theta, params.c1, params.c2) * np.cos(theta) ** 2
 
     return elev.expect(fn)
 
@@ -110,36 +103,19 @@ def peak_gain_cdf(r, params, elev):
     return float(out) if out.ndim == 0 else out
 
 
-_NEAREST_CASES = ("all-los-unit", "los-weighted", "pure-los")
-
-
-def nearest_sq_ccdf(y, params, elev, case):
-    """CCDF of a squared nearest distance in the equivalent planar process.
-
-    case 'all-los-unit': min ||U_i||^2 with attenuation ignored (L = 1);
-    rate pi density E[cos^2].  case 'los-weighted': min (L^(-1/alpha)
-    ||U_i||)^2; rate pi density w_eff.  case 'pure-los': min ||U_i||^2 over
-    LoS UAVs only; rate pi density E[rho cos^2].
-    """
-    rate = nearest_sq_rate(params, elev, case)
-    y = np.asarray(y, dtype=float)
-    if np.any(y < 0.0):
-        raise ValueError("squared distances must be >= 0")
-    out = np.exp(-rate * y)
-    return float(out) if out.ndim == 0 else out
-
-
 def nearest_sq_rate(params, elev, case):
-    """The exponential rate pi * density * c used by nearest_sq_ccdf."""
-    if case == "all-los-unit":
-        c = cos2_moment(elev)
-    elif case == "los-weighted":
-        c = effective_density_factor(params, elev)
-    elif case == "pure-los":
-        c = los_cos2_moment(params, elev)
-    else:
-        raise ValueError(f"case must be one of {_NEAREST_CASES}, got {case!r}")
-    return math.pi * params.density * c
+    """Rate of the exponential law of a squared nearest distance in the
+    equivalent planar process: P[Y > y] = exp(-rate y), rate = pi density c.
+
+    case 'all-los-unit': min ||U_i||^2 with attenuation ignored (L = 1),
+    c = E[cos^2], the density factor at ell = 1.  case 'los-weighted':
+    min (L^(-1/alpha) ||U_i||)^2, c = w_eff.  case 'pure-los': min ||U_i||^2
+    over LoS UAVs only, c = E[rho cos^2], the density factor at ell = 0.
+    """
+    ells = {"all-los-unit": 1.0, "los-weighted": params.ell, "pure-los": 0.0}
+    if case not in ells:
+        raise ValueError(f"case must be one of {tuple(ells)}, got {case!r}")
+    return math.pi * params.density * effective_density_factor(replace(params, ell=ells[case]), elev)
 
 
 def thinned_points(realization, ell, alpha):
@@ -222,9 +198,8 @@ def downlink_coverage(params, elev):
         return jet_exp(row).sum(axis=-1)
 
     value = scale * integrate(f, 0.0, math.inf)
-    clamped = min(1.0, max(0.0, value))
     tol = max(DEFAULT_QUAD.abs_tol, DEFAULT_QUAD.rel_tol * abs(value))
-    return CoverageResult(clamped, "exact-integration", tol + abs(value - clamped))
+    return _clamped(value, "exact-integration", tol)
 
 
 def jensen_lower_bound(params, elev):
@@ -244,9 +219,7 @@ def jensen_lower_bound(params, elev):
     noise_term = n * (params.noise / params.power) * math.gamma(1.0 + alpha / 2.0) / mu ** (alpha / 2.0)
     row = np.concatenate([[-noise_term * s0 - i0], b])
     row[1:2] += noise_term * s0
-    value = float(jet_exp(row).sum())
-    clamped = min(1.0, max(0.0, value))
-    return CoverageResult(clamped, "bound", abs(value - clamped))
+    return _clamped(float(jet_exp(row).sum()), "bound", 0.0)
 
 
 def cellfree_coverage(params, elev):
@@ -290,7 +263,5 @@ def cellfree_coverage(params, elev):
 
     rest = integrate(f, 0.0, (k * (math.log(math.pi) - log_lo)) ** (1.0 / 3.0))
     scale = math.exp(log_lo) / math.pi
-    value = scale * (1.0 + rest)
-    clamped = min(1.0, max(0.0, value))
     tol = scale * max(DEFAULT_QUAD.abs_tol, DEFAULT_QUAD.rel_tol * rest)
-    return CoverageResult(clamped, "exact-integration", tol + abs(value - clamped))
+    return _clamped(scale * (1.0 + rest), "exact-integration", tol)

@@ -101,15 +101,8 @@ def _row(sweep_var, sweep_value, analytic, mc, n_samples, seed, seconds):
         if error:
             errors.append(f"montecarlo: {error}")
     if analytic is not None and mc is not None:
-        pa, pm, se = row["p_analytic"], row["p_mc"], row["mc_stderr"]
-        if np.isfinite(pa) and np.isfinite(pm):
-            diff = pa - pm
-            if se > 0.0:
-                row["z_score"] = diff / se
-            else:
-                row["z_score"] = 0.0 if diff == 0.0 else float("inf")
-        else:
-            row["z_score"] = float("nan")
+        ok = analytic[1] is None and mc[1] is None
+        row["z_score"] = mc[0].z_score(analytic[0].value) if ok else float("nan")
     if errors:
         row["error"] = "; ".join(errors)
     return row

@@ -211,16 +211,16 @@ def parse_config(text):
     if "sweep_variable" in pairs:
         variable = _get_choice(pairs, "sweep_variable", _SWEEP_VARS)
         scale = _get_choice(pairs, "sweep_scale", _SCALES, _DEFAULT_SCALES[variable])
-        if variable == "lambda" and "sweep_start" not in pairs:
-            start, stop, steps = 1e-7, 1e-5, 9
+        if variable == "lambda" and "sweep_start" not in pairs and "sweep_stop" not in pairs:
+            start, stop, default_steps = 1e-7, 1e-5, 9
         else:
             start = _get_float(pairs, "sweep_start")
             stop = _get_float(pairs, "sweep_stop")
-            steps = _get_int(pairs, "sweep_steps", 10)
             if start is None or stop is None:
                 missing = "sweep_start" if start is None else "sweep_stop"
                 raise ConfigError(missing, "required for a sweep")
-        steps = _get_int(pairs, "sweep_steps", steps)
+            default_steps = 10
+        steps = _get_int(pairs, "sweep_steps", default_steps)
         if steps < 1:
             raise ConfigError("sweep_steps", f"must be >= 1, got {steps}")
         if scale in ("db", "degrees") and scale != _DEFAULT_SCALES[variable]:
@@ -280,8 +280,8 @@ def _blame_param(message, noise_key, beta_key):
 def apply_sweep_value(cfg, display_value):
     """Return (params, elevation) with the swept variable set.
 
-    display_value is in axis units: degrees for theta_bar, dB for beta when
-    the scale is 'db', raw otherwise.
+    display_value is in axis units: degrees for theta_bar on every scale,
+    dB for beta when the scale is 'db', raw otherwise.
     """
     axis = cfg.sweep
     if axis is None:
@@ -299,8 +299,7 @@ def apply_sweep_value(cfg, display_value):
             raise ConfigError("sweep_steps", f"n_antennas sweep hit non-integer {display_value}")
         params = replace(params, n_antennas=n)
     elif var == "theta_bar":
-        theta = math.radians(display_value) if axis.scale == "degrees" else float(display_value)
-        elevation = replace(elevation, theta_bar=theta)
+        elevation = replace(elevation, theta_bar=math.radians(display_value))
     elif var == "shape":
         elevation = replace(elevation, shape=float(display_value))
     return params, elevation

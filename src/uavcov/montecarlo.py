@@ -70,6 +70,12 @@ class CoverageEstimate:
     n_samples: int
     seed: int
 
+    def z_score(self, analytic):
+        """(analytic - mean) / max(std_error, 1/n_samples): the agreement
+        statistic of a paired run.  The floor keeps it finite when every
+        sample, or none, hits."""
+        return (analytic - self.mean) / max(self.std_error, 1.0 / self.n_samples)
+
 
 # -- truncation control -------------------------------------------------------
 
@@ -350,7 +356,7 @@ def sample_peak_gain(params, elev, n_samples, master_seed, sim_radius=None):
 def sample_nearest_sq(params, elev, case, n_samples, master_seed, sim_radius=None):
     """Per-realization squared nearest distances for the three planar laws.
 
-    case meanings match nearest_sq_ccdf.  Realizations whose disk holds no
+    case meanings match nearest_sq_rate.  Realizations whose disk holds no
     qualifying point yield inf (probability ~e^-30 at the default radius).
     """
     n_samples = int(n_samples)

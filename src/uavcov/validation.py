@@ -330,8 +330,7 @@ def coverage_point(n_antennas, theta_deg, density, n_samples, master_seed):
     elev = ConstantElevation(math.radians(theta_deg))
     analytic = downlink_coverage(params, elev).value
     est = estimate_downlink(params, elev, n_samples, master_seed)
-    se = max(est.std_error, 1.0 / est.n_samples)
-    z = float(abs(analytic - est.mean) / se)
+    z = float(abs(est.z_score(analytic)))
     return {
         "passed": bool(z <= 3.0),
         "value": float(z),

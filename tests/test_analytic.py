@@ -17,13 +17,10 @@ from scipy.stats import kstest
 
 from uavcov.analytic import (
     cellfree_coverage,
-    cos2_moment,
     downlink_coverage,
     effective_density_factor,
     interference_integral,
     jensen_lower_bound,
-    los_cos2_moment,
-    nearest_sq_ccdf,
     nearest_sq_rate,
     peak_gain_cdf,
     thinned_points,
@@ -46,6 +43,14 @@ OMEGA_CONST_25 = 0.82094021645660748
 OMEGA_GAMMATAN_3_20 = 0.77410813398945647
 
 
+def _cos2(elev):
+    return elev.expect(lambda th: np.cos(th) ** 2)
+
+
+def _los_cos2(p, elev):
+    return elev.expect(lambda th: los_probability(th, p.c1, p.c2) * np.cos(th) ** 2)
+
+
 def test_effective_density_factor_closed_form():
     # constant elevation collapses the expectation to a single evaluation
     p = NetworkParams(density=1e-6)
@@ -60,9 +65,10 @@ def test_effective_density_factor_closed_form():
 def test_effective_density_factor_unit_attenuation():
     # ell = 1 removes the LoS distinction entirely
     p = NetworkParams(density=1e-6, ell=1.0)
-    assert effective_density_factor(p, E25) == pytest.approx(
-        cos2_moment(E25), rel=1e-14
-    )
+    assert effective_density_factor(p, E25) == pytest.approx(_cos2(E25), rel=1e-14)
+    # which is the all-los-unit rate, whatever ell the scenario carries
+    rate = nearest_sq_rate(NetworkParams(density=1e-6), E25, "all-los-unit")
+    assert rate == pytest.approx(math.pi * p.density * _cos2(E25), rel=1e-14)
 
 
 def test_effective_density_factor_gamma_tan_against_quad_oracle():
@@ -86,10 +92,12 @@ def test_effective_density_factor_gamma_tan_against_quad_oracle():
 
 
 def test_moment_orderings():
+    # E[rho cos^2] <= w_eff <= E[cos^2]: erasing NLoS UAVs thins the most
     p = NetworkParams(density=1e-6)
     for elev in (E25, GammaTanElevation(2.0, 0.4)):
-        w = effective_density_factor(p, elev)
-        assert los_cos2_moment(p, elev) <= w <= cos2_moment(elev) + 1e-15
+        los, w, unit = (nearest_sq_rate(p, elev, case) / (math.pi * p.density)
+                        for case in ("pure-los", "los-weighted", "all-los-unit"))
+        assert los <= w <= unit + 1e-15
 
 
 def test_density_factor_peaks_at_moderate_angle():
@@ -122,19 +130,16 @@ def test_peak_gain_cdf_monotone_vectorized():
     assert np.all(np.diff(vals) > 0.0)
 
 
-def test_nearest_sq_rates_and_ccdf():
+def test_nearest_sq_rates():
     p = NetworkParams(density=1e-6)
-    for case, moment in (
-        ("all-los-unit", cos2_moment(E25)),
-        ("los-weighted", effective_density_factor(p, E25)),
-        ("pure-los", los_cos2_moment(p, E25)),
-    ):
-        rate = nearest_sq_rate(p, E25, case)
-        assert rate == pytest.approx(math.pi * p.density * moment, rel=1e-13)
-        y = 1.0 / rate
-        assert nearest_sq_ccdf(y, p, E25, case) == pytest.approx(
-            math.exp(-1.0), rel=1e-12
-        )
+    for elev in (E25, GammaTanElevation(2.0, 0.4)):
+        for case, moment in (
+            ("all-los-unit", _cos2(elev)),
+            ("los-weighted", effective_density_factor(p, elev)),
+            ("pure-los", _los_cos2(p, elev)),
+        ):
+            rate = nearest_sq_rate(p, elev, case)
+            assert rate == pytest.approx(math.pi * p.density * moment, rel=1e-13), case
     with pytest.raises(ValueError):
         nearest_sq_rate(p, E25, "bogus")
 

@@ -88,7 +88,8 @@ def test_sweep_z_scores_consistent(tmp_path, capsys):
     rows = json.loads(capsys.readouterr().out)
     for row in rows:
         assert row["n_samples"] == 3000
-        z = (row["p_analytic"] - row["p_mc"]) / row["mc_stderr"]
+        se = max(row["mc_stderr"], 1.0 / row["n_samples"])
+        z = (row["p_analytic"] - row["p_mc"]) / se
         assert row["z_score"] == pytest.approx(z, rel=1e-12)
         assert abs(row["z_score"]) < 5.0
 
@@ -173,6 +174,17 @@ def test_point_is_the_row_of_a_one_step_sweep(tmp_path, capsys, metric, beta_db,
     assert row["error"] is None and row["p_mc"] is not None
     for key in ("seed", "n_samples", "p_analytic", "p_mc", "mc_stderr", "z_score"):
         assert point[key] == row[key], key
+
+
+def test_point_z_score_finite_when_every_sample_hits(tmp_path, capsys):
+    # at -23 dB every one of the 2000 samples is covered, so mc_stderr is 0;
+    # the 1/n floor keeps z finite instead of reporting inf (JSON null)
+    cfg = _cfg_file(tmp_path, "beta_db = -23\nn_antennas = 2\nn_samples = 2000\nmaster_seed = 2\n")
+    assert main(["point", cfg]) == EXIT_OK
+    result = json.loads(capsys.readouterr().out)
+    assert result["p_mc"] == 1.0 and result["mc_stderr"] == 0.0
+    assert result["z_score"] == pytest.approx((result["p_analytic"] - 1.0) * 2000, rel=1e-12)
+    assert result["z_score"] == pytest.approx(-0.375, abs=0.01)
 
 
 def test_negative_master_seed_exits_config(tmp_path, capsys):

@@ -165,6 +165,8 @@ def test_density_sweep_has_canonical_default_axis():
     axis = cfg.sweep
     assert axis == SweepAxis("lambda", 1e-7, 1e-5, 9, "log")
     np.testing.assert_allclose(axis.values(), np.geomspace(1e-7, 1e-5, 9))
+    axis = parse_config("sweep_variable = lambda\nsweep_steps = 4\n").sweep
+    assert axis == SweepAxis("lambda", 1e-7, 1e-5, 4, "log")
 
 
 def test_beta_sweep_defaults_to_db_scale():
@@ -183,6 +185,17 @@ def test_sweep_bounds_required_for_non_density_axes():
     with pytest.raises(ConfigError) as exc:
         parse_config("sweep_variable = beta\nsweep_stop = 10\n")
     assert exc.value.key == "sweep_start"
+
+
+@pytest.mark.parametrize("bound,missing", [
+    ("sweep_stop = 1e-4", "sweep_start"),
+    ("sweep_start = 1e-8", "sweep_stop"),
+])
+def test_density_sweep_with_one_bound_names_the_other(bound, missing):
+    # the 1e-7..1e-5 default applies only when neither bound is given
+    with pytest.raises(ConfigError) as exc:
+        parse_config(f"sweep_variable = lambda\n{bound}\n")
+    assert exc.value.key == missing
 
 
 def test_sweep_keys_require_variable():
@@ -241,10 +254,13 @@ def test_apply_sweep_value_converts_units():
     assert params.beta == pytest.approx(0.1, rel=1e-15)
     assert elev is cfg.elevation
 
-    cfg = parse_config("sweep_variable = theta_bar\nsweep_start = 5\nsweep_stop = 60\n")
-    params, elev = apply_sweep_value(cfg, 30.0)
-    assert elev.theta_bar == pytest.approx(math.radians(30.0))
-    assert params is cfg.params
+    # theta_bar bounds are degrees on every scale
+    for scale in ("degrees", "linear", "log"):
+        cfg = parse_config("sweep_variable = theta_bar\nsweep_start = 5\nsweep_stop = 60\n"
+                           f"sweep_scale = {scale}\n")
+        params, elev = apply_sweep_value(cfg, 30.0)
+        assert elev.theta_bar == pytest.approx(math.radians(30.0)), scale
+        assert params is cfg.params
 
     cfg = parse_config("sweep_variable = lambda\n")
     params, _ = apply_sweep_value(cfg, 3e-6)

@@ -8,12 +8,14 @@ is a cost on every run.  Import such a package inside the function that
 uses it, or copy the constants it would supply.
 """
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 _PROBE = """
 import sys
@@ -36,3 +38,29 @@ def test_package_import_loads_only_scipy_special():
         env=env, capture_output=True, text=True, check=True,
     ).stdout
     assert set(out.split()) == {"scipy.special"}
+
+
+def _used_names():
+    """Names the code in src/ and demos/ uses: every ast Name and Attribute,
+    and every name imported outside a package __init__ (a re-export is not
+    a use)."""
+    used = set()
+    for path in sorted(SRC.rglob("*.py")) + sorted((ROOT / "demos").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
+                used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_every_exported_name_is_used():
+    # an export only its own unit test calls is surface without a user
+    import uavcov
+    import uavcov.numerics
+
+    used = _used_names()
+    unused = sorted(set(uavcov.__all__ + uavcov.numerics.__all__) - used)
+    assert unused == []

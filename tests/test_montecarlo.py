@@ -11,6 +11,7 @@ from scipy.stats import kstest
 
 import uavcov.montecarlo as mc
 from uavcov.analytic import (
+    cellfree_coverage,
     downlink_coverage,
     nearest_sq_rate,
     peak_gain_cdf,
@@ -255,6 +256,23 @@ def test_estimate_matches_analytic_gamma_tan():
     assert abs(est.mean - want) <= 4.0 * max(est.std_error, 1e-4)
 
 
+@pytest.mark.parametrize("metric,params,elev,seed,tolerance,want", [
+    ("downlink", NetworkParams(density=1e-6, ell=0.0), ConstantElevation(math.radians(10.0)),
+     6201, 1e-3, 0.78855),
+    ("downlink", NetworkParams(density=1e-7, ell=0.0, n_antennas=4),
+     GammaTanElevation(3.0, math.radians(20.0)), 6202, 1e-3, 0.99775),
+    ("cellfree", NetworkParams(density=1e-6, ell=0.0, beta=7575.08), E25, 6203, 3e-4, 0.5009),
+], ids=["downlink-theta10", "gamma_tan-N4", "cellfree-beta7575"])
+def test_estimate_matches_analytic_with_nlos_erased(metric, params, elev, seed, tolerance, want):
+    # ell = 0 erases the NLoS UAVs: the thinned process is the LoS one alone.
+    # The means are exact outputs (numpy 2.4, x86-64 with AVX-512, as above).
+    analytic = {"downlink": downlink_coverage, "cellfree": cellfree_coverage}[metric]
+    estimate = {"downlink": estimate_downlink, "cellfree": estimate_cellfree}[metric]
+    est = estimate(params, elev, 20000, seed, guard_tolerance=tolerance)
+    assert est.mean == want
+    assert abs(est.z_score(analytic(params, elev).value)) <= 3.0
+
+
 def test_estimate_stable_under_doubled_radius():
     p = NetworkParams(density=1e-6)
     r = guard_radius(p, E25, 1e-3)
@@ -354,3 +372,16 @@ def test_nearest_sq_rejects_unknown_case():
 def test_coverage_estimate_fields():
     est = CoverageEstimate(mean=0.25, std_error=0.01, n_samples=1000, seed=9)
     assert est.mean == 0.25 and est.n_samples == 1000
+
+
+def test_z_score_floors_the_standard_error_at_one_over_n():
+    est = CoverageEstimate(mean=0.25, std_error=0.01, n_samples=1000, seed=9)
+    assert est.z_score(0.27) == pytest.approx(2.0, rel=1e-12)
+    # every sample hit: std_error 0, z stays finite (and is 0 on exact agreement)
+    hit_all = CoverageEstimate(mean=1.0, std_error=0.0, n_samples=2000, seed=9)
+    assert hit_all.z_score(0.9998) == pytest.approx(-0.4, rel=1e-9)
+    assert hit_all.z_score(1.0) == 0.0
+    # one miss: std_error = sqrt(n - 1)/n < 1/n, so the floor applies too
+    one_miss = CoverageEstimate(mean=0.999, std_error=math.sqrt(0.999 * 0.001 / 1000),
+                                n_samples=1000, seed=9)
+    assert one_miss.z_score(1.0) == pytest.approx(1.0, rel=1e-9)
