@@ -32,7 +32,7 @@ from .numerics.quadrature import DEFAULT_QUAD, integrate
 # -- results ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoverageResult:
     """A coverage probability plus how it was obtained.
 

@@ -158,7 +158,24 @@ class GammaTanElevation:
             dens = np.exp((a - 1.0) * np.log(u) - u - lognorm)
             return fn(np.arctan(u / rate)) * dens
 
-        return integrate(integrand, lo, hi)
+        if a >= 1.0:
+            return integrate(integrand, lo, hi)
+
+        # below u = 1 the density's u^(a-1) singularity spreads the mass over
+        # y = -log(u) on the scale 1/a; in y it is the smooth
+        # exp(-e^-y - a y)/Gamma(a).  Past y0, arctan(u/rate) < e^-40, so fn
+        # is constant to double precision and that mass, P[G < e^-y0], is
+        # e^(-a y0)/Gamma(a + 1) up to a factor 1 - O(e^-y0)
+        y0 = max(0.0, -math.log(rate)) + 40.0
+
+        def head(y):
+            y = np.asarray(y, dtype=float)
+            u = np.exp(-y)
+            return fn(np.arctan(u / rate)) * np.exp(-u - a * y - lognorm)
+
+        below = float(fn(np.arctan(math.exp(-y0) / rate)))
+        below *= math.exp(-a * y0 - math.lgamma(a + 1.0))
+        return below + integrate(head, 0.0, y0) + integrate(integrand, 1.0, hi)
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,7 @@ class EmptyRealizationError(ValueError):
     """Association was asked for a realization with no UAVs."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoverageEstimate:
     """Bernoulli mean with its exact binomial standard error."""
 

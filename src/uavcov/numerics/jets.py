@@ -21,5 +21,5 @@ def jet_exp(a):
     # zero the dead rows' coefficients too, so that an infinite a_j meets no 0
     da = np.where(out[..., :1] > 0.0, a, 0.0) * np.arange(a.shape[-1])
     for k in range(1, a.shape[-1]):
-        out[..., k] = np.einsum("...j,...j->...", da[..., 1 : k + 1], out[..., k - 1 :: -1]) / k
+        out[..., k] = np.vecdot(da[..., 1 : k + 1], out[..., k - 1 :: -1]) / k
     return out

@@ -1,16 +1,15 @@
 """Adaptive Gauss-Kronrod quadrature.
 
-G7-K15 pairs on a worst-interval-first priority queue, in the spirit of
-QUADPACK's QAG.  Semi-infinite ranges are mapped to (0, 1) with
-x = a + t/(1-t); the Kronrod nodes are interior, so integrable endpoint
-singularities introduced by the map are handled by subdivision.
-
-Integrands must accept numpy arrays (each interval is evaluated in one
-vectorized call on the 15 Kronrod nodes).
+G7-K15 pairs refined in rounds, in the spirit of QUADPACK's QAG and of
+scipy.integrate.quad_vec.  The panels are kept as arrays; each round splits
+the fewest worst panels whose errors, taken away, would bring the total
+within tolerance, and evaluates every new half-panel in one integrand call
+on an (m, 15) array of Kronrod nodes.  Semi-infinite ranges are mapped to
+(0, 1) with x = a + (t/(1-t))^3; the Kronrod nodes are interior, so
+integrable endpoint singularities introduced by the map are handled by
+subdivision.
 """
 
-import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -78,48 +77,58 @@ class AccuracyError(ArithmeticError):
         self.error_bound = error_bound
 
 
-def _kronrod_panel(f, a, b):
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fx = np.asarray(f(mid + half * _NODES), dtype=float)
-    ik = half * float(fx @ _WK)
-    ig = half * float(fx @ _WGFULL)
-    return ik, abs(ik - ig)
+def _kronrod_panels(f, lo, hi):
+    """K15 estimates and |K15 - G7| errors of f on the panels [lo, hi]."""
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    fx = np.asarray(f(mid[:, None] + half[:, None] * _NODES), dtype=float)
+    ik = half * (fx @ _WK)
+    return ik, np.abs(ik - half * (fx @ _WGFULL))
 
 
 def _adapt(f, a, b, spec):
-    tie = itertools.count()
-    ik, err = _kronrod_panel(f, a, b)
-    # heap of (-error, tiebreak, lo, hi, estimate, error)
-    heap = [(-err, next(tie), a, b, ik, err)]
-    total = ik
-    total_err = err
+    lo = np.array([float(a)])
+    hi = np.array([float(b)])
+    est, err = _kronrod_panels(f, lo, hi)
     splits = 0
-    while total_err > max(spec.abs_tol, spec.rel_tol * abs(total)):
-        if splits >= spec.max_subdivisions:
+    while True:
+        total = float(est.sum())
+        order = np.argsort(-err, kind="stable")
+        cum = np.cumsum(err[order])
+        total_err = float(cum[-1])
+        bound = max(spec.abs_tol, spec.rel_tol * abs(total))
+        if not total_err > bound:  # a NaN error stops here too, returning the total
+            return total
+        # the fewest worst panels whose errors, taken away, leave the rest
+        # within the bound
+        n = min(int(np.searchsorted(cum, total_err - bound)) + 1, order.size)
+        if splits + n > spec.max_subdivisions:
             raise AccuracyError(
                 f"quadrature did not converge after {spec.max_subdivisions} "
                 f"subdivisions (estimate {total:.6e}, error bound {total_err:.3e})",
                 estimate=total,
                 error_bound=total_err,
             )
-        _, _, lo, hi, est, e = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        i1, e1 = _kronrod_panel(f, lo, mid)
-        i2, e2 = _kronrod_panel(f, mid, hi)
-        total += (i1 + i2) - est
-        total_err += (e1 + e2) - e
-        splits += 1
-        heapq.heappush(heap, (-e1, next(tie), lo, mid, i1, e1))
-        heapq.heappush(heap, (-e2, next(tie), mid, hi, i2, e2))
-    return total
+        splits += n
+        split, keep = order[:n], order[n:]
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate([lo[split], mid])
+        new_hi = np.concatenate([mid, hi[split]])
+        new_est, new_err = _kronrod_panels(f, new_lo, new_hi)
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        est = np.concatenate([est[keep], new_est])
+        err = np.concatenate([err[keep], new_err])
 
 
 def integrate(f, a, b, spec=None):
     """Integrate f over [a, b]; b may be math.inf.
 
-    f must be vectorized over numpy arrays.  Raises AccuracyError when the
-    subdivision budget is exhausted before the tolerances are met.
+    f must be elementwise over numpy arrays of any shape: it is called on
+    (m, 15) arrays of nodes, one row per panel, and returns values of the
+    same shape.  Raises AccuracyError when a refinement round would split
+    more panels than the subdivision budget has left before the tolerances
+    are met.
     """
     spec = spec or DEFAULT_QUAD
     if math.isinf(a):

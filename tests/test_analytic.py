@@ -9,6 +9,7 @@ under test.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate as si
@@ -33,7 +34,7 @@ from uavcov.model import (
     realize_network,
 )
 from uavcov.montecarlo import estimate_downlink
-from uavcov.numerics import inverse_laplace
+from uavcov.numerics import inverse_laplace, quadrature
 
 E25 = ConstantElevation(math.radians(25.0))
 E20 = ConstantElevation(math.radians(20.0))
@@ -89,6 +90,32 @@ def test_effective_density_factor_gamma_tan_against_quad_oracle():
 
     ref, _ = si.quad(integrand, 0.0, np.inf, epsabs=1e-13, epsrel=1e-13)
     assert effective_density_factor(p, elev) == pytest.approx(ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("shape", (1e-4, 0.05, 0.1))
+def test_effective_density_factor_gamma_tan_below_unit_shape(shape):
+    # the Gamma density's u^(shape - 1) endpoint singularity: below u = 1
+    # the oracle runs in w = u^shape (mpmath's quadrature in u is itself off
+    # here, by 0.09 at shape 0.02), above it in u out to infinity.  At small
+    # shapes the mass sits within shape * log(1/u) of w = 1, so the w range
+    # is cut at u = e^-1, e^-10 and e^-40
+    p = NetworkParams(density=1e-6)
+    elev = GammaTanElevation(shape, math.radians(20.0))
+    with mpmath.workdps(30):
+        a = mpmath.mpf(shape)
+        lv = mpmath.mpf(0.25) ** (mpmath.mpf(2) / mpmath.mpf(2.75))
+        rate = a / mpmath.tan(mpmath.radians(20))
+
+        def moment(u):
+            th = mpmath.atan(u / rate)
+            rho = 1 / (1 + p.c2 * mpmath.exp(-p.c1 * th))
+            return mpmath.cos(th) ** 2 * (rho * (1 - lv) + lv)
+
+        cuts = [0] + [mpmath.exp(-a * k) for k in (40, 10, 1)] + [1]
+        head = mpmath.quad(lambda w: moment(w ** (1 / a)) * mpmath.exp(-w ** (1 / a)), cuts)
+        tail = mpmath.quad(lambda u: moment(u) * u ** (a - 1) * mpmath.exp(-u), [1, 10, mpmath.inf])
+        want = float(head / mpmath.gamma(a + 1) + tail / mpmath.gamma(a))
+    assert effective_density_factor(p, elev) == pytest.approx(want, rel=1e-12)
 
 
 def test_moment_orderings():
@@ -279,6 +306,25 @@ def test_downlink_monotone_in_threshold_and_antennas():
 def test_downlink_reported_error_is_small():
     got = downlink_coverage(NetworkParams(density=1e-6, n_antennas=4), E25)
     assert got.numerical_error < 1e-8
+
+
+@pytest.mark.parametrize("coverage, n, most", [
+    (downlink_coverage, 1, 6), (downlink_coverage, 4, 6), (downlink_coverage, 16, 6),
+    (downlink_coverage, 64, 6), (cellfree_coverage, 4, 5),
+])
+def test_quadrature_evaluates_each_round_in_one_integrand_call(monkeypatch, coverage, n, most):
+    # panel by panel these made 15 (downlink) and 7 (cell-free) integrand calls
+    calls = []
+
+    def counting(f, lo, hi):
+        calls.append(lo.size)
+        return panels(f, lo, hi)
+
+    panels = quadrature._kronrod_panels
+    monkeypatch.setattr(quadrature, "_kronrod_panels", counting)
+    beta = 0.1 if coverage is downlink_coverage else 1e4
+    coverage(NetworkParams(density=1e-6, alpha=2.75, n_antennas=n, beta=beta), E25)
+    assert 0 < len(calls) <= most
 
 
 @pytest.mark.parametrize(

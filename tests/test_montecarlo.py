@@ -3,6 +3,7 @@ seeding, and statistical consistency with the analytic route."""
 
 import hashlib
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -256,6 +257,15 @@ def test_estimate_matches_analytic_gamma_tan():
     assert abs(est.mean - want) <= 4.0 * max(est.std_error, 1e-4)
 
 
+def test_estimate_matches_analytic_gamma_tan_below_unit_shape():
+    # shape 0.1 put the density's u^(shape - 1) singularity into the
+    # quadrature and both routes failed to converge
+    p = NetworkParams(density=1e-6)
+    elev = GammaTanElevation(0.1, math.radians(20.0))
+    est = estimate_downlink(p, elev, 20000, 6204)
+    assert abs(est.z_score(downlink_coverage(p, elev).value)) <= 3.0
+
+
 @pytest.mark.parametrize("metric,params,elev,seed,tolerance,want", [
     ("downlink", NetworkParams(density=1e-6, ell=0.0), ConstantElevation(math.radians(10.0)),
      6201, 1e-3, 0.78855),
@@ -372,6 +382,15 @@ def test_nearest_sq_rejects_unknown_case():
 def test_coverage_estimate_fields():
     est = CoverageEstimate(mean=0.25, std_error=0.01, n_samples=1000, seed=9)
     assert est.mean == 0.25 and est.n_samples == 1000
+
+
+def test_result_records_pickle():
+    # the --workers pool returns both records pickled; slots leave no __dict__
+    est = CoverageEstimate(mean=0.25, std_error=0.01, n_samples=1000, seed=9)
+    res = downlink_coverage(NetworkParams(density=1e-6), E25)
+    for record in (est, res):
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert not hasattr(record, "__dict__")
 
 
 def test_z_score_floors_the_standard_error_at_one_over_n():

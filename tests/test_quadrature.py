@@ -92,3 +92,33 @@ def test_gauss_laguerre_cached_identity():
     a = gauss_laguerre(64)
     b = gauss_laguerre(64)
     assert a[0] is b[0] and a[1] is b[1]
+
+
+def _recording(f, shapes):
+    def g(x):
+        shapes.append(np.shape(x))
+        return f(x)
+
+    return g
+
+
+def test_integrand_sees_one_node_row_per_panel():
+    # every refinement round is one call on an (m, 15) array, m = 2 x panels split
+    shapes = []
+    val = integrate(_recording(lambda x: np.cos(7.0 * x) * np.exp(-0.5 * x), shapes), 0.0, 20.0)
+    exact = (0.5 + math.exp(-10.0) * (7.0 * math.sin(140.0) - 0.5 * math.cos(140.0))) / 49.25
+    assert val == pytest.approx(exact, abs=1e-11)
+    assert shapes[0] == (1, 15)
+    assert all(len(s) == 2 and s[1] == 15 and s[0] % 2 == 0 for s in shapes[1:])
+    assert len(shapes) > 2 and max(s[0] for s in shapes) > 2
+
+
+def test_round_that_would_overrun_the_budget_raises_before_evaluating():
+    # round 1 splits the one panel (1 of 2 subdivisions); round 2 must split
+    # both halves, which would make 3, so it raises without evaluating them
+    shapes = []
+    spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-16, max_subdivisions=2)
+    with pytest.raises(AccuracyError) as info:
+        integrate(_recording(lambda x: np.exp(-x * x), shapes), 0.0, 5.0, spec)
+    assert shapes == [(1, 15), (2, 15)]
+    assert info.value.estimate == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-3)
