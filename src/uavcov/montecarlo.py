@@ -13,20 +13,34 @@ given (params, elevation, n_samples, master_seed) is bit-reproducible
 regardless of host or worker count.  Chunks are sized by a fixed target of
 points per batch, a pure function of the inputs.
 
-Each chunk draws, in this order: Poisson point counts, radius uniforms,
-elevation tangents (non-constant laws only), LoS uniforms, then the
-estimator's fading (Exp(1) per point and Gamma(N, 1) per realization for
-the downlink, Gamma(N, 1) per point for cell-free).  The kernel holds two
-point-sized float buffers and fills them in place, so the arithmetic and
-its bits are those of the plain array expressions: one buffer holds the
-radius uniforms, then the 3D distances, then the fading gains times the
-path gains; the other holds sqrt(1 + tan^2 Theta) (non-constant laws),
-then the LoS uniforms, then the attenuated path gains.  A non-constant law
-adds the tan(Theta) draws, turned into Theta in place for the LoS law,
-and the LoS probabilities; the 3D distance r sqrt(1 + tan^2 Theta) needs
-no cosine.  A chunk of ~4.7e5 points allocates at peak ~26 bytes per point
-(downlink) and ~18 (cell-free) under constant elevation, ~33 for both
-under gamma_tan.
+Each chunk's stream holds, in this order: Poisson point counts, radius
+uniforms, elevation tangents (non-constant laws only), LoS uniforms, then
+the estimator's fading (Exp(1) per point and Gamma(N, 1) per realization
+for the downlink, Gamma(N, 1) per point for cell-free).  The kernel reads
+that stream at three positions at once.  After the counts, with `total`
+points in the chunk, the radius uniforms are the chunk generator's next
+`total` outputs.  A copy of the generator advanced by `total` (PCG64
+jump-ahead; one float64 uniform is one 64-bit output) draws the tangents
+for the whole chunk, then reads the LoS uniforms.  A copy of that one
+advanced by another `total` reads the fading.  The fading draws vary in
+length (ziggurat exponential, Gamma), but they come last, so one
+continuing stream gives the same sequence, and the per-realization
+serving gain follows the last block.  The copies take the chunk
+generator's state; no fresh entropy is drawn.
+
+So the kernel walks a chunk in blocks of whole realizations, about
+_BLOCK_POINTS points each (a realization larger than that is a block of
+its own), and every block reuses the same few buffers: the radius
+uniforms turn into the 3D distances in one, then into the fading gains
+times the path gains; sqrt(1 + tan^2 Theta) (non-constant laws), then
+the LoS uniforms, then the attenuated path gains take the other.  The
+arithmetic per point is that of the plain array expressions, so any
+block size gives the same bits.  Under constant elevation a chunk's peak
+allocation is a fixed working set of a few MB, whatever the chunk holds.
+A non-constant law keeps the chunk's tangents, 8 bytes per point, since
+its LoS uniforms start where the variable-length tangent draws end; the
+tangents turn into Theta in place, block by block, for the LoS law, and
+the 3D distance r sqrt(1 + tan^2 Theta) needs no cosine.
 
 A chunk kernel stops before the coverage test and returns per-realization
 operands: the serving signal and the interference (downlink), or the
@@ -42,6 +56,7 @@ estimate_cellfree are the one-pair case of estimate_sweep.
 """
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,6 +70,7 @@ from .model import ConstantElevation, InvalidParameterError, los_probability
 
 _POINTS_PER_CHUNK = 2_000_000  # batching target; fixed so chunking is reproducible
 _MIN_RADIUS_FACTOR = 10.0      # floor: R >= 10 / sqrt(pi * density)
+_BLOCK_POINTS = 65_536         # points per block of a chunk; any value gives the same bits
 
 
 class EmptyRealizationError(ValueError):
@@ -138,6 +154,19 @@ def associate(realization, alpha, ell):
 # -- batched sampling ----------------------------------------------------------
 
 
+def _run_size(n_samples, sim_radius):
+    """n_samples as an int, once it and an explicit sim_radius are checked."""
+    try:
+        n = operator.index(n_samples)  # ints and numpy integers, not 2.7
+    except TypeError:
+        n = 0
+    if n < 1:
+        raise InvalidParameterError(f"n_samples must be an integer >= 1, got {n_samples!r}")
+    if sim_radius is not None and not (math.isfinite(sim_radius) and sim_radius > 0.0):
+        raise InvalidParameterError(f"sim_radius must be finite and > 0, got {sim_radius!r}")
+    return n
+
+
 def _chunk_sizes(n_samples, mean_points):
     per = max(1, min(int(_POINTS_PER_CHUNK / max(mean_points, 1.0)), 65536))
     sizes = [per] * (n_samples // per)
@@ -154,45 +183,90 @@ def _chunks(n_samples, radius, density, master_seed):
         yield size, np.random.default_rng(child)
 
 
-def _draw_chunk(params, elev, radius, n, rng):
-    """One batch of n realizations, flattened.
+def _stream_at(rng, steps):
+    """A generator on rng's stream, steps 64-bit outputs further on.
 
-    Draw order is fixed (counts, radii, elevation tangents, LoS uniforms)
-    so results are reproducible from the chunk's rng alone.  Returns
-    (nz, cnz, starts, xi, d3, los): nonzero mask over realizations, point
-    counts, segment starts, attenuated gains L ||U||^-alpha, 3D distances,
-    LoS marks.  d3 and xi are filled in place (see the module docstring).
+    rng itself does not move.  The copy is built from rng's own seed
+    sequence and then given rng's state, so no fresh entropy is drawn.
+    """
+    bit_gen = type(rng.bit_generator)(rng.bit_generator.seed_seq)
+    bit_gen.state = rng.bit_generator.state
+    bit_gen.advance(steps)
+    return np.random.Generator(bit_gen)
+
+
+def _draw_chunk(params, elev, radius, n, rng):
+    """One batch of n realizations, walked in blocks of whole realizations.
+
+    Returns (fade, blocks).  fade is the stream of the estimator's fading
+    draws, taken in block order.  blocks yields (sl, nz, cnz, starts, xi,
+    d3, los) for each block that holds a point: the block's slice of the
+    chunk's realizations, their nonzero mask, point counts and segment
+    starts, then the attenuated gains L ||U||^-alpha, 3D distances and LoS
+    marks of its points.  xi, d3 and los are views of buffers that the next
+    block overwrites.  The stream layout is in the module docstring.
     """
     lam_area = params.density * math.pi * radius * radius
     counts = rng.poisson(lam_area, size=n)
     total = int(counts.sum())
-    d3 = rng.random(total)
-    np.sqrt(d3, out=d3)
-    d3 *= radius
-    if isinstance(elev, ConstantElevation):
+    los_rng = _stream_at(rng, total)
+    # the tangents precede the LoS uniforms, and their length is not known
+    # until they are drawn, so they are drawn for the whole chunk at once
+    tan_theta = None
+    if not isinstance(elev, ConstantElevation):
+        tan_theta = elev.sample_tan(los_rng, total)
+    fade = _stream_at(los_rng, total)
+    return fade, _blocks(params, elev, radius, counts, tan_theta, rng, los_rng)
+
+
+def _blocks(params, elev, radius, counts, tan_theta, rng, los_rng):
+    """The block walk of _draw_chunk: radii from rng, LoS uniforms from los_rng."""
+    ends = np.cumsum(counts)
+    bounds = [0]
+    while bounds[-1] < counts.size:
+        a = bounds[-1]
+        base = ends[a - 1] if a else 0
+        b = int(np.searchsorted(ends, base + _BLOCK_POINTS, side="right"))
+        bounds.append(max(b, a + 1))
+    points = np.concatenate(([0], ends))[bounds]
+    cap = int(np.diff(points).max())
+    d3_buf, xi_buf = np.empty(cap), np.empty(cap)
+    los_buf = np.empty(cap, dtype=bool)
+    if tan_theta is None:
         # scalar secant and LoS probability; worth it, this is the hot path
-        d3 *= 1.0 / math.cos(elev.theta_bar)
-        xi = rng.random(total)
-        los = xi < los_probability(elev.theta_bar, params.c1, params.c2)
-    else:
-        # d3 = r sqrt(1 + tan^2); the angle is wanted only by the LoS law
-        tan_theta = elev.sample_tan(rng, total)
-        xi = np.square(tan_theta)
-        xi += 1.0
-        np.sqrt(xi, out=xi)
-        d3 *= xi
-        theta = np.arctan(tan_theta, out=tan_theta)
-        rng.random(out=xi)
-        los = xi < los_probability(theta, params.c1, params.c2)
-    np.power(d3, -params.alpha, out=xi)
-    if params.ell != 1.0:
-        np.multiply(xi, params.ell, out=xi, where=~los)
-    nz = counts > 0
-    cnz = counts[nz]
-    starts = np.zeros(cnz.size, dtype=np.int64)
-    if cnz.size > 1:
+        secant = 1.0 / math.cos(elev.theta_bar)
+        p_los = los_probability(elev.theta_bar, params.c1, params.c2)
+    for a, b, lo, hi in zip(bounds, bounds[1:], points, points[1:]):
+        m = int(hi - lo)
+        if m == 0:
+            continue
+        d3, xi, los = d3_buf[:m], xi_buf[:m], los_buf[:m]
+        rng.random(out=d3)
+        np.sqrt(d3, out=d3)
+        d3 *= radius
+        if tan_theta is None:
+            d3 *= secant
+            los_rng.random(out=xi)
+            np.less(xi, p_los, out=los)
+        else:
+            # d3 = r sqrt(1 + tan^2); the angle is wanted only by the LoS law
+            tan = tan_theta[lo:hi]
+            np.square(tan, out=xi)
+            xi += 1.0
+            np.sqrt(xi, out=xi)
+            d3 *= xi
+            theta = np.arctan(tan, out=tan)
+            los_rng.random(out=xi)
+            np.less(xi, los_probability(theta, params.c1, params.c2), out=los)
+        np.power(d3, -params.alpha, out=xi)
+        if params.ell != 1.0:
+            np.multiply(xi, params.ell, out=xi, where=~los)
+        c = counts[a:b]
+        nz = c > 0
+        cnz = c[nz]
+        starts = np.zeros(cnz.size, dtype=np.int64)
         starts[1:] = np.cumsum(cnz)[:-1]
-    return nz, cnz, starts, xi, d3, los
+        yield slice(a, b), nz, cnz, starts, xi, d3, los
 
 
 def _first_max_index(xi, xi_max, cnz, starts):
@@ -212,17 +286,21 @@ def _downlink_chunk(params, elev, radius, tail_units, n, rng):
     interference the other UAVs' sum plus the tail mean, both in units of
     power.  A realization without a UAV is never covered, at any threshold.
     """
+    fade, blocks = _draw_chunk(params, elev, radius, n, rng)
+    peaks, interference = [], []
     # d3 is not needed past the draw: its buffer takes the fading gains
-    _, cnz, starts, xi, g, _ = _draw_chunk(params, elev, radius, n, rng)
-    if cnz.size == 0:
+    for _, _, cnz, starts, xi, g, _ in blocks:
+        xi_max = np.maximum.reduceat(xi, starts)
+        i_star = _first_max_index(xi, xi_max, cnz, starts)
+        fade.standard_exponential(out=g)
+        g *= xi
+        interference.append(np.add.reduceat(g, starts) - g[i_star] + tail_units)
+        peaks.append(xi_max)
+    if not peaks:
         return np.empty(0), np.empty(0)
-    xi_max = np.maximum.reduceat(xi, starts)
-    i_star = _first_max_index(xi, xi_max, cnz, starts)
-    rng.standard_exponential(out=g)
-    g *= xi
-    interference = np.add.reduceat(g, starts) - g[i_star] + tail_units
-    g_star = rng.standard_gamma(params.n_antennas, size=cnz.size)
-    return g_star * xi_max, interference
+    xi_max = np.concatenate(peaks)
+    g_star = fade.standard_gamma(params.n_antennas, size=xi_max.size)
+    return g_star * xi_max, np.concatenate(interference)
 
 
 def _downlink_hits(operands, power, beta, noise):
@@ -233,14 +311,14 @@ def _downlink_hits(operands, power, beta, noise):
 def _cellfree_chunk(params, elev, radius, tail_units, n, rng):
     """Received signal sum of every realization in units of power, with the
     tail compensation added (a realization without a UAV holds it alone)."""
-    # as in _downlink_chunk, the d3 buffer takes the fading gains
-    nz, cnz, starts, xi, g, _ = _draw_chunk(params, elev, radius, n, rng)
-    rng.standard_gamma(params.n_antennas, out=g)
+    fade, blocks = _draw_chunk(params, elev, radius, n, rng)
     compensation = params.n_antennas * tail_units
     total = np.full(n, compensation)
-    if cnz.size:
+    # as in _downlink_chunk, the d3 buffer takes the fading gains
+    for sl, nz, _, starts, xi, g, _ in blocks:
+        fade.standard_gamma(params.n_antennas, out=g)
         g *= xi
-        total[nz] = np.add.reduceat(g, starts) + compensation
+        total[sl][nz] = np.add.reduceat(g, starts) + compensation
     return total
 
 
@@ -276,9 +354,7 @@ def estimate_sweep(
                 "rows of one run may differ in beta and density only")
     if metric == "cellfree" and params.noise <= 0.0:
         raise InvalidParameterError("cell-free estimation requires noise > 0")
-    n_samples = int(n_samples)
-    if n_samples < 1:
-        raise InvalidParameterError("n_samples must be >= 1")
+    n_samples = _run_size(n_samples, sim_radius)
     radius = sim_radius if sim_radius is not None else guard_radius(params, elev, guard_tolerance)
     thresholds = [
         (p.beta, p.noise * (params.density / p.density) ** (params.alpha / 2.0))
@@ -339,16 +415,16 @@ def sample_peak_gain(params, elev, n_samples, master_seed, sim_radius=None):
     Realizations with no point inside the disk yield 0 (a gain smaller than
     any positive sample; probability ~e^-30 at the default radius).
     """
-    n_samples = int(n_samples)
+    n_samples = _run_size(n_samples, sim_radius)
     if sim_radius is None:
         w_eff = effective_density_factor(params, elev)
         sim_radius = _law_radius(params, w_eff)
     out = []
     for size, rng in _chunks(n_samples, sim_radius, params.density, master_seed):
-        nz, cnz, starts, xi, _, _ = _draw_chunk(params, elev, sim_radius, size, rng)
         vals = np.zeros(size)
-        if cnz.size:
-            vals[nz] = np.maximum.reduceat(xi, starts)
+        _, blocks = _draw_chunk(params, elev, sim_radius, size, rng)
+        for sl, nz, _, starts, xi, _, _ in blocks:
+            vals[sl][nz] = np.maximum.reduceat(xi, starts)
         out.append(vals)
     return np.concatenate(out)
 
@@ -359,23 +435,23 @@ def sample_nearest_sq(params, elev, case, n_samples, master_seed, sim_radius=Non
     case meanings match nearest_sq_rate.  Realizations whose disk holds no
     qualifying point yield inf (probability ~e^-30 at the default radius).
     """
-    n_samples = int(n_samples)
+    n_samples = _run_size(n_samples, sim_radius)
     rate_c = nearest_sq_rate(params, elev, case) / (math.pi * params.density)
     if sim_radius is None:
         sim_radius = _law_radius(params, rate_c)
     v = 2.0 / params.alpha
     out = []
     for size, rng in _chunks(n_samples, sim_radius, params.density, master_seed):
-        nz, cnz, starts, xi, d3, los = _draw_chunk(params, elev, sim_radius, size, rng)
         vals = np.full(size, np.inf)
-        if cnz.size:
+        _, blocks = _draw_chunk(params, elev, sim_radius, size, rng)
+        for sl, nz, _, starts, xi, d3, los in blocks:
             if case == "los-weighted":
                 # min (L^(-1/alpha) d3)^2 = (max xi)^(-2/alpha)
-                vals[nz] = np.maximum.reduceat(xi, starts) ** (-v)
+                vals[sl][nz] = np.maximum.reduceat(xi, starts) ** (-v)
             elif case == "all-los-unit":
-                vals[nz] = np.minimum.reduceat(d3, starts) ** 2
+                vals[sl][nz] = np.minimum.reduceat(d3, starts) ** 2
             else:  # pure-los
                 d3_los = np.where(los, d3, np.inf)
-                vals[nz] = np.minimum.reduceat(d3_los, starts) ** 2
+                vals[sl][nz] = np.minimum.reduceat(d3_los, starts) ** 2
         out.append(vals)
     return np.concatenate(out)

@@ -162,7 +162,16 @@ def _sha256(values):
     return hashlib.sha256(np.ascontiguousarray(values, dtype=np.float64).tobytes()).hexdigest()
 
 
-def test_outputs_match_recorded_golden_values():
+# The block size of the chunk walk never moves a bit: the golden tests run
+# at sizes that split every realization into its own block, that hold a
+# realization larger than a block, and at the default.
+@pytest.fixture(params=[1, 7, 1000, mc._BLOCK_POINTS])
+def block_points(request, monkeypatch):
+    monkeypatch.setattr(mc, "_BLOCK_POINTS", request.param)
+    return request.param
+
+
+def test_outputs_match_recorded_golden_values(block_points):
     # Exact outputs of the chunk kernels: any change to the draw order or to
     # a float operation moves these.  The digests are of float64 bytes from
     # numpy 2.4 on x86-64 with AVX-512, whose SIMD pow/exp may round
@@ -184,7 +193,7 @@ def test_outputs_match_recorded_golden_values():
         assert _sha256(sample_nearest_sq(p, E25, case, 3000, 15 + i)) == want, case
 
 
-def test_gamma_tan_outputs_match_recorded_golden_values():
+def test_gamma_tan_outputs_match_recorded_golden_values(block_points):
     # The non-constant branch of _draw_chunk: the tangent draws, the LoS
     # uniforms and the LoS law must keep their order and their bits.
     gamma_tan = GammaTanElevation(3.0, math.radians(20.0))
@@ -192,10 +201,63 @@ def test_gamma_tan_outputs_match_recorded_golden_values():
     assert estimate_cellfree(p_cf, gamma_tan, 3000, 16).mean == 0.7066666666666667
     p = NetworkParams(density=1e-6)
     radius = guard_radius(p, gamma_tan, 1e-3)
-    los = mc._draw_chunk(p, gamma_tan, radius, 200, np.random.default_rng(18))[5]
+    _, blocks = mc._draw_chunk(p, gamma_tan, radius, 200, np.random.default_rng(18))
+    # each block's marks live in a buffer the next block overwrites
+    los = np.concatenate([block[-1].copy() for block in blocks])
     assert los.size == 204954
     assert hashlib.sha256(np.ascontiguousarray(los).tobytes()).hexdigest() == (
         "1167c4ad2ff7d3ae8d35a6af81fe3e81c7a13d49565d70106677107923d2a8ec")
+
+
+@pytest.mark.parametrize("elev,digests", [
+    (E25, ("2076a149d7d26d2c0d6fdf131cf0caf2d05ff078cc7cde3b80f78a0381a9f97a",
+           "85800b865c66a5fb624b40f1c78be0bca015c88b57cac4bd4691d336fc495a40",
+           "cf4663b9b70946a359b62024f9dc1782756fafc8b56c45857ef7acb0f4fcdc0c")),
+    (GammaTanElevation(3.0, math.radians(20.0)),
+     ("41afd41bdf00f6871a89e286263002f775be7b14cde25b46bb497905eaa7b8fb",
+      "69b9a07e58cc3bef66cbd79c646e3dcb88480f4c854c6a140991154cdac1867d",
+      "1d6bcd47cf61e5e6d6f6a532682349d8420929f8738591988fca6bac8db5b6b4")),
+], ids=["constant", "gamma_tan"])
+def test_realizations_larger_than_a_block_match_recorded_golden_values(
+        block_points, elev, digests):
+    # a 180 km disk holds ~1.02e5 points per realization, more than the
+    # default block: such a realization is walked as one block of its own
+    p = NetworkParams(density=1e-6)
+    radius = 180e3
+    tail = interference_tail_mean(p, elev, radius)
+    assert mc._BLOCK_POINTS < 1.01e5 < p.density * math.pi * radius**2
+    signal, interference = mc._downlink_chunk(
+        p, elev, radius, tail, 3, np.random.default_rng(21))
+    assert _sha256(np.concatenate([signal, interference])) == digests[0]
+    assert _sha256(mc._cellfree_chunk(
+        p, elev, radius, tail, 3, np.random.default_rng(22))) == digests[1]
+    assert _sha256(sample_nearest_sq(p, elev, "pure-los", 3, 23, sim_radius=radius)) == (
+        digests[2])
+
+
+def test_chunks_without_points_yield_the_empty_outcome(block_points):
+    # a 1 m disk holds a point with probability ~3e-6: every block is empty
+    p = NetworkParams(density=1e-6)
+    signal, interference = mc._downlink_chunk(p, E25, 1.0, 0.0, 500, np.random.default_rng(28))
+    assert signal.size == interference.size == 0
+    total = mc._cellfree_chunk(p, E25, 1.0, 0.5, 500, np.random.default_rng(28))
+    assert total.tolist() == [p.n_antennas * 0.5] * 500
+    assert estimate_downlink(p, E25, 500, 24, sim_radius=1.0).mean == 0.0
+    assert (sample_peak_gain(p, E25, 500, 26, sim_radius=1.0) == 0.0).all()
+    assert np.isinf(sample_nearest_sq(p, E25, "pure-los", 500, 27, sim_radius=1.0)).all()
+
+
+def test_runs_over_several_chunks_match_recorded_golden_values(block_points):
+    # 5000 realizations at the guard radius take three chunks
+    p = NetworkParams(density=1e-6)
+    gamma_tan = GammaTanElevation(3.0, math.radians(20.0))
+    for elev in (E25, gamma_tan):
+        mean_points = p.density * math.pi * guard_radius(p, elev, 1e-3) ** 2
+        assert len(mc._chunk_sizes(5000, mean_points)) == 3
+    assert estimate_downlink(p, E25, 5000, 29).mean == 0.793
+    assert estimate_downlink(p, gamma_tan, 5000, 30).mean == 0.7992
+    p_cf = NetworkParams(density=1e-6, beta=1e4, n_antennas=2)
+    assert estimate_cellfree(p_cf, E25, 5000, 31).mean == 0.7442
 
 
 def test_first_max_index_matches_associate_per_segment():
@@ -222,24 +284,28 @@ def test_first_max_index_matches_associate_per_segment():
 
 
 def test_chunk_kernels_peak_allocation_per_point():
-    # one 500-realization chunk holds ~4.7e5 points; the kernels fill a few
-    # point-sized buffers in place instead of a fresh array per step.  A
-    # non-constant law adds the tangent draws and the LoS probabilities.
+    # A chunk of 500 or 2000 realizations holds ~4.7e5 or ~1.9e6 points.
+    # The kernels walk it in blocks of at most _BLOCK_POINTS points and
+    # reuse the blocks' buffers, so under constant elevation the peak does
+    # not grow with the chunk.  gamma_tan keeps the chunk's tangents, 8 B
+    # per point, on top of the same kind of fixed working set.
     p = NetworkParams(density=1e-6)
-    n, seed = 500, 7
-    for elev, bound in ((E25, 30.0), (GammaTanElevation(3.0, math.radians(20.0)), 34.0)):
+    seed = 7
+    for elev, per_point, fixed in ((E25, 0, 3 * 2**20),
+                                   (GammaTanElevation(3.0, math.radians(20.0)), 8, 4 * 2**20)):
         radius = guard_radius(p, elev, 1e-3)
         tail = interference_tail_mean(p, elev, radius)
-        points = int(np.random.default_rng(seed).poisson(
-            p.density * math.pi * radius**2, n).sum())
-        for chunk in (mc._downlink_chunk, mc._cellfree_chunk):
-            tracemalloc.start()
-            try:
-                chunk(p, elev, radius, tail, n, np.random.default_rng(seed))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak / points <= bound, (elev, chunk.__name__, peak / points)
+        for n in (500, 2000):
+            points = int(np.random.default_rng(seed).poisson(
+                p.density * math.pi * radius**2, n).sum())
+            for chunk in (mc._downlink_chunk, mc._cellfree_chunk):
+                tracemalloc.start()
+                try:
+                    chunk(p, elev, radius, tail, n, np.random.default_rng(seed))
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= per_point * points + fixed, (elev, n, chunk.__name__, peak)
 
 
 def test_estimate_matches_analytic_downlink():
@@ -354,6 +420,44 @@ def test_estimators_validate_sample_count():
     p = NetworkParams(density=1e-6)
     with pytest.raises(ValueError):
         estimate_downlink(p, E25, 0, 1)
+
+
+def _entry_points(**kwargs):
+    """Every Monte Carlo entry point that takes n_samples and sim_radius."""
+    p = NetworkParams(density=1e-6)
+    args = {"n_samples": 10, "master_seed": 1, **kwargs}
+    return [
+        lambda: estimate_downlink(p, E25, **args),
+        lambda: estimate_cellfree(p, E25, **args),
+        lambda: mc.estimate_sweep("downlink", [p, p], E25, **args),
+        lambda: sample_peak_gain(p, E25, **args),
+        lambda: sample_nearest_sq(p, E25, "pure-los", **args),
+    ]
+
+
+@pytest.mark.parametrize("radius", [-5000.0, 0.0, math.nan, math.inf],
+                         ids=["negative", "zero", "nan", "inf"])
+def test_entry_points_reject_sim_radius_outside_positive_reals(radius):
+    for call in _entry_points(sim_radius=radius):
+        with pytest.raises(InvalidParameterError, match="sim_radius"):
+            call()
+
+
+@pytest.mark.parametrize("n", [2.7, 3.0, "3", 0, -1, None])
+def test_entry_points_reject_non_integer_sample_counts(n):
+    # 2.7 once ran 2 samples without a word
+    for call in _entry_points(n_samples=n):
+        with pytest.raises(InvalidParameterError, match="n_samples"):
+            call()
+
+
+def test_entry_points_accept_numpy_integer_sample_counts():
+    for n in (np.int64(7), np.int32(7), np.uint16(7)):
+        down, cell, sweep, peak, nearest = (
+            call() for call in _entry_points(n_samples=n, sim_radius=5000.0))
+        for est in (down, cell, *sweep):
+            assert est.n_samples == 7 and type(est.n_samples) is int
+        assert peak.size == nearest.size == 7
 
 
 # -- distribution sampling ---------------------------------------------------------
