@@ -1,21 +1,30 @@
 """Tour the numerical kernels the coverage expressions are built on.
 
-Four pieces carry the analytic route: special functions (gamma, erf, from
-the standard library's math module), adaptive Gauss-Kronrod/Gauss-Laguerre
-quadrature, the exponential of a power series for high-order derivatives,
-and Talbot-contour inverse Laplace transforms.
-Each is exercised against an identity with a known value, then the bundled
-cross-check suite is run end to end.
+Three kernels carry the analytic route: adaptive Gauss-Kronrod quadrature
+(with a Gauss-Laguerre rule beside it), the exponential of a power series
+for high-order derivatives, and Talbot-contour inverse Laplace transforms.
+First the cell-free integral meets its closed form at alpha = 4; then each
+kernel is exercised against an identity with a known value, and the
+bundled cross-check suite is run end to end.
 """
 
 import math
 
+from uavcov import ConstantElevation, NetworkParams, cellfree_coverage, effective_density_factor
 from uavcov.numerics import gauss_laguerre, integrate, inverse_laplace, jet_exp
 from uavcov.validation import finite_difference, run_suite
 
-print("special functions:")
-print(f"  gamma(4.5) = {math.gamma(4.5):.15f} (exact 11.631728396567448...)")
-print(f"  erf(1)     = {math.erf(1.0):.15f} (exact 0.842700792949715...)")
+print("cell-free coverage at alpha = 4 against erf(kappa / (2 sqrt t)):")
+elev = ConstantElevation(math.radians(25.0))
+for n, beta_db in ((1, 0.0), (4, 0.0), (16, 10.0)):
+    p = NetworkParams(density=1e-6, alpha=4.0, n_antennas=n, beta=10.0 ** (beta_db / 10.0))
+    # kappa = pi density w_eff Gamma(N + 1/2) Gamma(1/2) / (N - 1)!, t = beta noise / power
+    kappa = (math.pi * p.density * effective_density_factor(p, elev)
+             * math.gamma(n + 0.5) * math.sqrt(math.pi) / math.factorial(n - 1))
+    t = p.beta * p.noise / p.power
+    value = cellfree_coverage(p, elev).value
+    print(f"  N = {n:2d}, beta {beta_db:4.1f} dB: integral {value:.15f}, "
+          f"erf {math.erf(kappa / (2.0 * math.sqrt(t))):.15f}")
 print()
 
 print("adaptive quadrature:")

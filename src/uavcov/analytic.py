@@ -26,7 +26,7 @@ from scipy.special import beta as beta_fn, betainc
 
 from .model import los_probability
 from .numerics.jets import jet_exp
-from .numerics.quadrature import DEFAULT_QUAD, integrate
+from .numerics.quadrature import _ABS_TOL, _REL_TOL, integrate
 
 
 # -- results ----------------------------------------------------------------
@@ -198,7 +198,7 @@ def downlink_coverage(params, elev):
         return jet_exp(row).sum(axis=-1)
 
     value = scale * integrate(f, 0.0, math.inf)
-    tol = max(DEFAULT_QUAD.abs_tol, DEFAULT_QUAD.rel_tol * abs(value))
+    tol = max(_ABS_TOL, _REL_TOL * abs(value))
     return _clamped(value, "exact-integration", tol)
 
 
@@ -263,5 +263,5 @@ def cellfree_coverage(params, elev):
 
     rest = integrate(f, 0.0, (k * (math.log(math.pi) - log_lo)) ** (1.0 / 3.0))
     scale = math.exp(log_lo) / math.pi
-    tol = scale * max(DEFAULT_QUAD.abs_tol, DEFAULT_QUAD.rel_tol * rest)
+    tol = scale * max(_ABS_TOL, _REL_TOL * rest)
     return _clamped(scale * (1.0 + rest), "exact-integration", tol)

@@ -40,7 +40,9 @@ allocation is a fixed working set of a few MB, whatever the chunk holds.
 A non-constant law keeps the chunk's tangents, 8 bytes per point, since
 its LoS uniforms start where the variable-length tangent draws end; the
 tangents turn into Theta in place, block by block, for the LoS law, and
-the 3D distance r sqrt(1 + tan^2 Theta) needs no cosine.
+the 3D distance r sqrt(1 + tan^2 Theta) needs no cosine.  Since a block
+holds at least one whole realization, a disk that would hold more than
+_MAX_POINTS points on average is refused before the first draw.
 
 A chunk kernel stops before the coverage test and returns per-realization
 operands: the serving signal and the interference (downlink), or the
@@ -71,6 +73,7 @@ from .model import ConstantElevation, InvalidParameterError, los_probability
 _POINTS_PER_CHUNK = 2_000_000  # batching target; fixed so chunking is reproducible
 _MIN_RADIUS_FACTOR = 10.0      # floor: R >= 10 / sqrt(pi * density)
 _BLOCK_POINTS = 65_536         # points per block of a chunk; any value gives the same bits
+_MAX_POINTS = 2**24            # mean points per realization; ~0.44 GB at ~26 B/pt
 
 
 class EmptyRealizationError(ValueError):
@@ -176,11 +179,20 @@ def _chunk_sizes(n_samples, mean_points):
 
 
 def _chunks(n_samples, radius, density, master_seed):
-    """Yield (size, rng) per chunk: one spawned child seed per chunk, in order."""
-    sizes = _chunk_sizes(n_samples, density * math.pi * radius * radius)
+    """(size, rng) per chunk, in order: one spawned child seed per chunk.
+
+    Refuses a disk whose mean point count exceeds _MAX_POINTS, before any
+    draw: memory grows with the largest realization.
+    """
+    mean_points = density * math.pi * radius * radius
+    if not mean_points <= _MAX_POINTS:
+        raise InvalidParameterError(
+            f"a realization would hold {mean_points:.3g} points on average (radius "
+            f"{radius:.4g} m), over the cap of {_MAX_POINTS}; raise guard_tolerance "
+            "or lower sim_radius")
+    sizes = _chunk_sizes(n_samples, mean_points)
     children = np.random.SeedSequence(int(master_seed)).spawn(len(sizes))
-    for size, child in zip(sizes, children):
-        yield size, np.random.default_rng(child)
+    return ((size, np.random.default_rng(child)) for size, child in zip(sizes, children))
 
 
 def _stream_at(rng, steps):
@@ -409,6 +421,19 @@ def _law_radius(params, rate_constant):
     return math.sqrt(30.0 / max(rate_constant * math.pi * params.density, 1e-300))
 
 
+def _per_realization(params, elev, n_samples, master_seed, radius, empty, reduce):
+    """One value per realization: reduce(starts, xi, d3, los) over each block's
+    points, and empty for a realization without a point."""
+    out = []
+    for size, rng in _chunks(n_samples, radius, params.density, master_seed):
+        vals = np.full(size, empty)
+        _, blocks = _draw_chunk(params, elev, radius, size, rng)
+        for sl, nz, _, starts, xi, d3, los in blocks:
+            vals[sl][nz] = reduce(starts, xi, d3, los)
+        out.append(vals)
+    return np.concatenate(out)
+
+
 def sample_peak_gain(params, elev, n_samples, master_seed, sim_radius=None):
     """Per-realization maxima of L ||U||^-alpha, for distribution tests.
 
@@ -419,14 +444,10 @@ def sample_peak_gain(params, elev, n_samples, master_seed, sim_radius=None):
     if sim_radius is None:
         w_eff = effective_density_factor(params, elev)
         sim_radius = _law_radius(params, w_eff)
-    out = []
-    for size, rng in _chunks(n_samples, sim_radius, params.density, master_seed):
-        vals = np.zeros(size)
-        _, blocks = _draw_chunk(params, elev, sim_radius, size, rng)
-        for sl, nz, _, starts, xi, _, _ in blocks:
-            vals[sl][nz] = np.maximum.reduceat(xi, starts)
-        out.append(vals)
-    return np.concatenate(out)
+    return _per_realization(
+        params, elev, n_samples, master_seed, sim_radius, 0.0,
+        lambda starts, xi, d3, los: np.maximum.reduceat(xi, starts),
+    )
 
 
 def sample_nearest_sq(params, elev, case, n_samples, master_seed, sim_radius=None):
@@ -440,18 +461,11 @@ def sample_nearest_sq(params, elev, case, n_samples, master_seed, sim_radius=Non
     if sim_radius is None:
         sim_radius = _law_radius(params, rate_c)
     v = 2.0 / params.alpha
-    out = []
-    for size, rng in _chunks(n_samples, sim_radius, params.density, master_seed):
-        vals = np.full(size, np.inf)
-        _, blocks = _draw_chunk(params, elev, sim_radius, size, rng)
-        for sl, nz, _, starts, xi, d3, los in blocks:
-            if case == "los-weighted":
-                # min (L^(-1/alpha) d3)^2 = (max xi)^(-2/alpha)
-                vals[sl][nz] = np.maximum.reduceat(xi, starts) ** (-v)
-            elif case == "all-los-unit":
-                vals[sl][nz] = np.minimum.reduceat(d3, starts) ** 2
-            else:  # pure-los
-                d3_los = np.where(los, d3, np.inf)
-                vals[sl][nz] = np.minimum.reduceat(d3_los, starts) ** 2
-        out.append(vals)
-    return np.concatenate(out)
+    reduce = {
+        # min (L^(-1/alpha) d3)^2 = (max xi)^(-2/alpha)
+        "los-weighted": lambda starts, xi, d3, los: np.maximum.reduceat(xi, starts) ** (-v),
+        "all-los-unit": lambda starts, xi, d3, los: np.minimum.reduceat(d3, starts) ** 2,
+        "pure-los": lambda starts, xi, d3, los: (
+            np.minimum.reduceat(np.where(los, d3, np.inf), starts) ** 2),
+    }[case]
+    return _per_realization(params, elev, n_samples, master_seed, sim_radius, np.inf, reduce)

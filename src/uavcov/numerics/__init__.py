@@ -1,11 +1,10 @@
 """Numerical kernels: quadrature, series exponential, Laplace inversion."""
 
-from .quadrature import QuadratureSpec, AccuracyError, integrate, gauss_laguerre
+from .quadrature import AccuracyError, integrate, gauss_laguerre
 from .jets import jet_exp
 from .laplace import inverse_laplace
 
 __all__ = [
-    "QuadratureSpec",
     "AccuracyError",
     "integrate",
     "gauss_laguerre",

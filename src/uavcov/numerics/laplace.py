@@ -16,6 +16,7 @@ import numpy as np
 from .quadrature import AccuracyError
 
 _DEGREES = (12, 16, 24, 32, 48)
+_ABS_TOL = 1e-8  # two successive degrees must agree this closely
 
 
 def _talbot_value(transform, t, m):
@@ -31,13 +32,13 @@ def _talbot_value(transform, t, m):
     return (2.0 / (5.0 * t)) * total
 
 
-def inverse_laplace(transform, t, abs_tol=1e-8):
+def inverse_laplace(transform, t):
     """Invert a Laplace transform at time t > 0.
 
     transform maps a complex ndarray of contour points s to F(s)
     elementwise; every node of one Talbot degree is passed in one call.
     Nodes are increased along _DEGREES until two successive evaluations
-    agree within abs_tol; raises AccuracyError otherwise.
+    agree within _ABS_TOL; raises AccuracyError otherwise.
     """
     if not t > 0.0:
         raise ValueError(f"inversion time must be positive, got {t!r}")
@@ -56,11 +57,11 @@ def inverse_laplace(transform, t, abs_tol=1e-8):
             diff = abs(val - prev)
             if diff < best_diff:
                 best, best_diff = val, diff
-            if diff <= abs_tol:
+            if diff <= _ABS_TOL:
                 return val
         prev = val
     raise AccuracyError(
-        f"Talbot inversion did not stabilize to {abs_tol:g} "
+        f"Talbot inversion did not stabilize to {_ABS_TOL:g} "
         f"(best successive change {best_diff:.3e})",
         estimate=best,
         error_bound=best_diff,

@@ -11,7 +11,6 @@ subdivision.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -53,16 +52,11 @@ _WGFULL = np.zeros(15)
 _WGFULL[1:14:2] = np.concatenate([_WG[:-1], _WG[::-1]])     # Gauss weights on odd slots
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Accuracy policy shared by the quadrature-backed operations."""
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
-    max_subdivisions: int = 200
-
-
-DEFAULT_QUAD = QuadratureSpec()
+# accuracy policy of every integral: the total is accepted once its error
+# is within max(_ABS_TOL, _REL_TOL |total|), within _MAX_SUBDIVISIONS splits
+_REL_TOL = 1e-10
+_ABS_TOL = 1e-14
+_MAX_SUBDIVISIONS = 200
 
 
 class AccuracyError(ArithmeticError):
@@ -86,7 +80,7 @@ def _kronrod_panels(f, lo, hi):
     return ik, np.abs(ik - half * (fx @ _WGFULL))
 
 
-def _adapt(f, a, b, spec):
+def _adapt(f, a, b):
     lo = np.array([float(a)])
     hi = np.array([float(b)])
     est, err = _kronrod_panels(f, lo, hi)
@@ -96,15 +90,15 @@ def _adapt(f, a, b, spec):
         order = np.argsort(-err, kind="stable")
         cum = np.cumsum(err[order])
         total_err = float(cum[-1])
-        bound = max(spec.abs_tol, spec.rel_tol * abs(total))
+        bound = max(_ABS_TOL, _REL_TOL * abs(total))
         if not total_err > bound:  # a NaN error stops here too, returning the total
             return total
         # the fewest worst panels whose errors, taken away, leave the rest
         # within the bound
         n = min(int(np.searchsorted(cum, total_err - bound)) + 1, order.size)
-        if splits + n > spec.max_subdivisions:
+        if splits + n > _MAX_SUBDIVISIONS:
             raise AccuracyError(
-                f"quadrature did not converge after {spec.max_subdivisions} "
+                f"quadrature did not converge after {_MAX_SUBDIVISIONS} "
                 f"subdivisions (estimate {total:.6e}, error bound {total_err:.3e})",
                 estimate=total,
                 error_bound=total_err,
@@ -121,7 +115,7 @@ def _adapt(f, a, b, spec):
         err = np.concatenate([err[keep], new_err])
 
 
-def integrate(f, a, b, spec=None):
+def integrate(f, a, b):
     """Integrate f over [a, b]; b may be math.inf.
 
     f must be elementwise over numpy arrays of any shape: it is called on
@@ -130,7 +124,6 @@ def integrate(f, a, b, spec=None):
     more panels than the subdivision budget has left before the tolerances
     are met.
     """
-    spec = spec or DEFAULT_QUAD
     if math.isinf(a):
         raise ValueError("lower bound must be finite")
     if math.isinf(b):
@@ -144,10 +137,10 @@ def integrate(f, a, b, spec=None):
             val = f(a + u**3) * 3.0 * u * u / (1.0 - tc) ** 2
             return np.where(safe, val, 0.0)
 
-        return _adapt(g, 0.0, 1.0, spec)
+        return _adapt(g, 0.0, 1.0)
     if a == b:
         return 0.0
-    return _adapt(f, a, b, spec)
+    return _adapt(f, a, b)
 
 
 @lru_cache(maxsize=8)

@@ -1,20 +1,28 @@
 """Cross-check battery: numerics identities, distribution laws, coverage.
 
 Three suites, each returning a machine-readable report dict.  'numerics'
-checks the special functions, quadrature, the series exponential, and
-Laplace inversion against fixed identities and finite differences.
-'distributions' runs KS tests of sampled extremes against the closed-form
-laws.  'coverage' pairs the analytic downlink expression with Monte Carlo
-over the default grid and checks the z-scores.  Failures are report
-content, not exceptions.
+is one table, _NUMERICS, of values this package computes against
+independent references: the quadrature and the interference integral
+against closed forms, the series exponential against finite differences,
+Talbot inversion against known originals, and the coverage functions
+against the paper's closed forms at alpha = 4 (erf for cell-free, erfc for
+the single-antenna downlink) and against Talbot inversion of the cell-free
+transform.  'distributions' runs KS tests of sampled extremes against the
+closed-form laws.  'coverage' pairs the analytic downlink expression with
+Monte Carlo over the default grid and checks the z-scores.  Failures are
+report content, not exceptions.
 """
 
 import math
+from functools import partial
 
 import numpy as np
+from scipy.special import erfcx
 
 from .analytic import (
+    cellfree_coverage,
     downlink_coverage,
+    effective_density_factor,
     interference_integral,
     nearest_sq_rate,
     peak_gain_cdf,
@@ -26,7 +34,7 @@ from .montecarlo import (
     sample_nearest_sq,
     sample_peak_gain,
 )
-from .numerics import gauss_laguerre, integrate, inverse_laplace, jet_exp
+from .numerics import integrate, inverse_laplace, jet_exp
 
 SUITES = ("numerics", "distributions", "coverage", "all")
 
@@ -40,9 +48,9 @@ def _check(name, fn):
     return {"name": name, **result}
 
 
-def _tol_check(value, target, tol, relative=False):
+def _tol_check(value, target, tol, relative):
     err = abs(value - target)
-    bound = tol * max(1.0, abs(target)) if relative else tol
+    bound = tol * abs(target) if relative else tol
     return {
         "passed": bool(err <= bound),
         "value": float(value),
@@ -55,194 +63,149 @@ def _tol_check(value, target, tol, relative=False):
 _FD_STEPS = {1: 1e-4, 2: 1e-3, 3: 4e-3}
 
 
-def finite_difference(f, x, order, step=None):
-    """Central difference of the given order, Richardson-extrapolated once."""
-    h = step if step is not None else _FD_STEPS[order]
-
-    def stencil(hh):
-        if order == 1:
-            return (f(x + hh) - f(x - hh)) / (2.0 * hh)
-        if order == 2:
-            return (f(x + hh) - 2.0 * f(x) + f(x - hh)) / hh**2
-        if order == 3:
-            return (f(x + 2 * hh) - 2 * f(x + hh) + 2 * f(x - hh) - f(x - 2 * hh)) / (
-                2.0 * hh**3
-            )
+def finite_difference(f, x, order):
+    """Central difference of the given order (1..3), Richardson-extrapolated once."""
+    if order not in _FD_STEPS:
         raise ValueError("finite_difference supports orders 1..3")
 
+    def stencil(h):
+        if order == 1:
+            return (f(x + h) - f(x - h)) / (2.0 * h)
+        if order == 2:
+            return (f(x + h) - 2.0 * f(x) + f(x - h)) / h**2
+        return (f(x + 2 * h) - 2 * f(x + h) + 2 * f(x - h) - f(x - 2 * h)) / (2.0 * h**3)
+
+    h = _FD_STEPS[order]
     return (4.0 * stencil(0.5 * h) - stencil(h)) / 3.0
 
 
 # -- numerics suite ------------------------------------------------------------
+#
+# Each row pairs a value this package computes with an independent reference.
 
 
-def _gamma_checks():
-    checks = []
-    for x in (0.3, 1.7, 6.4):
-        checks.append(
-            _check(
-                f"gamma-recurrence-x{x}",
-                lambda x=x: _tol_check(
-                    math.gamma(x + 1.0) / (x * math.gamma(x)), 1.0, 1e-12
-                ),
-            )
-        )
-    checks.append(
-        _check(
-            "gamma-half",
-            lambda: _tol_check(math.gamma(0.5), math.sqrt(math.pi), 1e-12, relative=True),
-        )
-    )
-    checks.append(
-        _check(
-            "gamma-4.5",
-            lambda: _tol_check(
-                math.gamma(4.5), 6.5625 * math.sqrt(math.pi), 1e-12, relative=True
-            ),
-        )
-    )
-    checks.append(
-        _check(
-            "erf-1",
-            lambda: _tol_check(math.erf(1.0), 0.8427007929497149, 1e-10),
-        )
-    )
-    checks.append(
-        _check(
-            "erfc-symmetry",
-            lambda: _tol_check(math.erf(0.8) + math.erfc(0.8), 1.0, 1e-13),
-        )
-    )
-    return checks
+def _ig_two_forms():
+    # the closed form of I(u, v) against its defining integral
+    u, v = 2.3, 2.0 / 2.75
+    tail = integrate(lambda r: 1.0 / (1.0 + r ** (1.0 / v)), 0.0, u**-v)
+    return interference_integral(u, v), u**v * (math.pi * v / math.sin(math.pi * v) - tail)
 
 
-def _quadrature_checks():
-    checks = [
-        _check(
-            "quad-arctan",
-            lambda: _tol_check(
-                integrate(lambda x: 4.0 / (1.0 + x * x), 0.0, 1.0), math.pi, 1e-12
-            ),
-        ),
-        _check(
-            "quad-exp-tail",
-            lambda: _tol_check(integrate(lambda x: np.exp(-x), 0.0, np.inf), 1.0, 1e-10),
-        ),
-        _check(
-            "quad-gamma4",
-            lambda: _tol_check(
-                integrate(lambda x: x**3 * np.exp(-x), 0.0, np.inf), 6.0, 1e-9
-            ),
-        ),
-        _check(
-            "laguerre-degree",
-            lambda: _tol_check(
-                float(np.sum(gauss_laguerre(8)[1] * gauss_laguerre(8)[0] ** 2)),
-                2.0,
-                1e-12,
-            ),
-        ),
-        _check(
-            "ig-quarter-pi",
-            lambda: _tol_check(interference_integral(1.0, 0.5), math.pi / 4.0, 1e-10),
-        ),
-    ]
-
-    def ig_cross():
-        u, v = 2.3, 2.0 / 2.75
-        tail = integrate(lambda r: 1.0 / (1.0 + r ** (1.0 / v)), 0.0, u**-v)
-        defining = u**v * (math.pi * v / math.sin(math.pi * v) - tail)
-        return _tol_check(interference_integral(u, v), defining, 1e-9, relative=True)
-
-    checks.append(_check("ig-two-forms", ig_cross))
-    return checks
+def _jet_exp_series():
+    # exp(h): the largest gap to the coefficients 1/k!
+    e = jet_exp([0.0, 1.0, 0.0, 0.0])
+    return float(np.max(np.abs(e - [1.0, 1.0, 0.5, 1.0 / 6.0]))), 0.0
 
 
-def _jet_checks(n_random=20, seed=20260816):
-    """jet_exp against exp(h) and against finite differences of exp(p(x))."""
-    checks = []
+def _jet_composite_fd():
+    # the row of p(x) = x^3 - 2 x^2 + x/2 + 0.3 expanded at x0 = 0.8
+    p = np.polynomial.Polynomial([0.3, 0.5, -2.0, 1.0])
+    row = [p.deriv(j)(0.8) / math.factorial(j) for j in range(4)]
+    return 6.0 * jet_exp(row)[3], finite_difference(lambda x: math.exp(p(x)), 0.8, 3)
 
-    def exp_coeffs():
-        e = jet_exp([0.0, 1.0, 0.0, 0.0])
-        target = np.array([1.0, 1.0, 0.5, 1.0 / 6.0])
-        err = float(np.max(np.abs(e - target)))
-        return {"passed": err <= 1e-14, "error": err, "tolerance": 1e-14}
 
-    checks.append(_check("jet-exp-series", exp_coeffs))
+_JET_ROWS = 20
+_JET_SEED = 20260816
 
-    def fixed_composite():
-        # the row of p(x) = x^3 - 2 x^2 + x/2 + 0.3 expanded at x0 = 0.8
-        p = np.polynomial.Polynomial([0.3, 0.5, -2.0, 1.0])
-        row = [p.deriv(j)(0.8) / math.factorial(j) for j in range(4)]
-        d3_fd = finite_difference(lambda x: math.exp(p(x)), 0.8, 3)
-        return _tol_check(6.0 * jet_exp(row)[3], d3_fd, 1e-6, relative=True)
 
-    checks.append(_check("jet-composite-fd", fixed_composite))
-
-    rng = np.random.default_rng(seed)
-    rows = rng.uniform(-1.5, 1.5, size=(n_random, 4))
-    coeffs = jet_exp(rows)
+def _jet_random_compositions():
+    # the worst relative gap, over random cubics p and orders 1-3, between
+    # jet_exp's derivatives of exp(p(x)) at 0 and finite differences
+    rows = np.random.default_rng(_JET_SEED).uniform(-1.5, 1.5, size=(_JET_ROWS, 4))
     worst = 0.0
-    failures = []
-    for i, row in enumerate(rows):
+    for row, coeffs in zip(rows, jet_exp(rows)):
         p = np.polynomial.Polynomial(row)
         for order in (1, 2, 3):
-            d_jet = math.factorial(order) * float(coeffs[i, order])
+            d_jet = math.factorial(order) * float(coeffs[order])
             d_fd = finite_difference(lambda x: math.exp(p(x)), 0.0, order)
-            rel = abs(d_jet - d_fd) / max(1.0, abs(d_jet))
-            worst = max(worst, rel)
-            if rel > 1e-5:
-                failures.append((i, order, rel))
-    checks.append(
-        {
-            "name": "jet-random-compositions",
-            "passed": not failures,
-            "value": worst,
-            "tolerance": 1e-5,
-            "detail": f"{n_random} rows, orders 1-3, worst rel err {worst:.3g}"
-            + (f", failures {failures[:3]}" if failures else ""),
-        }
-    )
-    return checks
+            worst = max(worst, abs(d_jet - d_fd) / max(1.0, abs(d_jet)))
+    return worst, 0.0
 
 
-def _laplace_checks():
-    checks = []
-    for t in (0.5, 3.0):
-        checks.append(
-            _check(
-                f"laplace-step-t{t}",
-                lambda t=t: _tol_check(inverse_laplace(lambda s: 1.0 / s, t), 1.0, 1e-8),
-            )
-        )
-    for t in (0.7, 2.5):
-        checks.append(
-            _check(
-                f"laplace-relax-t{t}",
-                lambda t=t: _tol_check(
-                    inverse_laplace(lambda s: 1.0 / (s * (s + 1.0)), t),
-                    1.0 - math.exp(-t),
-                    1e-8,
-                ),
-            )
-        )
-    for t in (0.5, 2.0):
-        checks.append(
-            _check(
-                f"laplace-levy-t{t}",
-                lambda t=t: _tol_check(
-                    inverse_laplace(lambda s: np.exp(-np.sqrt(s)) / s, t),
-                    math.erfc(0.5 / math.sqrt(t)),
-                    1e-6,
-                ),
-            )
-        )
-    return checks
+# Laplace pairs F(s) -> f(t): name, F, f, tolerance, times t
+_TRANSFORM_PAIRS = (
+    ("step", lambda s: 1.0 / s, lambda t: 1.0, 1e-8, (0.5, 3.0)),
+    ("relax", lambda s: 1.0 / (s * (s + 1.0)), lambda t: 1.0 - math.exp(-t), 1e-8, (0.7, 2.5)),
+    ("levy", lambda s: np.exp(-np.sqrt(s)) / s, lambda t: math.erfc(0.5 / math.sqrt(t)), 1e-6,
+     (0.5, 2.0)),
+)
 
 
-def numerics_suite(**_ignored):
-    checks = _gamma_checks() + _quadrature_checks() + _jet_checks() + _laplace_checks()
-    return _finish("numerics", checks)
+def _inverted(transform, original, t):
+    return inverse_laplace(transform, t), original(t)
+
+
+_E25 = ConstantElevation(math.radians(25.0))
+
+
+def _cellfree_case(alpha, n, beta_db):
+    """cellfree_coverage at density 1e-6 and theta 25 deg, with kappa as
+    the direct product pi density w_eff Gamma(N + v) Gamma(1 - v) / (N-1)!
+    (cellfree_coverage takes it through lgamma), v = 2/alpha, and the time
+    t = beta noise / power.  Returns (coverage, kappa, v, t)."""
+    p = NetworkParams(density=1e-6, alpha=alpha, n_antennas=n, beta=10.0 ** (beta_db / 10.0))
+    v = 2.0 / alpha
+    kappa = (math.pi * p.density * effective_density_factor(p, _E25)
+             * math.gamma(n + v) * math.gamma(1.0 - v) / math.factorial(n - 1))
+    return cellfree_coverage(p, _E25).value, kappa, v, p.beta * p.noise / p.power
+
+
+def _cellfree_erf(n, beta_db):
+    # alpha = 4: P[S >= t] = erf(kappa / (2 sqrt t))
+    value, kappa, _, t = _cellfree_case(4.0, n, beta_db)
+    return value, math.erf(kappa / (2.0 * math.sqrt(t)))
+
+
+def _cellfree_talbot(alpha, n, beta_db):
+    # P[S >= t] = 1 - L^-1[exp(-kappa s^v) / s](t)
+    value, kappa, v, t = _cellfree_case(alpha, n, beta_db)
+    return value, 1.0 - inverse_laplace(lambda s: np.exp(-kappa * s**v) / s, t)
+
+
+def _downlink_erfc(density, beta, noise, theta_deg):
+    """alpha = 4, N = 1: coverage is int_0^inf exp(-a z - b z^2) dz =
+    sqrt(pi / 4b) erfcx(a / (2 sqrt b)), with a = 1 + I(beta, 1/2) and
+    b = beta noise / (power (pi density w_eff)^2)."""
+    p = NetworkParams(density=density, alpha=4.0, beta=beta, noise=noise)
+    elev = ConstantElevation(math.radians(theta_deg))
+    mu = math.pi * density * effective_density_factor(p, elev)
+    a = 1.0 + interference_integral(beta, 0.5)
+    b = beta * noise / (p.power * mu**2)
+    want = math.sqrt(math.pi / (4.0 * b)) * erfcx(a / (2.0 * math.sqrt(b)))
+    return downlink_coverage(p, elev).value, want
+
+
+# (name, () -> (value, reference), tolerance, relative)
+_NUMERICS = (
+    ("quad-arctan",
+     lambda: (integrate(lambda x: 4.0 / (1.0 + x * x), 0.0, 1.0), math.pi), 1e-12, False),
+    ("quad-exp-tail", lambda: (integrate(lambda x: np.exp(-x), 0.0, np.inf), 1.0), 1e-10, False),
+    ("quad-gamma4",
+     lambda: (integrate(lambda x: x**3 * np.exp(-x), 0.0, np.inf), 6.0), 1e-9, False),
+    ("ig-quarter-pi", lambda: (interference_integral(1.0, 0.5), math.pi / 4.0), 1e-10, False),
+    ("ig-two-forms", _ig_two_forms, 1e-9, True),
+    ("jet-exp-series", _jet_exp_series, 1e-14, False),
+    ("jet-composite-fd", _jet_composite_fd, 1e-6, True),
+    ("jet-random-compositions", _jet_random_compositions, 1e-5, False),
+    *((f"laplace-{name}-t{t}", partial(_inverted, transform, original, t), tol, False)
+      for name, transform, original, tol, times in _TRANSFORM_PAIRS for t in times),
+    *((f"cellfree-erf-N{n}", partial(_cellfree_erf, n, beta_db), 1e-6, False)
+      for n, beta_db in ((1, 0.0), (4, 0.0), (16, 10.0))),
+    *((f"cellfree-talbot-alpha{alpha:g}-N{n}", partial(_cellfree_talbot, alpha, n, beta_db),
+       1e-6, False)
+      for alpha, n, beta_db in ((2.75, 1, 38.8), (2.75, 4, 42.0), (6.0, 2, 10.0))),
+    ("downlink-erfc-interference",
+     partial(_downlink_erfc, 1e-6, 0.1, 10.0**-9.25, 25.0), 1e-9, True),
+    ("downlink-erfc-noise", partial(_downlink_erfc, 1e-12, 1e3, 1e-3, 60.0), 1e-9, True),
+)
+
+
+def numerics_suite():
+    """Every _NUMERICS row as a check of |value - reference| against its tolerance."""
+    return _finish("numerics", [
+        _check(name, lambda pair=pair, tol=tol, rel=rel: _tol_check(*pair(), tol, rel))
+        for name, pair, tol, rel in _NUMERICS
+    ])
 
 
 # -- distributions suite -------------------------------------------------------

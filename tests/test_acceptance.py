@@ -142,7 +142,7 @@ def test_cellfree_closed_form_and_simulation_agree(announce):
         pa = cellfree_coverage(params, TABLE_ELEV).value
         est = estimate_cellfree(params, TABLE_ELEV, 100_000, seed,
                                 guard_tolerance=3e-4)
-        worst_z = max(worst_z, abs(pa - est.mean) / est.std_error)
+        worst_z = max(worst_z, abs(est.z_score(pa)))
     mc_ok = worst_z <= 3.0
     ok = closed_ok and mc_ok
     announce(6, ok,
@@ -199,8 +199,8 @@ def test_numerics_suite_passes(announce):
     report = numerics_suite()
     names = {c["name"] for c in report["checks"]}
     required = (
-        "gamma-recurrence", "erf-1", "jet-random-compositions",
-        "laplace-step", "laplace-relax",
+        "cellfree-erf", "cellfree-talbot", "downlink-erfc",
+        "jet-random-compositions", "laplace-step", "laplace-relax",
     )
     covered = all(any(n.startswith(p) for n in names) for p in required)
     ok = bool(report["passed"]) and covered

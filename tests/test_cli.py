@@ -193,6 +193,13 @@ def test_negative_master_seed_exits_config(tmp_path, capsys):
     assert "master_seed" in capsys.readouterr().err
 
 
+def test_point_refuses_oversized_guard_disk(tmp_path, capsys):
+    # guard_tolerance 1e-9 puts 6.8e9 points in each realization
+    cfg = _cfg_file(tmp_path, "guard_tolerance = 1e-9\nn_samples = 100\n")
+    assert main(["point", cfg]) == EXIT_NUMERIC
+    assert "6.8e+09 points" in capsys.readouterr().err
+
+
 # -- beta and lambda sweeps: one Monte Carlo draw serves every row ---------------
 
 SHARED_SWEEPS = {

@@ -6,6 +6,9 @@ a heavy scipy subpackage (scipy.stats alone drags in optimize, linalg,
 sparse, spatial, ndimage, interpolate, integrate and fft, ~0.8 s and ~44 MB)
 is a cost on every run.  Import such a package inside the function that
 uses it, or copy the constants it would supply.
+
+The same goes for names: every exported name needs a user, and every name
+the benchmark in perfbench/ imports, traces or patches must still exist.
 """
 
 import ast
@@ -64,3 +67,38 @@ def test_every_exported_name_is_used():
     used = _used_names()
     unused = sorted(set(uavcov.__all__ + uavcov.numerics.__all__) - used)
     assert unused == []
+
+
+def _traced_targets():
+    """TARGETS of perfbench/tracing.py, read with ast: the names the
+    benchmark's traced run wraps."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracing.py defines no TARGETS")
+
+
+def test_benchmark_finds_every_name_it_uses():
+    # the benchmark imports, traces and patches these names from outside
+    import importlib
+    import inspect
+
+    import uavcov.numerics
+    import uavcov.validation
+    from uavcov.montecarlo import estimate_cellfree, estimate_downlink
+
+    targets = _traced_targets()
+    assert targets
+    for _, module_name, path in targets:
+        owner = importlib.import_module(module_name)
+        assert Path(owner.__file__).resolve().is_relative_to(SRC), module_name
+        for part in path.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (module_name, path)
+    assert callable(uavcov.numerics.gauss_laguerre)
+    for estimate in (estimate_downlink, estimate_cellfree):
+        assert {"sim_radius", "guard_tolerance"} <= set(inspect.signature(estimate).parameters)
+    assert callable(uavcov.validation.jet_exp) and callable(uavcov.validation.integrate)

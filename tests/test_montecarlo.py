@@ -451,6 +451,30 @@ def test_entry_points_reject_non_integer_sample_counts(n):
             call()
 
 
+def test_entry_points_refuse_oversized_realizations_before_drawing(monkeypatch):
+    # 1e7 m at 1e-6 / m^2 is 3.1e8 points per realization, ~8 GB; the
+    # refusal must come before any draw, so a draw here fails the test
+    monkeypatch.setattr(mc, "_draw_chunk", None)
+    for call in _entry_points(sim_radius=1e7):
+        with pytest.raises(InvalidParameterError, match=r"3\.14e\+08 points.*16777216"):
+            call()
+    p = NetworkParams(density=1e-6)
+    for estimate in (estimate_downlink, estimate_cellfree):
+        with pytest.raises(InvalidParameterError, match=r"6\.8e\+09 points"):
+            estimate(p, E25, 10, 1, guard_tolerance=1e-9)
+
+
+def test_largest_guard_disks_in_use_fit_under_the_point_cap():
+    # by arithmetic only: alpha 2.3 at guard_tolerance 1e-5 holds 3.7e6
+    # points per realization, theta 0 with ell 0 at the default 3.8e4
+    for params, elev, tol in (
+        (NetworkParams(density=1e-6, alpha=2.3), E25, 1e-5),
+        (NetworkParams(density=1e-6, ell=0.0), ConstantElevation(0.0), 1e-3),
+    ):
+        radius = guard_radius(params, elev, tol)
+        assert 3e4 < params.density * math.pi * radius**2 < mc._MAX_POINTS
+
+
 def test_entry_points_accept_numpy_integer_sample_counts():
     for n in (np.int64(7), np.int32(7), np.uint16(7)):
         down, cell, sweep, peak, nearest = (

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.integrate as si
 
-from uavcov.numerics import AccuracyError, QuadratureSpec, gauss_laguerre, integrate
+from uavcov.numerics import AccuracyError, gauss_laguerre, integrate, quadrature
 
 
 def test_quarter_circle():
@@ -48,32 +48,27 @@ def test_oscillatory_against_scipy():
 def test_kronrod_weights_are_full_precision():
     # 15-digit weights summed to 1.999999999999994: every constant
     # integrand came out 3e-15 relative low
-    from uavcov.numerics import quadrature
-
     assert abs(quadrature._WK.sum() - 2.0) <= 4e-16
     assert abs(integrate(lambda x: 1.0 + 0.0 * x, 0.0, math.pi) / math.pi - 1.0) <= 4e-16
 
 
-def test_tolerance_tightening_changes_little():
-    f = lambda x: np.sqrt(np.maximum(x, 0.0)) * np.exp(-x)
-    loose = integrate(f, 0.0, np.inf, QuadratureSpec(rel_tol=1e-6, abs_tol=1e-10))
-    tight = integrate(f, 0.0, np.inf, QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14))
-    exact = math.sqrt(math.pi) / 2.0
-    assert tight == pytest.approx(exact, rel=1e-9)
-    assert abs(loose - exact) <= 1e-5
+def _policy(monkeypatch, rel_tol, abs_tol, max_subdivisions):
+    monkeypatch.setattr(quadrature, "_REL_TOL", rel_tol)
+    monkeypatch.setattr(quadrature, "_ABS_TOL", abs_tol)
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", max_subdivisions)
 
 
-def test_subdivision_budget_raises():
+def test_subdivision_budget_raises(monkeypatch):
     # needle too sharp for 3 subdivisions; must refuse, not silently answer
-    spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_subdivisions=3)
+    _policy(monkeypatch, 1e-12, 1e-14, 3)
     with pytest.raises(AccuracyError):
-        integrate(lambda x: 1.0 / (1e-8 + (x - 0.613) ** 2), 0.0, 1.0, spec)
+        integrate(lambda x: 1.0 / (1e-8 + (x - 0.613) ** 2), 0.0, 1.0)
 
 
-def test_accuracy_error_carries_estimate():
-    spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-16, max_subdivisions=2)
+def test_accuracy_error_carries_estimate(monkeypatch):
+    _policy(monkeypatch, 1e-14, 1e-16, 2)
     try:
-        integrate(lambda x: np.exp(-x * x), 0.0, 5.0, spec)
+        integrate(lambda x: np.exp(-x * x), 0.0, 5.0)
     except AccuracyError as err:
         assert err.estimate == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-3)
         assert err.error_bound > 0.0
@@ -113,12 +108,12 @@ def test_integrand_sees_one_node_row_per_panel():
     assert len(shapes) > 2 and max(s[0] for s in shapes) > 2
 
 
-def test_round_that_would_overrun_the_budget_raises_before_evaluating():
+def test_round_that_would_overrun_the_budget_raises_before_evaluating(monkeypatch):
     # round 1 splits the one panel (1 of 2 subdivisions); round 2 must split
     # both halves, which would make 3, so it raises without evaluating them
     shapes = []
-    spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-16, max_subdivisions=2)
+    _policy(monkeypatch, 1e-14, 1e-16, 2)
     with pytest.raises(AccuracyError) as info:
-        integrate(_recording(lambda x: np.exp(-x * x), shapes), 0.0, 5.0, spec)
+        integrate(_recording(lambda x: np.exp(-x * x), shapes), 0.0, 5.0)
     assert shapes == [(1, 15), (2, 15)]
     assert info.value.estimate == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-3)
