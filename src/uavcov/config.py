@@ -20,6 +20,7 @@ from .model import (
     InvalidParameterError,
     NetworkParams,
 )
+from .montecarlo import _MAX_POINTS, guard_radius
 
 
 class ConfigError(ValueError):
@@ -150,7 +151,8 @@ def parse_config(text):
     """Parse a flat key-value document into a RunConfig.
 
     Raises ConfigError naming the offending key for unknown keys, bad
-    values, or parameter-range violations.
+    values, parameter-range violations, or a Monte Carlo guard disk over
+    the point cap.
     """
     pairs = _parse_lines(text)
 
@@ -245,7 +247,7 @@ def parse_config(text):
     if not 0.0 < guard_tolerance < 1.0:
         raise ConfigError("guard_tolerance", f"must lie in (0, 1), got {guard_tolerance}")
 
-    return RunConfig(
+    cfg = RunConfig(
         params=params,
         elevation=elevation,
         metric=_get_choice(pairs, "metric", _METRICS, "downlink"),
@@ -257,6 +259,38 @@ def parse_config(text):
         output_path=pairs.get("output_path"),
         output_format=_get_choice(pairs, "output_format", _FORMATS, "csv"),
     )
+    if cfg.mode != "analytic":
+        _check_guard_disks(cfg)
+    return cfg
+
+
+def _check_guard_disks(cfg):
+    """Refuse a config whose base point or any sweep row has a guard disk
+    holding more than montecarlo's point cap on average.
+
+    Arithmetic only, before anything is drawn.  A row that does not build,
+    or whose radius cannot be computed, is left to the run, which reports
+    it as an error row.
+    """
+    rows = [(None, cfg.params, cfg.elevation)]
+    for value in () if cfg.sweep is None else cfg.sweep.values():
+        try:
+            rows.append((value, *apply_sweep_value(cfg, value)))
+        except (ConfigError, InvalidParameterError):
+            continue
+    for value, params, elev in rows:
+        try:
+            radius = guard_radius(params, elev, cfg.guard_tolerance)
+        except ArithmeticError:
+            continue
+        mean_points = params.density * math.pi * radius * radius
+        if not mean_points <= _MAX_POINTS:
+            where = "" if value is None else f" at {cfg.sweep.variable} = {value:g}"
+            raise ConfigError(
+                "guard_tolerance",
+                f"{cfg.guard_tolerance:g} gives a guard disk of {mean_points:.3g} points "
+                f"per realization on average{where}, over the Monte Carlo cap of "
+                f"{_MAX_POINTS}; raise guard_tolerance")
 
 
 def _blame_param(message, noise_key, beta_key):

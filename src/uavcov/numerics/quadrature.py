@@ -1,13 +1,16 @@
 """Adaptive Gauss-Kronrod quadrature.
 
 G7-K15 pairs refined in rounds, in the spirit of QUADPACK's QAG and of
-scipy.integrate.quad_vec.  The panels are kept as arrays; each round splits
-the fewest worst panels whose errors, taken away, would bring the total
-within tolerance, and evaluates every new half-panel in one integrand call
-on an (m, 15) array of Kronrod nodes.  Semi-infinite ranges are mapped to
-(0, 1) with x = a + (t/(1-t))^3; the Kronrod nodes are interior, so
-integrable endpoint singularities introduced by the map are handled by
-subdivision.
+scipy.integrate.quad_vec.  Every integral starts from _INITIAL_PANELS equal
+panels, evaluated in one integrand call on an (_INITIAL_PANELS, 15) array of
+Kronrod nodes: a node costs next to nothing beside the fixed cost of a call,
+so most integrals here converge on that first call.  The panels are kept as
+arrays; each later round splits the fewest worst panels whose errors, taken
+away, would bring the total within tolerance, and evaluates every new
+half-panel in one integrand call on an (m, 15) array.  Semi-infinite ranges
+are mapped to (0, 1) with x = a + (t/(1-t))^3; the Kronrod nodes are
+interior, so integrable endpoint singularities introduced by the map are
+handled by subdivision.
 """
 
 import math
@@ -54,9 +57,11 @@ _WGFULL[1:14:2] = np.concatenate([_WG[:-1], _WG[::-1]])     # Gauss weights on o
 
 # accuracy policy of every integral: the total is accepted once its error
 # is within max(_ABS_TOL, _REL_TOL |total|), within _MAX_SUBDIVISIONS splits
+# made after the initial partition into _INITIAL_PANELS equal panels
 _REL_TOL = 1e-10
 _ABS_TOL = 1e-14
 _MAX_SUBDIVISIONS = 200
+_INITIAL_PANELS = 32
 
 
 class AccuracyError(ArithmeticError):
@@ -81,8 +86,8 @@ def _kronrod_panels(f, lo, hi):
 
 
 def _adapt(f, a, b):
-    lo = np.array([float(a)])
-    hi = np.array([float(b)])
+    edges = np.linspace(float(a), float(b), _INITIAL_PANELS + 1)
+    lo, hi = edges[:-1], edges[1:]
     est, err = _kronrod_panels(f, lo, hi)
     splits = 0
     while True:
@@ -120,9 +125,10 @@ def integrate(f, a, b):
 
     f must be elementwise over numpy arrays of any shape: it is called on
     (m, 15) arrays of nodes, one row per panel, and returns values of the
-    same shape.  Raises AccuracyError when a refinement round would split
-    more panels than the subdivision budget has left before the tolerances
-    are met.
+    same shape.  The first call covers the _INITIAL_PANELS equal panels of
+    the initial partition.  Raises AccuracyError when a refinement round
+    would split more panels than the subdivision budget (splits made after
+    the initial partition) has left before the tolerances are met.
     """
     if math.isinf(a):
         raise ValueError("lower bound must be finite")

@@ -308,23 +308,77 @@ def test_downlink_reported_error_is_small():
     assert got.numerical_error < 1e-8
 
 
+def _integrand_calls(monkeypatch):
+    """Sizes of the panel batches that integrate evaluates, call by call."""
+    calls = []
+    panels = quadrature._kronrod_panels
+
+    def counting(f, lo, hi):
+        calls.append(lo.size)
+        return panels(f, lo, hi)
+
+    monkeypatch.setattr(quadrature, "_kronrod_panels", counting)
+    return calls
+
+
 @pytest.mark.parametrize("coverage, n, most", [
     (downlink_coverage, 1, 6), (downlink_coverage, 4, 6), (downlink_coverage, 16, 6),
     (downlink_coverage, 64, 6), (cellfree_coverage, 4, 5),
 ])
 def test_quadrature_evaluates_each_round_in_one_integrand_call(monkeypatch, coverage, n, most):
     # panel by panel these made 15 (downlink) and 7 (cell-free) integrand calls
-    calls = []
-
-    def counting(f, lo, hi):
-        calls.append(lo.size)
-        return panels(f, lo, hi)
-
-    panels = quadrature._kronrod_panels
-    monkeypatch.setattr(quadrature, "_kronrod_panels", counting)
+    calls = _integrand_calls(monkeypatch)
     beta = 0.1 if coverage is downlink_coverage else 1e4
     coverage(NetworkParams(density=1e-6, alpha=2.75, n_antennas=n, beta=beta), E25)
     assert 0 < len(calls) <= most
+
+
+def test_analytic_values_converge_on_the_initial_partition(monkeypatch):
+    # one integrand call per value, on the initial partition (gamma_tan
+    # w_eff: one refinement round at most)
+    calls = _integrand_calls(monkeypatch)
+    for n in (1, 4, 16, 64):
+        downlink_coverage(NetworkParams(density=1e-6, alpha=2.75, n_antennas=n), E25)
+        assert len(calls) == 1, (n, calls)
+        calls.clear()
+    for alpha in (2.75, 4.0):
+        cellfree_coverage(NetworkParams(density=1e-6, alpha=alpha, beta=10.0**4.2), E25)
+        assert len(calls) == 1, (alpha, calls)
+        calls.clear()
+    effective_density_factor(NetworkParams(density=1e-6), GammaTanElevation(3.0, math.radians(20.0)))
+    assert len(calls) <= 2, calls
+
+
+# a fixed slice of the north-star grid: alpha, N and ell in full, theta and
+# the elevation law cycling through (1, 10, 25, 60) deg x (constant, gamma_tan)
+_NORTH_STAR_SLICE = [
+    (alpha, n, ell, (1.0, 10.0, 25.0, 60.0)[i % 4], i % 2)
+    for i, (alpha, n, ell) in enumerate(
+        (alpha, n, ell)
+        for alpha in (2.05, 2.3, 2.75, 4.0, 6.0)
+        for n in (1, 4, 16, 64)
+        for ell in (0.0, 0.25, 1.0)
+    )
+]
+
+
+def test_initial_partition_agrees_with_one_panel_start(monkeypatch):
+    # each value within its own numerical_error of the QAG-style start
+    default = quadrature._INITIAL_PANELS
+
+    def values(panels):
+        monkeypatch.setattr(quadrature, "_INITIAL_PANELS", panels)
+        return [
+            coverage(NetworkParams(density=1e-6, alpha=alpha, n_antennas=n, ell=ell, beta=beta),
+                     GammaTanElevation(3.0, math.radians(theta)) if law
+                     else ConstantElevation(math.radians(theta)))
+            for alpha, n, ell, theta, law in _NORTH_STAR_SLICE
+            for coverage, beta in ((downlink_coverage, 0.1), (cellfree_coverage, 10.0**4.2))
+        ]
+
+    assert len(_NORTH_STAR_SLICE) == 60
+    for one, many in zip(values(1), values(default)):
+        assert abs(one.value - many.value) <= max(one.numerical_error, many.numerical_error)
 
 
 @pytest.mark.parametrize(

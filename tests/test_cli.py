@@ -194,10 +194,23 @@ def test_negative_master_seed_exits_config(tmp_path, capsys):
 
 
 def test_point_refuses_oversized_guard_disk(tmp_path, capsys):
-    # guard_tolerance 1e-9 puts 6.8e9 points in each realization
+    # guard_tolerance 1e-9 puts 6.8e9 points in each realization: parse_config
+    # refuses it by arithmetic, before the analytic half runs
     cfg = _cfg_file(tmp_path, "guard_tolerance = 1e-9\nn_samples = 100\n")
-    assert main(["point", cfg]) == EXIT_NUMERIC
-    assert "6.8e+09 points" in capsys.readouterr().err
+    assert main(["point", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "guard_tolerance" in err and "6.8e+09 points" in err and "16777216" in err
+
+
+def test_sweep_refuses_a_row_whose_guard_disk_is_oversized(tmp_path, capsys):
+    # with NLoS erased the theta 0 row holds 2.9e7 points per realization at
+    # guard_tolerance 3e-6, the base point at 25 deg 7.2e5
+    cfg = _cfg_file(tmp_path, "ell = 0\nguard_tolerance = 3e-6\nn_samples = 100\n"
+                              "sweep_variable = theta_bar\nsweep_start = 0\n"
+                              "sweep_stop = 40\nsweep_steps = 3\n")
+    assert main(["sweep", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "2.93e+07 points" in err and "theta_bar = 0" in err
 
 
 # -- beta and lambda sweeps: one Monte Carlo draw serves every row ---------------

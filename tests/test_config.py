@@ -157,6 +157,28 @@ def test_positivity_checks(doc, key):
     assert exc.value.key == key
 
 
+def test_guard_disk_over_the_point_cap_is_refused_for_monte_carlo_modes():
+    # by arithmetic only: guard_tolerance 1e-9 gives 6.8e9 points per
+    # realization at the defaults; the analytic mode draws none
+    for mode in ("montecarlo", "both"):
+        with pytest.raises(ConfigError, match=r"6\.8e\+09 points.*16777216") as exc:
+            parse_config(f"mode = {mode}\nguard_tolerance = 1e-9\n")
+        assert exc.value.key == "guard_tolerance"
+    assert parse_config("mode = analytic\nguard_tolerance = 1e-9\n").guard_tolerance == 1e-9
+    # alpha 2.3 at 1e-5 holds 3.7e6 points, under the cap
+    assert parse_config("alpha = 2.3\nguard_tolerance = 1e-5\n").guard_tolerance == 1e-5
+
+
+def test_guard_disk_cap_applies_to_every_sweep_row():
+    # theta 0 with NLoS erased holds 2.9e7 points at 3e-6; 20 and 40 deg 7.3e5
+    sweep = "ell = 0\nguard_tolerance = 3e-6\nsweep_variable = theta_bar\nsweep_steps = 3\n"
+    with pytest.raises(ConfigError, match=r"theta_bar = 0") as exc:
+        parse_config(sweep + "sweep_start = 0\nsweep_stop = 40\n")
+    assert exc.value.key == "guard_tolerance"
+    assert parse_config(sweep + "sweep_start = 20\nsweep_stop = 40\n").sweep.steps == 3
+    assert parse_config("mode = analytic\n" + sweep + "sweep_start = 0\nsweep_stop = 40\n")
+
+
 # -- sweeps ---------------------------------------------------------------------
 
 

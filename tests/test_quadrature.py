@@ -66,6 +66,7 @@ def test_subdivision_budget_raises(monkeypatch):
 
 
 def test_accuracy_error_carries_estimate(monkeypatch):
+    monkeypatch.setattr(quadrature, "_INITIAL_PANELS", 1)
     _policy(monkeypatch, 1e-14, 1e-16, 2)
     try:
         integrate(lambda x: np.exp(-x * x), 0.0, 5.0)
@@ -97,8 +98,21 @@ def _recording(f, shapes):
     return g
 
 
-def test_integrand_sees_one_node_row_per_panel():
+def test_first_call_covers_the_initial_partition():
+    # the initial partition is evaluated in one call: a smooth integrand
+    # converges on it, with no refinement round
+    shapes = []
+    val = integrate(_recording(lambda x: 4.0 / (1.0 + x * x), shapes), 0.0, 1.0)
+    assert val == pytest.approx(math.pi, abs=1e-12)
+    assert shapes == [(quadrature._INITIAL_PANELS, 15)]
+    shapes.clear()
+    assert integrate(_recording(lambda x: np.exp(-x), shapes), 0.0, np.inf) == pytest.approx(1.0)
+    assert shapes[0] == (quadrature._INITIAL_PANELS, 15)
+
+
+def test_integrand_sees_one_node_row_per_panel(monkeypatch):
     # every refinement round is one call on an (m, 15) array, m = 2 x panels split
+    monkeypatch.setattr(quadrature, "_INITIAL_PANELS", 1)
     shapes = []
     val = integrate(_recording(lambda x: np.cos(7.0 * x) * np.exp(-0.5 * x), shapes), 0.0, 20.0)
     exact = (0.5 + math.exp(-10.0) * (7.0 * math.sin(140.0) - 0.5 * math.cos(140.0))) / 49.25
@@ -112,6 +126,7 @@ def test_round_that_would_overrun_the_budget_raises_before_evaluating(monkeypatc
     # round 1 splits the one panel (1 of 2 subdivisions); round 2 must split
     # both halves, which would make 3, so it raises without evaluating them
     shapes = []
+    monkeypatch.setattr(quadrature, "_INITIAL_PANELS", 1)
     _policy(monkeypatch, 1e-14, 1e-16, 2)
     with pytest.raises(AccuracyError) as info:
         integrate(_recording(lambda x: np.exp(-x * x), shapes), 0.0, 5.0)
