@@ -18,13 +18,14 @@ Everything here reduces to five ingredients:
 Angles are radians; powers linear mW; beta is a linear SINR threshold.
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import beta as beta_fn, betainc
 
-from .model import los_probability
+from .model import InvalidParameterError, los_probability
 from .numerics.jets import jet_exp
 from .numerics.quadrature import _ABS_TOL, _REL_TOL, integrate
 
@@ -51,6 +52,23 @@ def _clamped(value, method, tol):
     clamped value never reports an accuracy it does not have."""
     clamped = min(1.0, max(0.0, value))
     return CoverageResult(clamped, method, tol + abs(value - clamped))
+
+
+def _in_double_range(coverage):
+    """coverage(params, elev) with a float overflow or division by zero
+    raised as InvalidParameterError naming alpha and lambda: their extremes
+    put (pi lambda w_eff)^(alpha/2) outside the double range."""
+
+    @functools.wraps(coverage)
+    def checked(params, elev):
+        try:
+            return coverage(params, elev)
+        except ArithmeticError as exc:
+            raise InvalidParameterError(
+                f"alpha = {params.alpha:g} and lambda = {params.density:g} put "
+                f"(pi lambda w_eff)^(alpha/2) outside the double range ({exc})") from exc
+
+    return checked
 
 
 # -- angle moments ----------------------------------------------------------
@@ -167,6 +185,7 @@ def _ig_series(s0, v, k):
 # -- coverage ---------------------------------------------------------------
 
 
+@_in_double_range
 def downlink_coverage(params, elev):
     """Coverage P[SINR >= beta] for the strongest-UAV downlink.
 
@@ -202,6 +221,7 @@ def downlink_coverage(params, elev):
     return _clamped(value, "exact-integration", tol)
 
 
+@_in_double_range
 def jensen_lower_bound(params, elev):
     """Lower bound on downlink coverage from convexity of the conditional tail.
 
@@ -222,6 +242,7 @@ def jensen_lower_bound(params, elev):
     return _clamped(float(jet_exp(row).sum()), "bound", 0.0)
 
 
+@_in_double_range
 def cellfree_coverage(params, elev):
     """Coverage when every UAV transmits to the user (SNR of the summed signal).
 

@@ -7,8 +7,11 @@ the JSON report to stdout and PASS/FAIL lines to stderr.
 
 `sweep` and `point` share one path, run_sweep: `point` is the config with
 its sweep removed, which is one point.  The points are grouped into Monte
-Carlo draws (one per beta or lambda sweep, one per point otherwise), and
-every draw and every analytic value is one job for the same pool worker,
+Carlo draws: a beta, lambda or constant-elevation theta_bar sweep is one
+draw, at its first good row's seed (a theta_bar draw at the largest guard
+radius of its rows, so even its first row differs from a standalone run);
+any other point is its own draw.  Rows of one draw are correlated.  Every
+draw and every analytic value is one job for the same pool worker,
 evaluate_point.  `--workers` takes 1 to os.cpu_count(), and no more
 processes start than there are jobs.
 
@@ -31,6 +34,7 @@ import numpy as np
 from . import validation
 from .analytic import cellfree_coverage, downlink_coverage
 from .config import ConfigError, apply_sweep_value, parse_config
+from .model import ConstantElevation
 from .montecarlo import estimate_sweep
 
 EXIT_OK = 0
@@ -51,8 +55,9 @@ CSV_COLUMNS = (
 )
 
 
-# sweep axes on which one Monte Carlo draw serves every row (estimate_sweep)
-_SHARED_AXES = ("beta", "lambda")
+# sweep axes on which one Monte Carlo draw serves every row (estimate_sweep);
+# theta_bar only under constant elevation, where it moves no tangent draw
+_SHARED_AXES = ("beta", "lambda", "theta_bar")
 
 
 def evaluate_point(job):
@@ -158,27 +163,33 @@ def run_sweep(cfg, workers=1):
     """Evaluate every point of cfg; rows in sweep order.
 
     Points that do not build become error rows.  The others are grouped
-    into Monte Carlo draws: a beta or lambda sweep is one draw at its first
-    good row's seed, which montecarlo.estimate_sweep counts for every row;
-    any other point is its own draw; mode = analytic has none.  Each draw
-    and each analytic value is one evaluate_point job.  A row's wall_ms is
-    its analytic time plus its draw's time over the draw's size, so the
-    rows add up to the run's time.
+    into Monte Carlo draws: a beta, lambda or constant-elevation theta_bar
+    sweep is one draw at its first good row's seed, which
+    montecarlo.estimate_sweep counts for every row; any other point (a
+    gamma_tan theta_bar or a shape sweep among them) is its own draw;
+    mode = analytic has none.  A theta_bar draw is made at the largest
+    guard radius of its rows, so its rows are correlated and even its first
+    row differs from a standalone run of that point.  Each draw and each
+    analytic value is one evaluate_point job.  A row's wall_ms is its
+    analytic time plus its draw's time over the draw's size, so the rows
+    add up to the run's time.
     """
     variable = "" if cfg.sweep is None else cfg.sweep.variable
     points = _points(cfg)
     good = [i for i, point in enumerate(points) if point[3] is None]
+    shared = variable in _SHARED_AXES and (
+        variable != "theta_bar" or isinstance(cfg.elevation, ConstantElevation))
     draws = []
     if cfg.mode != "analytic" and good:
-        draws = [good] if variable in _SHARED_AXES else [[i] for i in good]
+        draws = [good] if shared else [[i] for i in good]
     analytic = [] if cfg.mode == "montecarlo" else good
     coverage = cellfree_coverage if cfg.metric == "cellfree" else downlink_coverage
     jobs = []
     for draw in draws:
-        _, seed, (_, elev), _ = points[draw[0]]
-        params = [points[i][2][0] for i in draw]
-        jobs.append((estimate_sweep, (cfg.metric, params, elev, cfg.n_samples, seed,
-                                      None, cfg.guard_tolerance)))
+        seed = points[draw[0]][1]
+        params, elevs = zip(*(points[i][2] for i in draw))
+        jobs.append((estimate_sweep, (cfg.metric, list(params), list(elevs), cfg.n_samples,
+                                      seed, None, cfg.guard_tolerance)))
     jobs += [(coverage, points[i][2]) for i in analytic]
     done = iter(_map(evaluate_point, jobs, workers))
     mc_out = {}

@@ -20,7 +20,7 @@ from .model import (
     InvalidParameterError,
     NetworkParams,
 )
-from .montecarlo import _MAX_POINTS, guard_radius
+from .montecarlo import _MAX_POINTS, _MAX_ROWS, guard_radius
 
 
 class ConfigError(ValueError):
@@ -151,8 +151,8 @@ def parse_config(text):
     """Parse a flat key-value document into a RunConfig.
 
     Raises ConfigError naming the offending key for unknown keys, bad
-    values, parameter-range violations, or a Monte Carlo guard disk over
-    the point cap.
+    values, parameter-range violations, a sweep over the row cap, or a
+    Monte Carlo guard disk over the point cap.
     """
     pairs = _parse_lines(text)
 
@@ -223,8 +223,8 @@ def parse_config(text):
                 raise ConfigError(missing, "required for a sweep")
             default_steps = 10
         steps = _get_int(pairs, "sweep_steps", default_steps)
-        if steps < 1:
-            raise ConfigError("sweep_steps", f"must be >= 1, got {steps}")
+        if not 1 <= steps <= _MAX_ROWS:
+            raise ConfigError("sweep_steps", f"must lie in 1..{_MAX_ROWS}, got {steps}")
         if scale in ("db", "degrees") and scale != _DEFAULT_SCALES[variable]:
             raise ConfigError("sweep_scale", f"{scale!r} does not apply to a {variable} sweep")
         if scale == "log" and (start <= 0 or stop <= 0):

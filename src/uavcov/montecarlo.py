@@ -55,6 +55,21 @@ scaled by (lambda_0/lambda_j)^(1/2).  The guard radius and the tail mean
 scale along with it and the points per realization stay put, so only the
 noise moves, to noise (lambda_0/lambda_j)^(alpha/2).  estimate_downlink and
 estimate_cellfree are the one-pair case of estimate_sweep.
+
+Rows that differ in a constant elevation's theta_bar share one draw too,
+made at the largest of their guard radii and at the run's seed (the first
+row's, in a CLI sweep).  theta_bar enters it in two places only: the
+factor cos^alpha theta_bar on every path gain, and the LoS threshold
+rho(theta_bar) on the common LoS uniforms.  The walk draws planar
+distances (theta_bar = 0) and marks each point with its LoS bucket, the
+number of row thresholds at or below its uniform; _theta_blocks reduces
+each block to a few numbers per (realization, bucket), from which every
+row reads its serving gain and interference.  Its stream holds the counts,
+radius uniforms and LoS uniforms as above; the downlink's fading then
+starts with the per-realization Gamma(N, 1) serving gains, followed by
+Exp(1) per point, so no row's estimate equals a separate run's, and the
+rows are correlated.  A draw with a single theta_bar takes the plain path
+and keeps its bits.
 """
 
 import math
@@ -74,6 +89,7 @@ _POINTS_PER_CHUNK = 2_000_000  # batching target; fixed so chunking is reproduci
 _MIN_RADIUS_FACTOR = 10.0      # floor: R >= 10 / sqrt(pi * density)
 _BLOCK_POINTS = 65_536         # points per block of a chunk; any value gives the same bits
 _MAX_POINTS = 2**24            # mean points per realization; ~0.44 GB at ~26 B/pt
+_MAX_ROWS = 10_000             # rows of one run; bounds a theta_bar draw's buckets
 
 
 class EmptyRealizationError(ValueError):
@@ -207,7 +223,7 @@ def _stream_at(rng, steps):
     return np.random.Generator(bit_gen)
 
 
-def _draw_chunk(params, elev, radius, n, rng):
+def _draw_chunk(params, elev, radius, n, rng, rho=None):
     """One batch of n realizations, walked in blocks of whole realizations.
 
     Returns (fade, blocks).  fade is the stream of the estimator's fading
@@ -217,6 +233,15 @@ def _draw_chunk(params, elev, radius, n, rng):
     starts, then the attenuated gains L ||U||^-alpha, 3D distances and LoS
     marks of its points.  xi, d3 and los are views of buffers that the next
     block overwrites.  The stream layout is in the module docstring.
+
+    With rho, the ascending LoS probabilities of the rows of a
+    constant-elevation theta_bar sweep, elev must be ConstantElevation(0):
+    d3 is the planar distance, xi is d3^-alpha without attenuation, and the
+    mark of a point is its LoS bucket, searchsorted(rho, u, 'right') of its
+    LoS uniform u, so the point is LoS at sorted row j exactly when its
+    bucket is at most j.  A block then holds at most
+    _BLOCK_POINTS // (len(rho) + 1) realizations, so that the per-bucket
+    buffers of a consumer are block-sized too, and empty blocks are yielded.
     """
     lam_area = params.density * math.pi * radius * radius
     counts = rng.poisson(lam_area, size=n)
@@ -228,29 +253,32 @@ def _draw_chunk(params, elev, radius, n, rng):
     if not isinstance(elev, ConstantElevation):
         tan_theta = elev.sample_tan(los_rng, total)
     fade = _stream_at(los_rng, total)
-    return fade, _blocks(params, elev, radius, counts, tan_theta, rng, los_rng)
+    return fade, _blocks(params, elev, radius, counts, tan_theta, rng, los_rng, rho)
 
 
-def _blocks(params, elev, radius, counts, tan_theta, rng, los_rng):
+def _blocks(params, elev, radius, counts, tan_theta, rng, los_rng, rho):
     """The block walk of _draw_chunk: radii from rng, LoS uniforms from los_rng."""
     ends = np.cumsum(counts)
+    span = counts.size if rho is None else max(1, _BLOCK_POINTS // (rho.size + 1))
     bounds = [0]
     while bounds[-1] < counts.size:
         a = bounds[-1]
         base = ends[a - 1] if a else 0
         b = int(np.searchsorted(ends, base + _BLOCK_POINTS, side="right"))
-        bounds.append(max(b, a + 1))
+        bounds.append(min(max(b, a + 1), a + span))
     points = np.concatenate(([0], ends))[bounds]
     cap = int(np.diff(points).max())
     d3_buf, xi_buf = np.empty(cap), np.empty(cap)
     los_buf = np.empty(cap, dtype=bool)
+    if rho is not None:
+        bucket_buf = np.empty(cap, dtype=np.uint16)
     if tan_theta is None:
         # scalar secant and LoS probability; worth it, this is the hot path
         secant = 1.0 / math.cos(elev.theta_bar)
         p_los = los_probability(elev.theta_bar, params.c1, params.c2)
     for a, b, lo, hi in zip(bounds, bounds[1:], points, points[1:]):
         m = int(hi - lo)
-        if m == 0:
+        if m == 0 and rho is None:
             continue
         d3, xi, los = d3_buf[:m], xi_buf[:m], los_buf[:m]
         rng.random(out=d3)
@@ -259,7 +287,18 @@ def _blocks(params, elev, radius, counts, tan_theta, rng, los_rng):
         if tan_theta is None:
             d3 *= secant
             los_rng.random(out=xi)
-            np.less(xi, p_los, out=los)
+            if rho is None:
+                np.less(xi, p_los, out=los)
+            else:
+                # one compare per row counts the thresholds at or below u;
+                # for tens of rows this beats a binary search, whose
+                # branches on random uniforms mispredict
+                mark = bucket_buf[:m]
+                mark.fill(0)
+                for threshold in rho:
+                    np.greater_equal(xi, threshold, out=los)
+                    mark += los
+                los = mark
         else:
             # d3 = r sqrt(1 + tan^2); the angle is wanted only by the LoS law
             tan = tan_theta[lo:hi]
@@ -271,7 +310,7 @@ def _blocks(params, elev, radius, counts, tan_theta, rng, los_rng):
             los_rng.random(out=xi)
             np.less(xi, los_probability(theta, params.c1, params.c2), out=los)
         np.power(d3, -params.alpha, out=xi)
-        if params.ell != 1.0:
+        if params.ell != 1.0 and rho is None:
             np.multiply(xi, params.ell, out=xi, where=~los)
         c = counts[a:b]
         nz = c > 0
@@ -316,8 +355,9 @@ def _downlink_chunk(params, elev, radius, tail_units, n, rng):
 
 
 def _downlink_hits(operands, power, beta, noise):
+    """Hits per column (rows of a theta_bar draw), or in all (one row)."""
     signal, interference = operands
-    return int(np.count_nonzero(signal >= beta * (interference + noise / power)))
+    return np.count_nonzero(signal >= beta * (interference + noise / power), axis=0)
 
 
 def _cellfree_chunk(params, elev, radius, tail_units, n, rng):
@@ -335,13 +375,81 @@ def _cellfree_chunk(params, elev, radius, tail_units, n, rng):
 
 
 def _cellfree_hits(total, power, beta, noise):
-    return int(np.count_nonzero(total >= beta * noise / power))
+    return np.count_nonzero(total >= beta * noise / power, axis=0)
 
 
 _KERNELS = {
     "downlink": (_downlink_chunk, _downlink_hits),
     "cellfree": (_cellfree_chunk, _cellfree_hits),
 }
+
+_PLANAR = ConstantElevation(0.0)  # the geometry of a theta_bar draw: d3 is the planar distance
+
+
+def _running_peak(m, g):
+    """Running maximum of m along axis 1, and g where it was reached."""
+    peak = np.maximum.accumulate(m, axis=1)
+    at = np.where(m == peak, np.arange(m.shape[1]), 0)
+    np.maximum.accumulate(at, axis=1, out=at)
+    return peak, np.take_along_axis(g, at, axis=1)
+
+
+def _theta_blocks(metric, params, radius, rho, gain, tail, n, rng):
+    """Per-block operands of every row of a constant-elevation theta_bar sweep.
+
+    One draw serves all rows.  rho holds the rows' LoS probabilities in
+    ascending order; gain (cos^alpha theta_bar) and tail (the tail mean at
+    radius) follow the same order, as do the operands' columns.  Row j
+    scales the planar path gain r^-alpha by gain[j] and calls a point LoS
+    when its bucket is at most j (see _draw_chunk).  Each block is reduced
+    to per (realization, bucket) numbers: the sum of fading times r^-alpha,
+    and for the downlink the largest r^-alpha and the fading times r^-alpha
+    of the first point reaching it.  A row then reads a prefix (LoS) and a
+    suffix (NLoS) over its realization's buckets, so the rows cost
+    O(realizations x rows), not a pass over the points each.
+
+    The downlink draws the per-realization serving gains Gamma(N, 1) first
+    from the fading stream, then Exp(1) per point in block order; cell-free
+    draws Gamma(N, 1) per point.  Yields (signal, interference) of the
+    realizations that hold a UAV, or the received sums of every realization,
+    as (realizations, rows) arrays.
+    """
+    fade, blocks = _draw_chunk(params, _PLANAR, radius, n, rng, rho)
+    width = rho.size + 1
+    ell = params.ell
+    if metric == "downlink":
+        g_star = fade.standard_gamma(params.n_antennas, size=n)
+    for sl, nz, cnz, starts, xi, g, bucket in blocks:
+        size = (sl.stop - sl.start) * width
+        key = np.repeat(np.arange(0, size, width)[nz], cnz)
+        key += bucket
+        if metric == "downlink":
+            fade.standard_exponential(out=g)
+        else:
+            fade.standard_gamma(params.n_antennas, out=g)
+        g *= xi
+        sums = np.bincount(key, g, size).reshape(-1, width)
+        # row j: LoS buckets 0..j, NLoS buckets j+1..len(rho)
+        rest = np.cumsum(sums[:, :-1], axis=1)
+        rest += ell * np.cumsum(sums[:, :0:-1], axis=1)[:, ::-1]
+        if metric == "cellfree":
+            yield gain * rest + params.n_antennas * tail
+            continue
+        peak = np.zeros(size)
+        np.maximum.at(peak, key, xi)
+        # ties to the lowest index, as in associate
+        top = np.flatnonzero(xi == peak[key])
+        first_key, first = np.unique(key[top], return_index=True)
+        at_peak = np.zeros(size)
+        at_peak[first_key] = g[top[first]]
+        peak, at_peak = peak.reshape(-1, width)[nz], at_peak.reshape(-1, width)[nz]
+        los_peak, los_served = _running_peak(peak[:, :-1], at_peak[:, :-1])
+        nlos_peak, nlos_served = _running_peak(peak[:, :0:-1], at_peak[:, :0:-1])
+        nlos_peak = ell * nlos_peak[:, ::-1]
+        by_los = los_peak >= nlos_peak
+        served = np.where(by_los, los_served, ell * nlos_served[:, ::-1])
+        signal = g_star[sl][nz, None] * (gain * np.where(by_los, los_peak, nlos_peak))
+        yield signal, gain * (rest[nz] - served) + tail
 
 
 def estimate_sweep(
@@ -350,37 +458,68 @@ def estimate_sweep(
     """Monte Carlo coverage ('downlink' or 'cellfree') of every row from one run.
 
     rows is a sequence of NetworkParams that differ from rows[0] in beta
-    and density only.  The geometry is drawn once, at rows[0]'s density,
-    guard radius (or sim_radius) and tail mean, and each row is counted on
-    it: beta is a threshold on the same SINR, and a density lambda_j is the
-    same draw with every distance scaled by (lambda_0/lambda_j)^(1/2), which
-    is the noise scaled by (lambda_0/lambda_j)^(alpha/2).  The estimates are
-    correlated across rows; each is, on its own, distributed as a separate
-    run at that row.  rows[0]'s estimate is the one estimate_downlink or
-    estimate_cellfree returns for rows[0] and the same seed.
+    and density only; elev is one elevation law for every row, or a sequence
+    of one per row, which may differ only as constant elevations with
+    different theta_bar.  The geometry is drawn once, at rows[0]'s density
+    and seed, and each row is counted on it: beta is a threshold on the same
+    SINR, and a density lambda_j is the same draw with every distance scaled
+    by (lambda_0/lambda_j)^(1/2), which is the noise scaled by
+    (lambda_0/lambda_j)^(alpha/2).  theta_bar enters a constant-elevation
+    draw only as the factor cos^alpha theta_bar on every path gain and as
+    the LoS threshold rho(theta_bar) on the common LoS uniforms, so rows
+    with several theta_bar share one draw too (_theta_blocks), made at the
+    largest of their guard radii (or sim_radius), each row adding its own
+    tail mean at that radius.  The estimates are correlated across rows;
+    each is, on its own, distributed as a separate run at that row and
+    radius.  With one elevation, rows[0]'s estimate is the one
+    estimate_downlink or estimate_cellfree returns for rows[0] and the same
+    seed; with several, no row's is.
     """
     params = rows[0]
+    elevs = list(elev) if isinstance(elev, (list, tuple)) else [elev] * len(rows)
+    if len(elevs) != len(rows):
+        raise InvalidParameterError("give one elevation law, or one per row")
     for p in rows:
         if replace(p, beta=params.beta, density=params.density) != params:
             raise InvalidParameterError(
                 "rows of one run may differ in beta and density only")
+    laws = list(dict.fromkeys(elevs))
+    if len(laws) > 1 and not all(isinstance(e, ConstantElevation) for e in laws):
+        raise InvalidParameterError(
+            "rows of one run may differ in elevation only as constant theta_bar")
+    if len(rows) > _MAX_ROWS:
+        raise InvalidParameterError(f"a run takes at most {_MAX_ROWS} rows, got {len(rows)}")
     if metric == "cellfree" and params.noise <= 0.0:
         raise InvalidParameterError("cell-free estimation requires noise > 0")
     n_samples = _run_size(n_samples, sim_radius)
-    radius = sim_radius if sim_radius is not None else guard_radius(params, elev, guard_tolerance)
-    thresholds = [
-        (p.beta, p.noise * (params.density / p.density) ** (params.alpha / 2.0))
-        for p in rows
-    ]
+    if sim_radius is not None:
+        radius = sim_radius
+    else:
+        radius = max(guard_radius(params, e, guard_tolerance) for e in laws)
+    beta = np.array([p.beta for p in rows])
+    noise = np.array(
+        [p.noise * (params.density / p.density) ** (params.alpha / 2.0) for p in rows])
     chunk_fn, hits_fn = _KERNELS[metric]
-    tail_units = interference_tail_mean(params, elev, radius)
-    hits = [0] * len(rows)
-    for size, rng in _chunks(n_samples, radius, params.density, master_seed):
-        operands = chunk_fn(params, elev, radius, tail_units, size, rng)
-        for j, (beta, noise) in enumerate(thresholds):
-            hits[j] += hits_fn(operands, params.power, beta, noise)
+    hits = np.zeros(len(rows), dtype=np.int64)
+    chunks = _chunks(n_samples, radius, params.density, master_seed)
+    if len(laws) == 1:
+        tail_units = interference_tail_mean(params, laws[0], radius)
+        for size, rng in chunks:
+            operands = chunk_fn(params, laws[0], radius, tail_units, size, rng)
+            for j in range(len(rows)):
+                hits[j] += hits_fn(operands, params.power, beta[j], noise[j])
+    else:
+        theta = np.array([e.theta_bar for e in elevs])
+        rho = los_probability(theta, params.c1, params.c2)
+        order = np.argsort(rho, kind="stable")
+        gain = np.cos(theta[order]) ** params.alpha
+        tail = np.array([interference_tail_mean(params, elevs[i], radius) for i in order])
+        for size, rng in chunks:
+            for operands in _theta_blocks(
+                    metric, params, radius, rho[order], gain, tail, size, rng):
+                hits[order] += hits_fn(operands, params.power, beta[order], noise[order])
     estimates = []
-    for h in hits:
+    for h in hits.tolist():
         mean = h / n_samples
         estimates.append(CoverageEstimate(
             mean=mean,

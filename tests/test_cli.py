@@ -22,9 +22,11 @@ from uavcov.cli import (
     run_sweep,
     write_csv,
 )
-from uavcov.config import apply_sweep_value, parse_config
-from uavcov.model import ConstantElevation, NetworkParams
+from uavcov.config import SweepAxis, apply_sweep_value, parse_config
+from uavcov.model import ConstantElevation, InvalidParameterError, NetworkParams
 from uavcov.montecarlo import estimate_cellfree, estimate_downlink
+
+E25 = ConstantElevation(math.radians(25.0))
 
 ANALYTIC_SWEEP = (
     "mode = analytic\n"
@@ -202,6 +204,38 @@ def test_point_refuses_oversized_guard_disk(tmp_path, capsys):
     assert "guard_tolerance" in err and "6.8e+09 points" in err and "16777216" in err
 
 
+def test_sweep_refuses_too_many_rows_before_listing_them(monkeypatch, tmp_path, capsys):
+    # 1e9 steps once built an 8 GB axis before the first row; listing the
+    # axis fails this test instead of allocating
+    def listed(axis):
+        raise AssertionError("the sweep axis was listed")
+
+    monkeypatch.setattr(SweepAxis, "values", listed)
+    for mode in ("analytic", "both"):
+        cfg = _cfg_file(tmp_path, f"mode = {mode}\nsweep_variable = theta_bar\nsweep_start = 5\n"
+                                  "sweep_stop = 60\nsweep_steps = 1000000000\n")
+        assert main(["sweep", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "sweep_steps" in err and "1000000000" in err and str(mc._MAX_ROWS) in err
+
+
+@pytest.mark.parametrize("key,value,names", [
+    ("alpha", "1e6", "alpha = 1e+06"),
+    ("lambda", "1e-300", "lambda = 1e-300"),
+    ("lambda", "1e300", "lambda = 1e+300"),
+])
+def test_analytic_overflow_is_a_typed_error_naming_the_parameter(
+        tmp_path, capsys, key, value, names):
+    # these raised bare ZeroDivisionError and OverflowError texts
+    cfg = _cfg_file(tmp_path, f"mode = analytic\n{key} = {value}\n")
+    assert main(["point", cfg]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert names in err and "outside the double range" in err
+    params = parse_config(f"mode = analytic\n{key} = {value}\n").params
+    with pytest.raises(InvalidParameterError, match=key):
+        downlink_coverage(params, E25)
+
+
 def test_sweep_refuses_a_row_whose_guard_disk_is_oversized(tmp_path, capsys):
     # with NLoS erased the theta 0 row holds 2.9e7 points per realization at
     # guard_tolerance 3e-6, the base point at 25 deg 7.2e5
@@ -266,12 +300,17 @@ def _count_draws(monkeypatch):
 
 
 @pytest.mark.parametrize("metric", ["downlink", "cellfree"])
-@pytest.mark.parametrize("axis", [
-    "sweep_variable = beta\nsweep_start = 38\nsweep_stop = 44\nsweep_steps = 4\n",
-    "sweep_variable = lambda\nsweep_start = 1e-7\nsweep_stop = 1e-5\nsweep_steps = 4\n",
-    "sweep_variable = theta_bar\nsweep_start = 10\nsweep_stop = 40\nsweep_steps = 4\n",
-], ids=["beta", "lambda", "theta_bar"])
-def test_shared_sweeps_draw_once(monkeypatch, metric, axis):
+@pytest.mark.parametrize("axis,shared", [
+    ("sweep_variable = beta\nsweep_start = 38\nsweep_stop = 44\nsweep_steps = 4\n", True),
+    ("sweep_variable = lambda\nsweep_start = 1e-7\nsweep_stop = 1e-5\nsweep_steps = 4\n", True),
+    ("sweep_variable = theta_bar\nsweep_start = 10\nsweep_stop = 40\nsweep_steps = 4\n", True),
+    # the tangent draws depend on theta_bar and shape: one draw per row
+    ("elevation = gamma_tan\nshape = 3\n"
+     "sweep_variable = theta_bar\nsweep_start = 10\nsweep_stop = 40\nsweep_steps = 4\n", False),
+    ("elevation = gamma_tan\nshape = 3\ntheta_bar_deg = 20\n"
+     "sweep_variable = shape\nsweep_start = 1\nsweep_stop = 4\nsweep_steps = 4\n", False),
+], ids=["beta", "lambda", "theta_bar", "gamma_tan-theta_bar", "shape"])
+def test_shared_sweeps_draw_once(monkeypatch, metric, axis, shared):
     cfg = parse_config(f"metric = {metric}\nmode = montecarlo\nn_samples = 300\n" + axis)
     calls = _count_draws(monkeypatch)
     rows = run_sweep(cfg)
@@ -283,10 +322,31 @@ def test_shared_sweeps_draw_once(monkeypatch, metric, axis):
         params, elev = apply_sweep_value(cfg, row["sweep_value"])
         fn(params, elev, cfg.n_samples, row["seed"])
         per_row.append(len(calls))
-    if cfg.sweep.variable == "theta_bar":
-        assert sweep_calls == sum(per_row) == len(rows) * per_row[0]
+    if shared:
+        # a theta_bar draw is made at its rows' largest guard radius
+        assert sweep_calls == max(per_row)
     else:
-        assert sweep_calls == per_row[0]
+        assert sweep_calls == sum(per_row) == len(rows) * per_row[0]
+
+
+THETA_SWEEPS = {
+    # theta_sweep.cfg's rows, half of them, at 0 dB, where the optimum near
+    # 16 deg shows; cell-free coverage falls from 0.77 to 0.16 over its rows
+    "downlink": "lambda = 1e-7\nn_antennas = 4\nbeta_db = 0\nsweep_start = 5\n"
+                "sweep_stop = 60\nsweep_steps = 12\nmaster_seed = 31\n",
+    "cellfree": "metric = cellfree\nbeta_db = 37\nsweep_start = 10\nsweep_stop = 60\n"
+                "sweep_steps = 6\nmaster_seed = 32\n",
+}
+
+
+@pytest.mark.parametrize("metric", sorted(THETA_SWEEPS))
+def test_theta_sweep_rows_agree_with_analytic(metric):
+    # one shared draw, at the first row's seed, for every row
+    cfg = parse_config("n_samples = 20000\nsweep_variable = theta_bar\n" + THETA_SWEEPS[metric])
+    rows = run_sweep(cfg)
+    for row in rows:
+        assert row["error"] is None and row["seed"] == rows[0]["seed"]
+        assert abs(row["z_score"]) <= 3.0, (row["sweep_value"], row["p_analytic"], row["p_mc"])
 
 
 def test_missing_config_file_exits_config(tmp_path, capsys):

@@ -25,6 +25,7 @@ from uavcov.model import (
     InvalidParameterError,
     NetworkParams,
     NetworkRealization,
+    los_probability,
     realize_network,
 )
 from uavcov.montecarlo import (
@@ -260,6 +261,98 @@ def test_runs_over_several_chunks_match_recorded_golden_values(block_points):
     assert estimate_cellfree(p_cf, E25, 5000, 31).mean == 0.7442
 
 
+def _theta_rows(params, elevs, radius):
+    """estimate_sweep's per-row constants of a theta_bar draw, in rho order."""
+    theta = np.array([e.theta_bar for e in elevs])
+    rho = los_probability(theta, params.c1, params.c2)
+    order = np.argsort(rho, kind="stable")
+    tail = np.array([interference_tail_mean(params, elevs[i], radius) for i in order])
+    return order, rho[order], np.cos(theta[order]) ** params.alpha, tail
+
+
+def _brute_force_theta_hits(metric, params, elevs, n_samples, seed, radius):
+    """Hits of every row of a theta_bar draw, each row recomputed point by
+    point on the same draw: its xi, first maximum and sums, as
+    _downlink_chunk and _cellfree_chunk form them."""
+    order, rho, gain, tail = _theta_rows(params, elevs, radius)
+    noise = params.noise / params.power
+    hits = np.zeros(len(elevs), dtype=np.int64)
+    for size, rng in mc._chunks(n_samples, radius, params.density, seed):
+        fade, blocks = mc._draw_chunk(params, mc._PLANAR, radius, size, rng, rho)
+        if metric == "downlink":
+            g_star = fade.standard_gamma(params.n_antennas, size=size)
+        for sl, nz, cnz, starts, planar, _, bucket in blocks:
+            if metric == "downlink":
+                fading = fade.standard_exponential(size=planar.size)
+            else:
+                fading = fade.standard_gamma(params.n_antennas, size=planar.size)
+            for j, i in enumerate(order):
+                xi = gain[j] * planar * np.where(bucket <= j, 1.0, params.ell)
+                if metric == "cellfree":
+                    total = np.full(sl.stop - sl.start, params.n_antennas * tail[j])
+                    if cnz.size:
+                        total[nz] += np.add.reduceat(fading * xi, starts)
+                    hits[i] += np.count_nonzero(total >= params.beta * noise)
+                    continue
+                if not cnz.size:
+                    continue
+                xi_max = np.maximum.reduceat(xi, starts)
+                i_star = mc._first_max_index(xi, xi_max, cnz, starts)
+                gx = fading * xi
+                interference = np.add.reduceat(gx, starts) - gx[i_star] + tail[j]
+                signal = g_star[sl][nz] * xi_max
+                hits[i] += np.count_nonzero(signal >= params.beta * (interference + noise))
+    return hits
+
+
+@pytest.mark.parametrize("ell", [0.0, 0.25, 1.0])
+@pytest.mark.parametrize("metric", ["downlink", "cellfree"])
+def test_theta_draw_counts_every_row_as_brute_force(block_points, metric, ell):
+    # unsorted rows with a repeat: a repeated rho holds an empty bucket
+    beta = 1.0 if metric == "downlink" else 1e4
+    p = NetworkParams(density=1e-6, ell=ell, beta=beta, n_antennas=2)
+    elevs = [ConstantElevation(math.radians(t)) for t in (40.0, 5.0, 25.0, 10.0, 25.0, 60.0)]
+    n, seed = 300, 41
+    radius = max(guard_radius(p, e, 1e-3) for e in elevs)
+    estimates = mc.estimate_sweep(metric, [p] * len(elevs), elevs, n, seed)
+    got = [round(est.mean * n) for est in estimates]
+    want = _brute_force_theta_hits(metric, p, elevs, n, seed, radius)
+    assert got == want.tolist()
+    assert 0 < want.min() and want.max() < n
+
+
+def test_theta_sweep_differences_follow_the_analytic_curve():
+    # theta_sweep.cfg's rows, half of them, at 0 dB.  On one draw the
+    # adjacent rows' hit indicators are paired, and their difference has
+    # its own standard error, far below either row's: this checks the
+    # shape of the curve, its optimum near 16 deg included
+    p = NetworkParams(density=1e-7, n_antennas=4, beta=1.0)
+    elevs = [ConstantElevation(math.radians(t)) for t in np.linspace(5.0, 60.0, 12)]
+    n, seed = 20000, 7
+    radius = max(guard_radius(p, e, 1e-3) for e in elevs)
+    order, rho, gain, tail = _theta_rows(p, elevs, radius)
+    assert order.tolist() == list(range(len(elevs)))
+    hits = np.zeros(len(elevs), dtype=np.int64)
+    gained = np.zeros(len(elevs) - 1, dtype=np.int64)
+    lost = np.zeros(len(elevs) - 1, dtype=np.int64)
+    for size, rng in mc._chunks(n, radius, p.density, seed):
+        for operands in mc._theta_blocks("downlink", p, radius, rho, gain, tail, size, rng):
+            signal, interference = operands
+            hit = signal >= p.beta * (interference + p.noise / p.power)
+            hits += hit.sum(axis=0)
+            gained += (hit[:, 1:] & ~hit[:, :-1]).sum(axis=0)
+            lost += (hit[:, :-1] & ~hit[:, 1:]).sum(axis=0)
+    means = [est.mean for est in mc.estimate_sweep("downlink", [p] * len(elevs), elevs, n, seed)]
+    assert (hits / n).tolist() == means
+    diff = (gained - lost) / n
+    se = np.sqrt(((gained + lost) / n - diff**2) / n)
+    want = np.diff([downlink_coverage(p, e).value for e in elevs])
+    z = (want - diff) / np.maximum(se, 1.0 / n)
+    assert np.all(np.abs(z) <= 3.0), z
+    # separate runs would give each difference a binomial error of ~4.5e-3
+    assert np.all(se < math.sqrt(2.0 * 0.72 * 0.28 / n)), se
+
+
 def test_first_max_index_matches_associate_per_segment():
     alpha, ell = 2.75, 0.25
     segments = [
@@ -287,18 +380,33 @@ def test_chunk_kernels_peak_allocation_per_point():
     # A chunk of 500 or 2000 realizations holds ~4.7e5 or ~1.9e6 points.
     # The kernels walk it in blocks of at most _BLOCK_POINTS points and
     # reuse the blocks' buffers, so under constant elevation the peak does
-    # not grow with the chunk.  gamma_tan keeps the chunk's tangents, 8 B
-    # per point, on top of the same kind of fixed working set.
+    # not grow with the chunk; nor does a theta_bar draw's, whose
+    # per-bucket arrays are block-sized too.  gamma_tan keeps the chunk's
+    # tangents, 8 B per point, on top of the same kind of fixed working set.
     p = NetworkParams(density=1e-6)
     seed = 7
-    for elev, per_point, fixed in ((E25, 0, 3 * 2**20),
-                                   (GammaTanElevation(3.0, math.radians(20.0)), 8, 4 * 2**20)):
+    elevs = [ConstantElevation(math.radians(t)) for t in np.linspace(25.0, 60.0, 12)]
+    _, rho, gain, tails = _theta_rows(p, elevs, guard_radius(p, E25, 1e-3))
+
+    def theta_chunk(metric):
+        def chunk(params, elev, radius, tail, n, rng):
+            for _ in mc._theta_blocks(metric, params, radius, rho, gain, tails, n, rng):
+                pass
+        chunk.__name__ = f"theta {metric}"
+        return chunk
+
+    for elev, per_point, fixed, chunks in (
+        (E25, 0, 3 * 2**20, (mc._downlink_chunk, mc._cellfree_chunk,
+                             theta_chunk("downlink"), theta_chunk("cellfree"))),
+        (GammaTanElevation(3.0, math.radians(20.0)), 8, 4 * 2**20,
+         (mc._downlink_chunk, mc._cellfree_chunk)),
+    ):
         radius = guard_radius(p, elev, 1e-3)
         tail = interference_tail_mean(p, elev, radius)
         for n in (500, 2000):
             points = int(np.random.default_rng(seed).poisson(
                 p.density * math.pi * radius**2, n).sum())
-            for chunk in (mc._downlink_chunk, mc._cellfree_chunk):
+            for chunk in chunks:
                 tracemalloc.start()
                 try:
                     chunk(p, elev, radius, tail, n, np.random.default_rng(seed))
@@ -462,6 +570,21 @@ def test_entry_points_refuse_oversized_realizations_before_drawing(monkeypatch):
     for estimate in (estimate_downlink, estimate_cellfree):
         with pytest.raises(InvalidParameterError, match=r"6\.8e\+09 points"):
             estimate(p, E25, 10, 1, guard_tolerance=1e-9)
+
+
+def test_estimate_sweep_refuses_rows_over_the_cap_before_drawing(monkeypatch):
+    # a theta_bar draw counts LoS buckets in 16 bits and keeps rows + 1
+    # numbers per realization of a block
+    monkeypatch.setattr(mc, "_draw_chunk", None)
+    p = NetworkParams(density=1e-6)
+    elevs = [ConstantElevation(math.radians(t)) for t in np.linspace(5.0, 60.0, mc._MAX_ROWS + 1)]
+    with pytest.raises(InvalidParameterError, match=f"at most {mc._MAX_ROWS} rows"):
+        mc.estimate_sweep("downlink", [p] * len(elevs), elevs, 10, 1)
+    with pytest.raises(InvalidParameterError, match="one per row"):
+        mc.estimate_sweep("downlink", [p, p], elevs[:3], 10, 1)
+    gamma_tan = GammaTanElevation(3.0, math.radians(20.0))
+    with pytest.raises(InvalidParameterError, match="constant theta_bar"):
+        mc.estimate_sweep("downlink", [p, p], [E25, gamma_tan], 10, 1)
 
 
 def test_largest_guard_disks_in_use_fit_under_the_point_cap():
