@@ -3,8 +3,9 @@
 Raising the elevation angle trades interference isolation against a longer
 serving link, so downlink coverage peaks at an interior angle (near 16 deg
 for 4 antennas at density 1e-7).  The script sweeps the analytic expression,
-spot-checks it against Monte Carlo, and prints the Jensen lower bound to
-show how tight the closed-form approximation runs.
+spot-checks it against Monte Carlo, and prints the Jensen lower bound.  With
+noise that bound is the single-antenna one, valid at every antenna count,
+so its gap includes the gain of the four antennas.
 
 For CSV output of the same sweep use the CLI:
     uavcov sweep demos/configs/theta_sweep.cfg

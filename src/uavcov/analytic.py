@@ -226,14 +226,17 @@ def jensen_lower_bound(params, elev):
     """Lower bound on downlink coverage from convexity of the conditional tail.
 
     The association expectation moves inside the exponent: the bound sums
-    the first N h-coefficients of exp(-T s - I(N s)) at s = beta (1 - h),
-    with T = N noise Gamma(1 + alpha/2) / (power (pi density w_eff)^{alpha/2}).
-    That is Jensen's inequality for N = 1 only: with N >= 2 and a dominant
-    noise term the value can exceed downlink_coverage.
+    the first n h-coefficients of exp(-T s - I(n s)) at s = beta (1 - h),
+    with T = n noise Gamma(1 + alpha/2) / (power (pi density w_eff)^{alpha/2}).
+    That is Jensen's inequality at n = 1.  With noise n = 1 for every N,
+    which gives exp(-T beta - I(beta)): P[Gamma(N, 1) >= x] >= e^-x makes
+    single-antenna coverage a lower bound at any N, whereas n = N can
+    exceed downlink_coverage when noise dominates.  Without noise n = N,
+    which the property tests hold below downlink_coverage.
     """
     alpha = params.alpha
     mu = math.pi * params.density * effective_density_factor(params, elev)
-    n = int(params.n_antennas)
+    n = int(params.n_antennas) if params.noise == 0.0 else 1
     s0 = params.beta
     i0, b = _ig_series(n * s0, 2.0 / alpha, n - 1)
     noise_term = n * (params.noise / params.power) * math.gamma(1.0 + alpha / 2.0) / mu ** (alpha / 2.0)

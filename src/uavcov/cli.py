@@ -7,13 +7,10 @@ the JSON report to stdout and PASS/FAIL lines to stderr.
 
 `sweep` and `point` share one path, run_sweep: `point` is the config with
 its sweep removed, which is one point.  The points are grouped into Monte
-Carlo draws: a beta, lambda or constant-elevation theta_bar sweep is one
-draw, at its first good row's seed (a theta_bar draw at the largest guard
-radius of its rows, so even its first row differs from a standalone run);
-any other point is its own draw.  Rows of one draw are correlated.  Every
-draw and every analytic value is one job for the same pool worker,
-evaluate_point.  `--workers` takes 1 to os.cpu_count(), and no more
-processes start than there are jobs.
+Carlo draws by montecarlo.shares_draw (see run_sweep).  Every draw and
+every analytic value is one job for the same pool worker, evaluate_point.
+`--workers` takes 1 to os.cpu_count(), and no more processes start than
+there are jobs.
 
 Exit codes: 0 success, 1 validation failure, 2 config error, 3 numeric
 error in at least one point (failed points carry nan cells; the run still
@@ -27,15 +24,15 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
 
 from . import validation
 from .analytic import cellfree_coverage, downlink_coverage
-from .config import ConfigError, apply_sweep_value, parse_config
-from .model import ConstantElevation
-from .montecarlo import estimate_sweep
+from .config import ConfigError, parse_config, points
+from .montecarlo import estimate_sweep, shares_draw
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -53,11 +50,6 @@ CSV_COLUMNS = (
     "seed",
     "wall_ms",
 )
-
-
-# sweep axes on which one Monte Carlo draw serves every row (estimate_sweep);
-# theta_bar only under constant elevation, where it moves no tangent draw
-_SHARED_AXES = ("beta", "lambda", "theta_bar")
 
 
 def evaluate_point(job):
@@ -128,28 +120,6 @@ def _bad_row(variable, value, message):
     }
 
 
-def _points(cfg):
-    """(value, seed, (params, elevation) or None, error message) per point.
-
-    A config without a sweep is one point, at its base parameters.  The
-    seeds are SeedSequence(master_seed).generate_state(n), whose first value
-    does not depend on n.
-    """
-    axis = cfg.sweep
-    values = [float("nan")] if axis is None else [float(v) for v in axis.values()]
-    seeds = np.random.SeedSequence(cfg.master_seed).generate_state(
-        len(values), dtype=np.uint64
-    )
-    points = []
-    for value, seed in zip(values, seeds):
-        try:
-            setting = (cfg.params, cfg.elevation) if axis is None else apply_sweep_value(cfg, value)
-            points.append((value, int(seed), setting, None))
-        except Exception as exc:
-            points.append((value, int(seed), None, str(exc)))
-    return points
-
-
 def _map(fn, items, workers):
     """[fn(item) for item in items] on min(workers, len(items)) processes."""
     workers = min(workers, len(items))
@@ -162,45 +132,41 @@ def _map(fn, items, workers):
 def run_sweep(cfg, workers=1):
     """Evaluate every point of cfg; rows in sweep order.
 
-    Points that do not build become error rows.  The others are grouped
-    into Monte Carlo draws: a beta, lambda or constant-elevation theta_bar
-    sweep is one draw at its first good row's seed, which
-    montecarlo.estimate_sweep counts for every row; any other point (a
-    gamma_tan theta_bar or a shape sweep among them) is its own draw;
-    mode = analytic has none.  A theta_bar draw is made at the largest
-    guard radius of its rows, so its rows are correlated and even its first
-    row differs from a standalone run of that point.  Each draw and each
+    Points that do not build become error rows.  The others make one Monte
+    Carlo draw, at the first good row's seed, when montecarlo.shares_draw
+    admits them all, and one draw each otherwise; mode = analytic has none.
+    Rows of one draw are correlated, and a draw over several theta_bar is
+    made at the largest guard radius of its rows, so even its first row
+    differs from a standalone run of that point.  Each draw and each
     analytic value is one evaluate_point job.  A row's wall_ms is its
     analytic time plus its draw's time over the draw's size, so the rows
     add up to the run's time.
     """
     variable = "" if cfg.sweep is None else cfg.sweep.variable
-    points = _points(cfg)
-    good = [i for i, point in enumerate(points) if point[3] is None]
-    shared = variable in _SHARED_AXES and (
-        variable != "theta_bar" or isinstance(cfg.elevation, ConstantElevation))
+    pts = points(cfg)
+    good = [i for i, point in enumerate(pts) if point[3] is None]
     draws = []
     if cfg.mode != "analytic" and good:
-        draws = [good] if shared else [[i] for i in good]
+        draws = [good] if shares_draw([pts[i][2] for i in good]) else [[i] for i in good]
     analytic = [] if cfg.mode == "montecarlo" else good
     coverage = cellfree_coverage if cfg.metric == "cellfree" else downlink_coverage
     jobs = []
     for draw in draws:
-        seed = points[draw[0]][1]
-        params, elevs = zip(*(points[i][2] for i in draw))
+        seed = pts[draw[0]][1]
+        params, elevs = zip(*(pts[i][2] for i in draw))
         jobs.append((estimate_sweep, (cfg.metric, list(params), list(elevs), cfg.n_samples,
                                       seed, None, cfg.guard_tolerance)))
-    jobs += [(coverage, points[i][2]) for i in analytic]
+    jobs += [(coverage, pts[i][2]) for i in analytic]
     done = iter(_map(evaluate_point, jobs, workers))
     mc_out = {}
     for draw in draws:
         (estimates, error), seconds = next(done)
         for j, i in enumerate(draw):
             mc = (None if error else estimates[j]), error
-            mc_out[i] = mc, points[draw[0]][1], seconds / len(draw)
+            mc_out[i] = mc, pts[draw[0]][1], seconds / len(draw)
     a_out = {i: next(done) for i in analytic}
     rows = []
-    for i, (value, _, _, error) in enumerate(points):
+    for i, (value, _, _, error) in enumerate(pts):
         if error is not None:
             rows.append(_bad_row(variable, value, error))
             continue
@@ -252,17 +218,19 @@ def cmd_sweep(args):
         cfg = parse_config(_read_config(args.config))
         if cfg.sweep is None:
             raise ConfigError("sweep_variable", "the sweep command needs a sweep")
+        out_path = args.output if args.output is not None else cfg.output_path
+        # opened before the run, so an unwritable path costs no computation
+        if out_path is None or out_path == "-":
+            out = sys.stdout
+        else:
+            out = open(out_path, "w", encoding="utf-8", newline="")
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    rows = run_sweep(cfg, workers=args.workers)
-    out_path = args.output if args.output is not None else cfg.output_path
     fmt = args.format if args.format is not None else cfg.output_format
-    if out_path is None or out_path == "-":
-        _write_rows(rows, sys.stdout, fmt)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            _write_rows(rows, fh, fmt)
+    with out if out is not sys.stdout else nullcontext():
+        rows = run_sweep(cfg, workers=args.workers)
+        (write_json if fmt == "json" else write_csv)(rows, out)
     failed = [r for r in rows if r["error"]]
     for r in failed:
         print(
@@ -270,13 +238,6 @@ def cmd_sweep(args):
             file=sys.stderr,
         )
     return EXIT_NUMERIC if failed else EXIT_OK
-
-
-def _write_rows(rows, stream, fmt):
-    if fmt == "json":
-        write_json(rows, stream)
-    else:
-        write_csv(rows, stream)
 
 
 def cmd_point(args):
@@ -321,15 +282,18 @@ def cmd_validate(args):
     return EXIT_OK if report["passed"] else EXIT_VALIDATION
 
 
-def _worker_count(text):
-    limit = os.cpu_count() or 1
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if not 1 <= n <= limit:
-        raise argparse.ArgumentTypeError(f"must lie in 1..{limit} (the CPU count), got {n}")
-    return n
+def _integer(low, high=None):
+    """argparse type: an integer in low..high (no upper bound without high)."""
+    def parse(text):
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if n < low or high is not None and n > high:
+            bound = f">= {low}" if high is None else f"in {low}..{high}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {n}")
+        return n
+    return parse
 
 
 def build_parser():
@@ -341,7 +305,7 @@ def build_parser():
 
     p_sweep = sub.add_parser("sweep", help="run the configured parameter sweep")
     p_sweep.add_argument("config", help="config file path, or - for stdin")
-    p_sweep.add_argument("--workers", type=_worker_count, default=1,
+    p_sweep.add_argument("--workers", type=_integer(1, os.cpu_count() or 1), default=1,
                          help="worker processes, 1 to the CPU count (default 1)")
     p_sweep.add_argument("--output", default=None,
                          help="override output path (- for stdout)")
@@ -355,10 +319,10 @@ def build_parser():
 
     p_val = sub.add_parser("validate", help="run a cross-check suite")
     p_val.add_argument("suite", choices=validation.SUITES)
-    p_val.add_argument("--n-samples", type=int, default=None,
-                       help="override Monte Carlo sample count")
-    p_val.add_argument("--seed", type=int, default=None,
-                       help="override the suite master seed")
+    p_val.add_argument("--n-samples", type=_integer(1), default=None,
+                       help="override Monte Carlo sample count (>= 1)")
+    p_val.add_argument("--seed", type=_integer(0), default=None,
+                       help="override the suite master seed (>= 0)")
     p_val.set_defaults(fn=cmd_validate)
     return parser
 

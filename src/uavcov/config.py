@@ -20,7 +20,7 @@ from .model import (
     InvalidParameterError,
     NetworkParams,
 )
-from .montecarlo import _MAX_POINTS, _MAX_ROWS, guard_radius
+from .montecarlo import _MAX_ROWS, disk_points, guard_radius
 
 
 class ConfigError(ValueError):
@@ -266,31 +266,27 @@ def parse_config(text):
 
 def _check_guard_disks(cfg):
     """Refuse a config whose base point or any sweep row has a guard disk
-    holding more than montecarlo's point cap on average.
+    over montecarlo's point cap.
 
     Arithmetic only, before anything is drawn.  A row that does not build,
     or whose radius cannot be computed, is left to the run, which reports
     it as an error row.
     """
-    rows = [(None, cfg.params, cfg.elevation)]
-    for value in () if cfg.sweep is None else cfg.sweep.values():
-        try:
-            rows.append((value, *apply_sweep_value(cfg, value)))
-        except (ConfigError, InvalidParameterError):
+    base = points(replace(cfg, sweep=None))
+    for value, _, setting, error in base + ([] if cfg.sweep is None else points(cfg)):
+        if error is not None:
             continue
-    for value, params, elev in rows:
+        params, elev = setting
         try:
-            radius = guard_radius(params, elev, cfg.guard_tolerance)
+            disk_points(params.density, guard_radius(params, elev, cfg.guard_tolerance))
         except ArithmeticError:
             continue
-        mean_points = params.density * math.pi * radius * radius
-        if not mean_points <= _MAX_POINTS:
-            where = "" if value is None else f" at {cfg.sweep.variable} = {value:g}"
+        except InvalidParameterError as exc:
+            where = "" if math.isnan(value) else f" at {cfg.sweep.variable} = {value:g}"
             raise ConfigError(
                 "guard_tolerance",
-                f"{cfg.guard_tolerance:g} gives a guard disk of {mean_points:.3g} points "
-                f"per realization on average{where}, over the Monte Carlo cap of "
-                f"{_MAX_POINTS}; raise guard_tolerance")
+                f"{cfg.guard_tolerance:g} gives a guard disk{where} where {exc}; "
+                "raise guard_tolerance") from None
 
 
 def _blame_param(message, noise_key, beta_key):
@@ -309,6 +305,28 @@ def _blame_param(message, noise_key, beta_key):
         if word in message:
             return key
     return None
+
+
+def points(cfg):
+    """(value, seed, (params, elevation) or None, error message) per point.
+
+    A config without a sweep is one point, at its base parameters.  The
+    seeds are SeedSequence(master_seed).generate_state(n), whose first value
+    does not depend on n.
+    """
+    axis = cfg.sweep
+    values = [float("nan")] if axis is None else [float(v) for v in axis.values()]
+    seeds = np.random.SeedSequence(cfg.master_seed).generate_state(
+        len(values), dtype=np.uint64
+    )
+    out = []
+    for value, seed in zip(values, seeds):
+        try:
+            setting = (cfg.params, cfg.elevation) if axis is None else apply_sweep_value(cfg, value)
+            out.append((value, int(seed), setting, None))
+        except Exception as exc:
+            out.append((value, int(seed), None, str(exc)))
+    return out
 
 
 def apply_sweep_value(cfg, display_value):

@@ -47,24 +47,17 @@ _MAX_POINTS points on average is refused before the first draw.
 A chunk kernel stops before the coverage test and returns per-realization
 operands: the serving signal and the interference (downlink), or the
 received sum with the tail compensation (cell-free).  The run then counts
-hits for each of a list of per-row (beta, noise) pairs with the comparison
-a single estimate makes, so one draw serves a whole beta sweep.  A density
-sweep rides on the same draw: the marks are independent of distance, so
-the process at density lambda_j is the one at lambda_0 with distances
-scaled by (lambda_0/lambda_j)^(1/2).  The guard radius and the tail mean
-scale along with it and the points per realization stay put, so only the
-noise moves, to noise (lambda_0/lambda_j)^(alpha/2).  estimate_downlink and
-estimate_cellfree are the one-pair case of estimate_sweep.
+hits for each row with the comparison a single estimate makes, so one draw
+serves every row that shares_draw admits; the sharing rule is stated there.
+estimate_downlink and estimate_cellfree are the one-row case of
+estimate_sweep.
 
-Rows that differ in a constant elevation's theta_bar share one draw too,
-made at the largest of their guard radii and at the run's seed (the first
-row's, in a CLI sweep).  theta_bar enters it in two places only: the
-factor cos^alpha theta_bar on every path gain, and the LoS threshold
-rho(theta_bar) on the common LoS uniforms.  The walk draws planar
-distances (theta_bar = 0) and marks each point with its LoS bucket, the
-number of row thresholds at or below its uniform; _theta_blocks reduces
-each block to a few numbers per (realization, bucket), from which every
-row reads its serving gain and interference.  Its stream holds the counts,
+Rows with several constant theta_bar are drawn at the largest of their
+guard radii and at the run's seed.  The walk draws planar distances
+(theta_bar = 0) and marks each point with its LoS bucket, the number of
+row thresholds at or below its uniform; _theta_blocks reduces each block
+to a few numbers per (realization, bucket), from which every row reads its
+serving gain and interference.  Its stream holds the counts,
 radius uniforms and LoS uniforms as above; the downlink's fading then
 starts with the per-realization Gamma(N, 1) serving gains, followed by
 Exp(1) per point, so no row's estimate equals a separate run's, and the
@@ -194,19 +187,24 @@ def _chunk_sizes(n_samples, mean_points):
     return sizes
 
 
-def _chunks(n_samples, radius, density, master_seed):
-    """(size, rng) per chunk, in order: one spawned child seed per chunk.
+def disk_points(density, radius):
+    """Mean points per realization of a disk, refused over _MAX_POINTS.
 
-    Refuses a disk whose mean point count exceeds _MAX_POINTS, before any
-    draw: memory grows with the largest realization.
+    Memory grows with the largest realization, so the refusal comes before
+    any draw: the estimators check their disk here, and parse_config every
+    point of a config.
     """
     mean_points = density * math.pi * radius * radius
     if not mean_points <= _MAX_POINTS:
         raise InvalidParameterError(
             f"a realization would hold {mean_points:.3g} points on average (radius "
-            f"{radius:.4g} m), over the cap of {_MAX_POINTS}; raise guard_tolerance "
-            "or lower sim_radius")
-    sizes = _chunk_sizes(n_samples, mean_points)
+            f"{radius:.4g} m), over the Monte Carlo cap of {_MAX_POINTS}")
+    return mean_points
+
+
+def _chunks(n_samples, radius, density, master_seed):
+    """(size, rng) per chunk, in order: one spawned child seed per chunk."""
+    sizes = _chunk_sizes(n_samples, disk_points(density, radius))
     children = np.random.SeedSequence(int(master_seed)).spawn(len(sizes))
     return ((size, np.random.default_rng(child)) for size, child in zip(sizes, children))
 
@@ -452,41 +450,52 @@ def _theta_blocks(metric, params, radius, rho, gain, tail, n, rng):
         yield signal, gain * (rest[nz] - served) + tail
 
 
+def shares_draw(settings):
+    """Whether one Monte Carlo draw serves every (params, elevation) of settings.
+
+    The sharing rule: rows share a draw when they differ from the first
+    only in beta and density, and in elevation only as constant elevations
+    with different theta_bar.  The UAV marks (elevation and LoS) do not
+    depend on distance (the marking theorem), so one draw gives the SINR at
+    every beta, and a density lambda_j is the same draw with every distance
+    scaled by (lambda_0/lambda_j)^(1/2), which only scales the noise by
+    (lambda_0/lambda_j)^(alpha/2).  A constant theta_bar enters a draw only
+    as the factor cos^alpha theta_bar on every path gain and as the LoS
+    threshold rho(theta_bar) on the common LoS uniforms (_theta_blocks).  A
+    tangent law draws its tangents from theta_bar and its shape, so it
+    shares only with equal laws.
+    """
+    (params, elev), *rest = settings
+    return all(
+        replace(p, beta=params.beta, density=params.density) == params
+        and (e == elev or isinstance(e, ConstantElevation) and isinstance(elev, ConstantElevation))
+        for p, e in rest)
+
+
 def estimate_sweep(
     metric, rows, elev, n_samples, master_seed, sim_radius=None, guard_tolerance=1e-3
 ):
     """Monte Carlo coverage ('downlink' or 'cellfree') of every row from one run.
 
-    rows is a sequence of NetworkParams that differ from rows[0] in beta
-    and density only; elev is one elevation law for every row, or a sequence
-    of one per row, which may differ only as constant elevations with
-    different theta_bar.  The geometry is drawn once, at rows[0]'s density
-    and seed, and each row is counted on it: beta is a threshold on the same
-    SINR, and a density lambda_j is the same draw with every distance scaled
-    by (lambda_0/lambda_j)^(1/2), which is the noise scaled by
-    (lambda_0/lambda_j)^(alpha/2).  theta_bar enters a constant-elevation
-    draw only as the factor cos^alpha theta_bar on every path gain and as
-    the LoS threshold rho(theta_bar) on the common LoS uniforms, so rows
-    with several theta_bar share one draw too (_theta_blocks), made at the
-    largest of their guard radii (or sim_radius), each row adding its own
-    tail mean at that radius.  The estimates are correlated across rows;
-    each is, on its own, distributed as a separate run at that row and
-    radius.  With one elevation, rows[0]'s estimate is the one
-    estimate_downlink or estimate_cellfree returns for rows[0] and the same
-    seed; with several, no row's is.
+    rows is a sequence of NetworkParams and elev one elevation law for
+    every row, or a sequence of one per row; shares_draw must admit them.
+    The geometry is drawn once, at rows[0]'s density and seed, and each row
+    is counted on it.  Rows with several theta_bar are drawn at the largest
+    of their guard radii (or sim_radius), each row adding its own tail mean
+    at that radius.  The estimates are correlated across rows; each is, on
+    its own, distributed as a separate run at that row and radius.  With
+    one elevation, rows[0]'s estimate is the one estimate_downlink or
+    estimate_cellfree returns for rows[0] and the same seed; with several,
+    no row's is.
     """
     params = rows[0]
     elevs = list(elev) if isinstance(elev, (list, tuple)) else [elev] * len(rows)
     if len(elevs) != len(rows):
         raise InvalidParameterError("give one elevation law, or one per row")
-    for p in rows:
-        if replace(p, beta=params.beta, density=params.density) != params:
-            raise InvalidParameterError(
-                "rows of one run may differ in beta and density only")
-    laws = list(dict.fromkeys(elevs))
-    if len(laws) > 1 and not all(isinstance(e, ConstantElevation) for e in laws):
+    if not shares_draw(list(zip(rows, elevs))):
         raise InvalidParameterError(
-            "rows of one run may differ in elevation only as constant theta_bar")
+            "rows of one run may differ in beta, density and constant theta_bar only")
+    laws = list(dict.fromkeys(elevs))
     if len(rows) > _MAX_ROWS:
         raise InvalidParameterError(f"a run takes at most {_MAX_ROWS} rows, got {len(rows)}")
     if metric == "cellfree" and params.noise <= 0.0:

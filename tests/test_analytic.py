@@ -399,7 +399,8 @@ def test_jensen_bound_frozen_oracle_and_ordering():
     p = NetworkParams(density=1e-6, n_antennas=3)
     jb = jensen_lower_bound(p, E25)
     assert jb.method == "bound"
-    assert jb.value == pytest.approx(0.94311152556189057, abs=1e-10)
+    # exp(-T beta - I(beta, 2/alpha)), the N = 1 value, from 40-digit mpmath
+    assert jb.value == pytest.approx(0.77003587517188598, abs=1e-10)
     for n in (1, 2, 4, 8):
         for dens in (1e-7, 1e-6):
             params = NetworkParams(density=dens, n_antennas=n)

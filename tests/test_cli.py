@@ -309,7 +309,11 @@ def _count_draws(monkeypatch):
      "sweep_variable = theta_bar\nsweep_start = 10\nsweep_stop = 40\nsweep_steps = 4\n", False),
     ("elevation = gamma_tan\nshape = 3\ntheta_bar_deg = 20\n"
      "sweep_variable = shape\nsweep_start = 1\nsweep_stop = 4\nsweep_steps = 4\n", False),
-], ids=["beta", "lambda", "theta_bar", "gamma_tan-theta_bar", "shape"])
+    # the grouping follows the rows, not the axis name: equal rows share a draw
+    ("sweep_variable = n_antennas\nsweep_start = 2\nsweep_stop = 2\nsweep_steps = 3\n", True),
+    ("sweep_variable = n_antennas\nsweep_start = 1\nsweep_stop = 4\nsweep_steps = 4\n", False),
+], ids=["beta", "lambda", "theta_bar", "gamma_tan-theta_bar", "shape", "equal-n_antennas",
+        "n_antennas"])
 def test_shared_sweeps_draw_once(monkeypatch, metric, axis, shared):
     cfg = parse_config(f"metric = {metric}\nmode = montecarlo\nn_samples = 300\n" + axis)
     calls = _count_draws(monkeypatch)
@@ -347,6 +351,17 @@ def test_theta_sweep_rows_agree_with_analytic(metric):
     for row in rows:
         assert row["error"] is None and row["seed"] == rows[0]["seed"]
         assert abs(row["z_score"]) <= 3.0, (row["sweep_value"], row["p_analytic"], row["p_mc"])
+
+
+def test_unwritable_output_path_exits_config_before_the_run(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "run_sweep", None)  # the run must not start
+    out = str(tmp_path / "missing" / "out.csv")
+    cfg = _cfg_file(tmp_path, ANALYTIC_SWEEP)
+    assert main(["sweep", cfg, "--output", out]) == EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
+    cfg = _cfg_file(tmp_path, ANALYTIC_SWEEP + f"output_path = {out}\n")
+    assert main(["sweep", cfg]) == EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_config(tmp_path, capsys):
@@ -429,6 +444,17 @@ def test_validate_exit_reflects_report(monkeypatch, capsys, passed, code):
     assert report["passed"] is passed
     assert ("FAIL bravo (off by 2)" in captured.err) is not passed
     assert "numerics:" in captured.err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--n-samples", "0"), ("--n-samples", "-5"), ("--n-samples", "many"), ("--seed", "-1"),
+])
+def test_validate_rejects_bad_sample_counts_and_seeds(monkeypatch, capsys, flag, value):
+    monkeypatch.setattr("uavcov.validation.run_suite", None)  # no suite may run
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "coverage", flag, value])
+    assert exc.value.code == EXIT_CONFIG
+    assert flag in capsys.readouterr().err
 
 
 def test_validate_numerics_suite_end_to_end(capsys):

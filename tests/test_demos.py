@@ -10,8 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from uavcov.cli import _points
-from uavcov.config import parse_config
+from uavcov.config import parse_config, points
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
@@ -45,6 +44,6 @@ CONFIGS = sorted((Path(__file__).resolve().parents[1] / "demos" / "configs").glo
 def test_demo_config_builds_every_row(path):
     # parse only: lists the sweep's points and runs no coverage computation
     cfg = parse_config(path.read_text(encoding="utf-8"))
-    points = _points(cfg)
-    assert len(points) == cfg.sweep.steps
-    assert [error for *_, error in points if error is not None] == []
+    rows = points(cfg)
+    assert len(rows) == cfg.sweep.steps
+    assert [error for *_, error in rows if error is not None] == []
