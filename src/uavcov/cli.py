@@ -8,9 +8,9 @@ the JSON report to stdout and PASS/FAIL lines to stderr.
 `sweep` and `point` share one path, run_sweep: `point` is the config with
 its sweep removed, which is one point.  The points are grouped into Monte
 Carlo draws by montecarlo.shares_draw (see run_sweep).  Every draw and
-every analytic value is one job for the same pool worker, evaluate_point.
-`--workers` takes 1 to os.cpu_count(), and no more processes start than
-there are jobs.
+every analytic value is one evaluate_point job for jobs.map_jobs.
+`--workers` takes 1 to os.cpu_count() worker threads, and no more threads
+start than there are jobs; the rows do not depend on the thread count.
 
 Exit codes: 0 success, 1 validation failure, 2 config error, 3 numeric
 error in at least one point (failed points carry nan cells; the run still
@@ -23,7 +23,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import replace
 
@@ -31,7 +30,8 @@ import numpy as np
 
 from . import validation
 from .analytic import cellfree_coverage, downlink_coverage
-from .config import ConfigError, parse_config, points
+from .config import ConfigError, check_guard_disks, parse_config, points
+from .jobs import map_jobs
 from .montecarlo import estimate_sweep, shares_draw
 
 EXIT_OK = 0
@@ -53,7 +53,7 @@ CSV_COLUMNS = (
 
 
 def evaluate_point(job):
-    """Pool worker: job = (fn, args).  Returns ((result, error message),
+    """Run one job = (fn, args).  Returns ((result, error message),
     seconds); a raised exception gives (None, its message)."""
     fn, args = job
     start = time.perf_counter()
@@ -120,15 +120,6 @@ def _bad_row(variable, value, message):
     }
 
 
-def _map(fn, items, workers):
-    """[fn(item) for item in items] on min(workers, len(items)) processes."""
-    workers = min(workers, len(items))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def run_sweep(cfg, workers=1):
     """Evaluate every point of cfg; rows in sweep order.
 
@@ -157,7 +148,7 @@ def run_sweep(cfg, workers=1):
         jobs.append((estimate_sweep, (cfg.metric, list(params), list(elevs), cfg.n_samples,
                                       seed, None, cfg.guard_tolerance)))
     jobs += [(coverage, pts[i][2]) for i in analytic]
-    done = iter(_map(evaluate_point, jobs, workers))
+    done = iter(map_jobs(evaluate_point, jobs, workers))
     mc_out = {}
     for draw in draws:
         (estimates, error), seconds = next(done)
@@ -242,11 +233,12 @@ def cmd_sweep(args):
 
 def cmd_point(args):
     try:
-        cfg = parse_config(_read_config(args.config))
+        cfg = replace(parse_config(_read_config(args.config)), sweep=None)
+        check_guard_disks(cfg)  # parse_config checked the sweep's rows, not this point
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    row = run_sweep(replace(cfg, sweep=None))[0]
+    row = run_sweep(cfg)[0]
     result = _jsonable(row)
     del result["sweep_var"], result["sweep_value"]
     result["metric"] = cfg.metric
@@ -306,7 +298,8 @@ def build_parser():
     p_sweep = sub.add_parser("sweep", help="run the configured parameter sweep")
     p_sweep.add_argument("config", help="config file path, or - for stdin")
     p_sweep.add_argument("--workers", type=_integer(1, os.cpu_count() or 1), default=1,
-                         help="worker processes, 1 to the CPU count (default 1)")
+                         help="worker threads, 1 to the CPU count (default 1); "
+                              "the rows do not depend on it")
     p_sweep.add_argument("--output", default=None,
                          help="override output path (- for stdout)")
     p_sweep.add_argument("--format", choices=("csv", "json"), default=None,

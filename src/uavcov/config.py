@@ -259,21 +259,22 @@ def parse_config(text):
         output_path=pairs.get("output_path"),
         output_format=_get_choice(pairs, "output_format", _FORMATS, "csv"),
     )
-    if cfg.mode != "analytic":
-        _check_guard_disks(cfg)
+    check_guard_disks(cfg)
     return cfg
 
 
-def _check_guard_disks(cfg):
-    """Refuse a config whose base point or any sweep row has a guard disk
-    over montecarlo's point cap.
+def check_guard_disks(cfg):
+    """Refuse a Monte Carlo config with a point, in points(cfg), whose guard
+    disk is over montecarlo's point cap.
 
-    Arithmetic only, before anything is drawn.  A row that does not build,
-    or whose radius cannot be computed, is left to the run, which reports
-    it as an error row.
+    A sweep's base point is not one of its points: `uavcov point` checks
+    that with the sweep removed.  Arithmetic only, before anything is
+    drawn.  A row that does not build, or whose radius cannot be computed,
+    is left to the run, which reports it as an error row.
     """
-    base = points(replace(cfg, sweep=None))
-    for value, _, setting, error in base + ([] if cfg.sweep is None else points(cfg)):
+    if cfg.mode == "analytic":
+        return
+    for value, _, setting, error in points(cfg):
         if error is not None:
             continue
         params, elev = setting

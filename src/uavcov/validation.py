@@ -11,9 +11,15 @@ transform.  'distributions' runs KS tests of sampled extremes against the
 closed-form laws.  'coverage' pairs the analytic downlink expression with
 Monte Carlo over the default grid and checks the z-scores.  Failures are
 report content, not exceptions.
+
+Every check is one independent job with its own inputs and seed.  A suite
+runs its job list through jobs.map_jobs on min(os.cpu_count(), jobs)
+threads ('all' as one list: numerics, distributions, coverage), and the
+report, checks in list order, does not depend on that count.
 """
 
 import math
+import os
 from functools import partial
 
 import numpy as np
@@ -28,6 +34,7 @@ from .analytic import (
     peak_gain_cdf,
     thinned_points,
 )
+from .jobs import map_jobs
 from .model import ConstantElevation, NetworkParams, realize_network
 from .montecarlo import (
     estimate_downlink,
@@ -200,12 +207,14 @@ _NUMERICS = (
 )
 
 
+def _numerics_jobs():
+    return [(name, lambda pair=pair, tol=tol, rel=rel: _tol_check(*pair(), tol, rel))
+            for name, pair, tol, rel in _NUMERICS]
+
+
 def numerics_suite():
     """Every _NUMERICS row as a check of |value - reference| against its tolerance."""
-    return _finish("numerics", [
-        _check(name, lambda pair=pair, tol=tol, rel=rel: _tol_check(*pair(), tol, rel))
-        for name, pair, tol, rel in _NUMERICS
-    ])
+    return _run("numerics", _numerics_jobs())
 
 
 # -- distributions suite -------------------------------------------------------
@@ -239,24 +248,17 @@ def nearest_sq_check(params, elev, case, n_samples, master_seed):
     return _ks_result(xs, "expon", args=(0.0, 1.0 / rate))
 
 
-def distributions_suite(n_samples=10_000, master_seed=7):
+def _distributions_jobs(n_samples=10_000, master_seed=7):
     params = NetworkParams(density=1e-6)
     elev = ConstantElevation(math.radians(25.0))
-    checks = [
-        _check(
-            "peak-gain-law",
-            lambda: peak_gain_check(params, elev, n_samples, master_seed),
-        )
-    ]
+    jobs = [("peak-gain-law", lambda: peak_gain_check(params, elev, n_samples, master_seed))]
     for i, case in enumerate(("all-los-unit", "los-weighted", "pure-los")):
-        checks.append(
-            _check(
-                f"nearest-sq-{case}",
-                lambda case=case, i=i: nearest_sq_check(
-                    params, elev, case, n_samples, master_seed + 1 + i
-                ),
-            )
-        )
+        jobs.append((
+            f"nearest-sq-{case}",
+            lambda case=case, i=i: nearest_sq_check(
+                params, elev, case, n_samples, master_seed + 1 + i
+            ),
+        ))
 
     def thinned_law():
         rate = nearest_sq_rate(params, elev, "los-weighted")
@@ -273,8 +275,12 @@ def distributions_suite(n_samples=10_000, master_seed=7):
                 mins[j] = float(np.min(np.sum(pts * pts, axis=1)))
         return _ks_result(mins, "expon", args=(0.0, 1.0 / rate))
 
-    checks.append(_check("thinned-process-law", thinned_law))
-    return _finish("distributions", checks)
+    jobs.append(("thinned-process-law", thinned_law))
+    return jobs
+
+
+def distributions_suite(n_samples=10_000, master_seed=7):
+    return _run("distributions", _distributions_jobs(n_samples, master_seed))
 
 
 # -- coverage suite --------------------------------------------------------------
@@ -305,25 +311,25 @@ def coverage_point(n_antennas, theta_deg, density, n_samples, master_seed):
     }
 
 
+def _coverage_jobs(n_samples=100_000, master_seed=101):
+    return [
+        (f"downlink-N{n}-theta{theta_deg:g}-density{density:g}",
+         lambda n=n, t=theta_deg, d=density, i=idx: coverage_point(
+             n, t, d, n_samples, master_seed + i))
+        for idx, (n, theta_deg, density) in enumerate(COVERAGE_GRID)
+    ]
+
+
 def coverage_suite(n_samples=100_000, master_seed=101):
-    checks = []
-    for idx, (n, theta_deg, density) in enumerate(COVERAGE_GRID):
-        name = f"downlink-N{n}-theta{theta_deg:g}-density{density:g}"
-        checks.append(
-            _check(
-                name,
-                lambda n=n, t=theta_deg, d=density, i=idx: coverage_point(
-                    n, t, d, n_samples, master_seed + i
-                ),
-            )
-        )
-    return _finish("coverage", checks)
+    return _run("coverage", _coverage_jobs(n_samples, master_seed))
 
 
 # -- dispatch -------------------------------------------------------------------
 
 
-def _finish(suite, checks):
+def _run(suite, jobs):
+    """The report of one job list of (name, fn) checks, run on every core."""
+    checks = map_jobs(lambda job: _check(*job), jobs, os.cpu_count() or 1)
     n_failed = sum(1 for c in checks if not c["passed"])
     return {
         "suite": suite,
@@ -349,9 +355,6 @@ def run_suite(suite, n_samples=None, master_seed=None):
         return distributions_suite(**kwargs)
     if suite == "coverage":
         return coverage_suite(**kwargs)
-    reports = [numerics_suite(), distributions_suite(**kwargs), coverage_suite(**kwargs)]
-    checks = []
-    for rep in reports:
-        for c in rep["checks"]:
-            checks.append({**c, "name": f"{rep['suite']}/{c['name']}"})
-    return _finish("all", checks)
+    slices = (("numerics", _numerics_jobs()), ("distributions", _distributions_jobs(**kwargs)),
+              ("coverage", _coverage_jobs(**kwargs)))
+    return _run("all", [(f"{part}/{name}", fn) for part, jobs in slices for name, fn in jobs])

@@ -6,10 +6,12 @@ import io
 import json
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 import uavcov.cli as cli
+import uavcov.jobs as jobs
 import uavcov.montecarlo as mc
 from uavcov.analytic import downlink_coverage
 from uavcov.cli import (
@@ -117,26 +119,18 @@ def test_parallel_workers_match_serial():
             assert a == b
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+class _RecordingPool(ThreadPoolExecutor):
+    """The runner's executor, recording each pool's max_workers."""
 
     started = []
 
     def __init__(self, max_workers):
         self.started.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
+        super().__init__(max_workers)
 
 
 def test_pool_starts_no_more_workers_than_jobs(monkeypatch):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(jobs, "ThreadPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "started", [])
     two_rows = ("mode = analytic\nsweep_variable = theta_bar\n"
                 "sweep_start = 10\nsweep_stop = 20\nsweep_steps = 2\n")
@@ -153,7 +147,7 @@ def test_pool_starts_no_more_workers_than_jobs(monkeypatch):
 
 @pytest.mark.parametrize("value", ["0", "-1", str((os.cpu_count() or 1) + 1), "two"])
 def test_workers_outside_one_to_cpu_count_rejected(monkeypatch, tmp_path, capsys, value):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", None)  # no pool may start
+    monkeypatch.setattr(jobs, "ThreadPoolExecutor", None)  # no pool may start
     cfg = _cfg_file(tmp_path, ANALYTIC_SWEEP)
     with pytest.raises(SystemExit) as exc:
         main(["sweep", cfg, "--workers", value])
@@ -245,6 +239,18 @@ def test_sweep_refuses_a_row_whose_guard_disk_is_oversized(tmp_path, capsys):
     assert main(["sweep", cfg]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "2.93e+07 points" in err and "theta_bar = 0" in err
+
+
+def test_point_refuses_its_base_guard_disk_that_parse_config_left_to_it(tmp_path, capsys):
+    # parse_config checks a sweep's rows (20..40 deg, 7.3e5 points each) and
+    # accepts the document; `point` runs the base at theta 0, 2.93e7 points
+    cfg = _cfg_file(tmp_path, "ell = 0\ntheta_bar_deg = 0\nguard_tolerance = 3e-6\n"
+                              "n_samples = 100\nsweep_variable = theta_bar\n"
+                              "sweep_start = 20\nsweep_stop = 40\nsweep_steps = 3\n")
+    assert main(["point", cfg]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "guard_tolerance" in captured.err and "2.93e+07 points" in captured.err
 
 
 # -- beta and lambda sweeps: one Monte Carlo draw serves every row ---------------

@@ -179,6 +179,15 @@ def test_guard_disk_cap_applies_to_every_sweep_row():
     assert parse_config("mode = analytic\n" + sweep + "sweep_start = 0\nsweep_stop = 40\n")
 
 
+def test_guard_disk_cap_skips_a_sweeps_base_point():
+    # the base theta 0 holds 2.9e7 points at 3e-6, but `sweep` runs only the
+    # 20..40 deg rows, 7.3e5 each; `point` checks the base itself
+    cfg = parse_config("ell = 0\ntheta_bar_deg = 0\nguard_tolerance = 3e-6\n"
+                       "sweep_variable = theta_bar\nsweep_start = 20\nsweep_stop = 40\n"
+                       "sweep_steps = 3\n")
+    assert cfg.elevation.theta_bar == 0.0 and cfg.sweep.steps == 3
+
+
 # -- sweeps ---------------------------------------------------------------------
 
 
