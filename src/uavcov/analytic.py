@@ -23,11 +23,15 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import beta as beta_fn, betainc
 
 from .model import InvalidParameterError, los_probability
 from .numerics.jets import jet_exp
 from .numerics.quadrature import _ABS_TOL, _REL_TOL, integrate
+
+# antennas of one analytic downlink value: jet_exp works on (480, N) arrays
+# in N steps: about 4 s and 115 MB at the cap on a 2-core x86-64 machine,
+# growing as N^2 past it
+_MAX_ANTENNAS = 4096
 
 
 # -- results ----------------------------------------------------------------
@@ -175,6 +179,10 @@ def _ig_series(s0, v, k):
     b_j = v s0^v B(j - v, 1 + v) I_q(j - v, 1 + v), q = s0/(1 + s0): every
     b_j is nonnegative and they sum to I0 over all j.
     """
+    # imported here: at module level scipy.special adds ~0.25 s to every cold
+    # start, Monte Carlo runs included, and only the analytic route needs it
+    from scipy.special import beta as beta_fn, betainc
+
     j = np.arange(k + 1, dtype=float)
     a = np.where(j == 0, 1.0 - v, j - v)
     b = np.where(j == 0, v, 1.0 + v)
@@ -183,6 +191,22 @@ def _ig_series(s0, v, k):
 
 
 # -- coverage ---------------------------------------------------------------
+
+
+def downlink_antennas(n_antennas):
+    """The antenna count of an analytic downlink value, refused over
+    _MAX_ANTENNAS.
+
+    Time and memory grow with N^2, so the refusal comes before any work:
+    downlink_coverage checks its own count here, and parse_config every
+    analytic downlink point of a config.
+    """
+    n = int(n_antennas)
+    if n > _MAX_ANTENNAS:
+        raise InvalidParameterError(
+            f"n_antennas = {n} is over the analytic downlink cap of {_MAX_ANTENNAS} "
+            f"(its series takes N steps on (480, N) arrays)")
+    return n
 
 
 @_in_double_range
@@ -200,11 +224,12 @@ def downlink_coverage(params, elev):
     the row, gives the value; numerical_error is the quadrature tolerance
     (plus the distance of any clamp into [0, 1]).
     """
+    n = downlink_antennas(params.n_antennas)
     alpha = params.alpha
     mu = math.pi * params.density * effective_density_factor(params, elev)
     c = params.noise / params.power / mu ** (alpha / 2.0)
     s0 = params.beta
-    i0, b = _ig_series(s0, 2.0 / alpha, int(params.n_antennas) - 1)
+    i0, b = _ig_series(s0, 2.0 / alpha, n - 1)
     # z = scale * y puts the integrand's decay at y ~ 1, however small the
     # noise term makes it in z
     scale = 1.0 / (1.0 + i0 + (c * s0) ** (2.0 / alpha))

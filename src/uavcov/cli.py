@@ -30,7 +30,7 @@ import numpy as np
 
 from . import validation
 from .analytic import cellfree_coverage, downlink_coverage
-from .config import ConfigError, check_guard_disks, parse_config, points
+from .config import ConfigError, check_caps, parse_config, points
 from .jobs import map_jobs
 from .montecarlo import estimate_sweep, shares_draw
 
@@ -69,12 +69,16 @@ def _row(sweep_var, sweep_value, analytic, mc, n_samples, seed, seconds):
 
     analytic and mc are (result, error message) pairs, or None for a half
     the mode does not run; numeric failures set the affected cells to nan
-    and carry the message in 'error'.
+    and carry the message in 'error'.  method and numerical_error come from
+    the analytic half: None without one or when it failed.  They appear in
+    JSON output only; CSV writes CSV_COLUMNS.
     """
     row = {
         "sweep_var": sweep_var,
         "sweep_value": sweep_value,
         "p_analytic": None,
+        "method": None,
+        "numerical_error": None,
         "p_mc": None,
         "mc_stderr": None,
         "z_score": None,
@@ -86,9 +90,13 @@ def _row(sweep_var, sweep_value, analytic, mc, n_samples, seed, seconds):
     errors = []
     if analytic is not None:
         result, error = analytic
-        row["p_analytic"] = float("nan") if error else result.value
         if error:
+            row["p_analytic"] = float("nan")
             errors.append(f"analytic: {error}")
+        else:
+            row["p_analytic"] = result.value
+            row["method"] = result.method
+            row["numerical_error"] = result.numerical_error
     if mc is not None:
         est, error = mc
         row["n_samples"] = n_samples
@@ -110,6 +118,8 @@ def _bad_row(variable, value, message):
         "sweep_var": variable,
         "sweep_value": value,
         "p_analytic": float("nan"),
+        "method": None,
+        "numerical_error": None,
         "p_mc": float("nan"),
         "mc_stderr": float("nan"),
         "z_score": float("nan"),
@@ -234,7 +244,7 @@ def cmd_sweep(args):
 def cmd_point(args):
     try:
         cfg = replace(parse_config(_read_config(args.config)), sweep=None)
-        check_guard_disks(cfg)  # parse_config checked the sweep's rows, not this point
+        check_caps(cfg)  # parse_config checked the sweep's rows, not this point
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

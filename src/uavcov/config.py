@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .analytic import downlink_antennas
 from .model import (
     ConstantElevation,
     GammaTanElevation,
@@ -151,8 +152,9 @@ def parse_config(text):
     """Parse a flat key-value document into a RunConfig.
 
     Raises ConfigError naming the offending key for unknown keys, bad
-    values, parameter-range violations, a sweep over the row cap, or a
-    Monte Carlo guard disk over the point cap.
+    values, parameter-range violations, a sweep over the row cap, an
+    analytic downlink over the antenna cap, or a Monte Carlo guard disk
+    over the point cap.
     """
     pairs = _parse_lines(text)
 
@@ -259,31 +261,39 @@ def parse_config(text):
         output_path=pairs.get("output_path"),
         output_format=_get_choice(pairs, "output_format", _FORMATS, "csv"),
     )
-    check_guard_disks(cfg)
+    check_caps(cfg)
     return cfg
 
 
-def check_guard_disks(cfg):
-    """Refuse a Monte Carlo config with a point, in points(cfg), whose guard
-    disk is over montecarlo's point cap.
+def check_caps(cfg):
+    """Refuse a config with a point, in points(cfg), over a cap: a Monte
+    Carlo guard disk over montecarlo's point cap, or an analytic downlink
+    value over analytic's antenna cap.
 
     A sweep's base point is not one of its points: `uavcov point` checks
     that with the sweep removed.  Arithmetic only, before anything is
-    drawn.  A row that does not build, or whose radius cannot be computed,
-    is left to the run, which reports it as an error row.
+    computed.  A row that does not build, or whose radius cannot be
+    computed, is left to the run, which reports it as an error row.
     """
-    if cfg.mode == "analytic":
-        return
+    antennas = cfg.metric == "downlink" and cfg.mode != "montecarlo"
+    disks = cfg.mode != "analytic"
     for value, _, setting, error in points(cfg):
         if error is not None:
             continue
         params, elev = setting
+        where = "" if math.isnan(value) else f" at {cfg.sweep.variable} = {value:g}"
+        if antennas:
+            try:
+                downlink_antennas(params.n_antennas)
+            except InvalidParameterError as exc:
+                raise ConfigError("n_antennas", f"{exc}{where}") from None
+        if not disks:
+            continue
         try:
             disk_points(params.density, guard_radius(params, elev, cfg.guard_tolerance))
         except ArithmeticError:
             continue
         except InvalidParameterError as exc:
-            where = "" if math.isnan(value) else f" at {cfg.sweep.variable} = {value:g}"
             raise ConfigError(
                 "guard_tolerance",
                 f"{cfg.guard_tolerance:g} gives a guard disk{where} where {exc}; "

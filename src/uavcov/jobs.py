@@ -7,8 +7,6 @@ no interpreter start-up.  Every job owns its inputs and its generator, so a
 job list gives the same results on any number of threads.
 """
 
-from concurrent.futures import ThreadPoolExecutor
-
 
 def map_jobs(fn, items, workers):
     """[fn(item) for item in items], in order, on min(workers, len(items))
@@ -22,6 +20,9 @@ def map_jobs(fn, items, workers):
     workers = min(workers, len(items))
     if workers <= 1:
         return [fn(item) for item in items]
+    # imported here: `point` and one-worker sweeps never build a pool
+    from concurrent.futures import ThreadPoolExecutor
+
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
         futures = [pool.submit(fn, item) for item in items]

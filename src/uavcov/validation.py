@@ -23,7 +23,6 @@ import os
 from functools import partial
 
 import numpy as np
-from scipy.special import erfcx
 
 from .analytic import (
     cellfree_coverage,
@@ -173,6 +172,8 @@ def _downlink_erfc(density, beta, noise, theta_deg):
     """alpha = 4, N = 1: coverage is int_0^inf exp(-a z - b z^2) dz =
     sqrt(pi / 4b) erfcx(a / (2 sqrt b)), with a = 1 + I(beta, 1/2) and
     b = beta noise / (power (pi density w_eff)^2)."""
+    from scipy.special import erfcx  # imported here, as in analytic._ig_series
+
     p = NetworkParams(density=density, alpha=4.0, beta=beta, noise=noise)
     elev = ConstantElevation(math.radians(theta_deg))
     mu = math.pi * density * effective_density_factor(p, elev)

@@ -1,6 +1,7 @@
 """CLI behavior: schemas, exit codes, worker parity, shared-draw sweeps,
 validate wiring."""
 
+import concurrent.futures
 import csv
 import io
 import json
@@ -11,7 +12,6 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 import uavcov.cli as cli
-import uavcov.jobs as jobs
 import uavcov.montecarlo as mc
 from uavcov.analytic import downlink_coverage
 from uavcov.cli import (
@@ -130,7 +130,7 @@ class _RecordingPool(ThreadPoolExecutor):
 
 
 def test_pool_starts_no_more_workers_than_jobs(monkeypatch):
-    monkeypatch.setattr(jobs, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "started", [])
     two_rows = ("mode = analytic\nsweep_variable = theta_bar\n"
                 "sweep_start = 10\nsweep_stop = 20\nsweep_steps = 2\n")
@@ -147,7 +147,7 @@ def test_pool_starts_no_more_workers_than_jobs(monkeypatch):
 
 @pytest.mark.parametrize("value", ["0", "-1", str((os.cpu_count() or 1) + 1), "two"])
 def test_workers_outside_one_to_cpu_count_rejected(monkeypatch, tmp_path, capsys, value):
-    monkeypatch.setattr(jobs, "ThreadPoolExecutor", None)  # no pool may start
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)  # no pool may start
     cfg = _cfg_file(tmp_path, ANALYTIC_SWEEP)
     with pytest.raises(SystemExit) as exc:
         main(["sweep", cfg, "--workers", value])
@@ -417,6 +417,41 @@ def test_point_reports_json(tmp_path, capsys):
     ).value
     assert result["p_analytic"] == pytest.approx(want, rel=1e-12)
     assert result["p_mc"] is None
+
+
+def test_point_refuses_its_base_antenna_count_that_parse_config_left_to_it(tmp_path, capsys):
+    # the sweep's rows have 1 and 2 antennas; `point` would run the base's 5000
+    cfg = _cfg_file(tmp_path, "mode = analytic\nn_antennas = 5000\nsweep_variable = n_antennas\n"
+                              "sweep_start = 1\nsweep_stop = 2\nsweep_steps = 2\n")
+    assert main(["point", cfg]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n_antennas = 5000" in captured.err and "4096" in captured.err
+
+
+def test_json_rows_say_how_the_analytic_value_was_computed(tmp_path, capsys):
+    assert main(["point", _cfg_file(tmp_path, "mode = analytic\ntheta_bar_deg = 20\n")]) == EXIT_OK
+    point = json.loads(capsys.readouterr().out)
+    want = downlink_coverage(NetworkParams(density=1e-6), ConstantElevation(math.radians(20.0)))
+    assert (point["method"], point["numerical_error"]) == (want.method, want.numerical_error)
+    # no analytic half, or a failed one: both null
+    mc_only = "mode = montecarlo\nn_samples = 100\n"
+    assert main(["point", _cfg_file(tmp_path, mc_only)]) == EXIT_OK
+    point = json.loads(capsys.readouterr().out)
+    assert point["method"] is None and point["numerical_error"] is None
+    assert main(["point", _cfg_file(tmp_path, "mode = analytic\nalpha = 1e6\n")]) == EXIT_NUMERIC
+    point = json.loads(capsys.readouterr().out)
+    assert point["method"] is None and point["numerical_error"] is None
+    sweep = ("metric = cellfree\nmode = analytic\nsweep_variable = beta\n"
+             "sweep_start = 30\nsweep_stop = 45\nsweep_steps = 3\n")
+    assert main(["sweep", _cfg_file(tmp_path, sweep), "--format", "json"]) == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)
+    assert [row["method"] for row in rows] == ["exact-integration"] * 3
+    assert all(0.0 < row["numerical_error"] < 1e-6 for row in rows)
+    # CSV keeps its columns
+    assert main(["sweep", _cfg_file(tmp_path, sweep), "--format", "csv"]) == EXIT_OK
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header.split(",") == list(CSV_COLUMNS)
 
 
 def test_point_reads_stdin(monkeypatch, capsys):

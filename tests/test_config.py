@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import uavcov.analytic as analytic
 from uavcov.config import (
     ConfigError,
     RunConfig,
@@ -12,7 +13,12 @@ from uavcov.config import (
     apply_sweep_value,
     parse_config,
 )
-from uavcov.model import ConstantElevation, GammaTanElevation
+from uavcov.model import (
+    ConstantElevation,
+    GammaTanElevation,
+    InvalidParameterError,
+    NetworkParams,
+)
 
 
 def test_empty_document_yields_default_scenario():
@@ -186,6 +192,37 @@ def test_guard_disk_cap_skips_a_sweeps_base_point():
                        "sweep_variable = theta_bar\nsweep_start = 20\nsweep_stop = 40\n"
                        "sweep_steps = 3\n")
     assert cfg.elevation.theta_bar == 0.0 and cfg.sweep.steps == 3
+
+
+def test_analytic_downlink_over_the_antenna_cap_is_refused(monkeypatch):
+    # by arithmetic only: nothing may reach the series of such a value
+    def no_work(*args):
+        raise AssertionError("an over-cap value reached the integral")
+
+    monkeypatch.setattr(analytic, "effective_density_factor", no_work)
+    cap = analytic._MAX_ANTENNAS
+    assert cap == 4096
+    with pytest.raises(InvalidParameterError, match=f"n_antennas = {cap + 1} .* {cap}"):
+        analytic.downlink_coverage(NetworkParams(density=1e-6, n_antennas=cap + 1),
+                                    ConstantElevation(0.4))
+    for mode in ("analytic", "both"):
+        with pytest.raises(ConfigError, match=f"n_antennas = {cap + 1} .* {cap}") as exc:
+            parse_config(f"mode = {mode}\nn_antennas = {cap + 1}\n")
+        assert exc.value.key == "n_antennas"
+    assert parse_config(f"mode = analytic\nn_antennas = {cap}\n").params.n_antennas == cap
+    # the Monte Carlo half and the cell-free integral do not grow as N^2
+    assert parse_config("mode = montecarlo\nn_antennas = 65536\n").params.n_antennas == 65536
+    cellfree = parse_config("metric = cellfree\nmode = analytic\nn_antennas = 65536\n")
+    assert cellfree.params.n_antennas == 65536
+
+
+def test_antenna_cap_applies_to_every_sweep_row():
+    sweep = "mode = analytic\nsweep_variable = n_antennas\nsweep_steps = 2\n"
+    with pytest.raises(ConfigError, match="n_antennas = 4100") as exc:
+        parse_config(sweep + "sweep_start = 4000\nsweep_stop = 4100\n")
+    assert exc.value.key == "n_antennas"
+    # the base point is not a row: `point` checks it on its own
+    assert parse_config("n_antennas = 5000\n" + sweep + "sweep_start = 1\nsweep_stop = 2\n")
 
 
 # -- sweeps ---------------------------------------------------------------------

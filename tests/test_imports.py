@@ -2,16 +2,19 @@
 
 Every `uavcov point`/`sweep` process, demo and bench worker pays for the
 package's imports before its first evaluation, so a module-level import of
-a heavy scipy subpackage (scipy.stats alone drags in optimize, linalg,
-sparse, spatial, ndimage, interpolate, integrate and fft, ~0.8 s and ~44 MB)
-is a cost on every run.  Import such a package inside the function that
-uses it, or copy the constants it would supply.
+a scipy subpackage is a cost on every run: scipy.special alone adds about
+0.25 s to a cold start, and scipy.stats (optimize, linalg, sparse, spatial,
+ndimage, interpolate, integrate and fft) about 0.8 s and 44 MB.  Import
+such a package inside the function that uses it: scipy.special loads at the
+first analytic value, scipy.stats at the first KS test, concurrent.futures
+at the first pool.  A Monte Carlo run or a config error loads no scipy.
 
 The same goes for names: every exported name needs a user, and every name
 the benchmark in perfbench/ imports, traces or patches must still exist.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -20,7 +23,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
-_PROBE = """
+_IMPORT_PROBE = """
 import sys
 import uavcov, uavcov.cli, uavcov.validation
 print(" ".join(sorted(
@@ -30,17 +33,51 @@ print(" ".join(sorted(
 )))
 """
 
+# runs `uavcov point` in-process, then reports the heavy modules it loaded
+_POINT_PROBE = """
+import json, sys
+from uavcov import cli
+code = cli.main(["point", sys.argv[1]])
+heavy = [name for name in sys.modules if name.split(".")[0] in ("scipy", "concurrent")]
+print(json.dumps({"code": code, "modules": sorted(heavy)}), file=sys.stderr)
+"""
 
-def test_package_import_loads_only_scipy_special():
+
+def _python(args, **kwargs):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
-    out = subprocess.run(
-        [sys.executable, "-c", _PROBE],
-        env=env, capture_output=True, text=True, check=True,
-    ).stdout
-    assert set(out.split()) == {"scipy.special"}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, check=True, **kwargs)
+
+
+def test_package_import_loads_no_scipy_subpackage():
+    assert _python(["-c", _IMPORT_PROBE]).stdout.split() == []
+
+
+def _point(tmp_path, text):
+    """`uavcov point` on a config text in a fresh interpreter: (printed
+    JSON, exit code, the scipy and concurrent modules loaded by the end)."""
+    cfg = tmp_path / "point.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out = _python(["-c", _POINT_PROBE, str(cfg)])
+    probe = json.loads(out.stderr.strip().splitlines()[-1])
+    return json.loads(out.stdout), probe["code"], probe["modules"]
+
+
+def test_monte_carlo_point_loads_no_scipy_and_no_pool(tmp_path):
+    row, code, modules = _point(tmp_path, "mode = montecarlo\nn_samples = 2000\n")
+    assert code == 0 and modules == []
+    # the value recorded when scipy.special still loaded at import
+    assert (row["p_mc"], row["mc_stderr"]) == (0.7735, 0.009359427065798419)
+
+
+def test_analytic_point_loads_scipy_special_at_its_first_value(tmp_path):
+    row, code, modules = _point(tmp_path, "mode = analytic\n")
+    assert code == 0 and "scipy.special" in modules
+    # deferred, not replaced: the value recorded when it loaded at import
+    assert row["p_analytic"] == 0.7928248499457627
 
 
 def _used_names():
