@@ -9,9 +9,12 @@ Everything here reduces to five ingredients:
 * exponential laws for the nearest weighted point of that equivalent process;
 * an interference integral I(u, v), an incomplete beta function, entering
   every SINR expression;
-* the exponential of a power series (jet_exp), whose first N coefficients
-  turn Gamma(N, 1) fading into coverage; every term is nonnegative, and one
-  adaptive integral takes the expectation over the association distance;
+* the exponential of a power series, whose first N coefficients turn
+  Gamma(N, 1) fading into coverage; every term is nonnegative.  At every
+  quadrature node the row has the same shape, so _series_total runs
+  jet_exp's recurrence as one matrix-vector product over all nodes per
+  coefficient, and one adaptive integral takes the expectation over the
+  association distance;
 * Zolotarev's integral for the one-sided stable law of the summed cell-free
   signal, which gives cell-free coverage as one integral of terms in [0, 1].
 
@@ -25,13 +28,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import InvalidParameterError, los_probability
-from .numerics.jets import jet_exp
-from .numerics.quadrature import _ABS_TOL, _REL_TOL, integrate
+from .numerics.quadrature import _ABS_TOL, _REL_TOL, AccuracyError, integrate
 
-# antennas of one analytic downlink value: jet_exp works on (480, N) arrays
-# in N steps: about 4 s and 115 MB at the cap on a 2-core x86-64 machine,
-# growing as N^2 past it
+# antennas of one analytic downlink value: its series takes N steps on
+# (N, 480) arrays, about 0.1 s at N = 1024 and 1.5-1.9 s and 70 MB peak RSS
+# at the cap on a 2-core x86-64 machine, the time growing as N^2 past it
 _MAX_ANTENNAS = 4096
+
+# entries of the largest matrix-vector product the series hands to BLAS;
+# larger ones go through einsum's own loop.  OpenBLAS 0.3.31 splits a gemv
+# of 460 800 entries or more over its threads, which made N = 1024 up to
+# 5 times slower on two cores than on one thread
+_GEMV_ENTRIES = 1 << 18
 
 
 # -- results ----------------------------------------------------------------
@@ -61,12 +69,15 @@ def _clamped(value, method, tol):
 def _in_double_range(coverage):
     """coverage(params, elev) with a float overflow or division by zero
     raised as InvalidParameterError naming alpha and lambda: their extremes
-    put (pi lambda w_eff)^(alpha/2) outside the double range."""
+    put (pi lambda w_eff)^(alpha/2) outside the double range.  A quadrature
+    that misses its tolerance keeps its AccuracyError."""
 
     @functools.wraps(coverage)
     def checked(params, elev):
         try:
             return coverage(params, elev)
+        except AccuracyError:
+            raise
         except ArithmeticError as exc:
             raise InvalidParameterError(
                 f"alpha = {params.alpha:g} and lambda = {params.density:g} put "
@@ -190,6 +201,41 @@ def _ig_series(s0, v, k):
     return float(terms[0]), terms[1:]
 
 
+def _series_total(e0, noise, z, b):
+    """jet_exp(a).sum(-1) for the rows a = (log e0, z b_1 + noise, z b_2,
+    ..., z b_{N-1}), N - 1 = len(b), one row per entry of e0 (noise and z
+    broadcast against it).
+
+    jet_exp's recurrence becomes e_k = (z sum_j j b_j e_{k-j} + noise
+    e_{k-1}) / k with b shared by every row.  Kept newest-first,
+    e[N-1-k] = e_k, the coefficients make each step one matrix-vector
+    product over all rows.  Rows whose e0 underflows to 0 come out as
+    exact zeros.
+    """
+    n = len(b) + 1
+    shape = np.shape(e0)
+    e0 = np.ravel(e0)
+    alive = e0 > 0.0
+    # zero the dead rows' z and noise, so that an infinite one meets no 0
+    z = np.where(alive, np.ravel(z), 0.0)
+    noise = np.where(alive, np.ravel(noise), 0.0)
+    e = np.empty((n, e0.size))
+    e[n - 1] = e0
+    jb = np.arange(1, n) * b
+    buf = np.empty_like(e[0])
+    for k in range(1, n):
+        out = e[n - 1 - k]
+        if k * e0.size <= _GEMV_ENTRIES:
+            np.dot(jb[:k], e[n - k:], out=out)
+        else:
+            np.einsum("j,jm->m", jb[:k], e[n - k:], out=out)
+        out *= z
+        np.multiply(noise, e[n - k], out=buf)
+        out += buf
+        out *= 1.0 / k
+    return e.sum(axis=0).reshape(shape)
+
+
 # -- coverage ---------------------------------------------------------------
 
 
@@ -205,7 +251,7 @@ def downlink_antennas(n_antennas):
     if n > _MAX_ANTENNAS:
         raise InvalidParameterError(
             f"n_antennas = {n} is over the analytic downlink cap of {_MAX_ANTENNAS} "
-            f"(its series takes N steps on (480, N) arrays)")
+            f"(its series takes N steps on (N, 480) arrays)")
     return n
 
 
@@ -219,7 +265,8 @@ def downlink_coverage(params, elev):
     association variable scaled to a unit exponential, log L is
     -c s z^{alpha/2} - z I(s) with s = beta (1 - h) and c = noise / (power
     (pi density w_eff)^{alpha/2}); its h-coefficients beyond the first are
-    nonnegative, so jet_exp's coefficients are too and nothing cancels.
+    nonnegative, so the exponential's coefficients are too and nothing
+    cancels.
     One adaptive integral over z, with the exponential weight folded into
     the row, gives the value; numerical_error is the quadrature tolerance
     (plus the distance of any clamp into [0, 1]).
@@ -235,11 +282,9 @@ def downlink_coverage(params, elev):
     scale = 1.0 / (1.0 + i0 + (c * s0) ** (2.0 / alpha))
 
     def f(y):
-        z = scale * np.asarray(y, dtype=float)[..., None]
+        z = scale * np.asarray(y, dtype=float)
         noise = c * s0 * z ** (alpha / 2.0)
-        row = np.concatenate([-noise - z * (1.0 + i0), z * b], axis=-1)
-        row[..., 1:2] += noise
-        return jet_exp(row).sum(axis=-1)
+        return _series_total(np.exp(-noise - z * (1.0 + i0)), noise, z, b)
 
     value = scale * integrate(f, 0.0, math.inf)
     tol = max(_ABS_TOL, _REL_TOL * abs(value))
@@ -265,9 +310,9 @@ def jensen_lower_bound(params, elev):
     s0 = params.beta
     i0, b = _ig_series(n * s0, 2.0 / alpha, n - 1)
     noise_term = n * (params.noise / params.power) * math.gamma(1.0 + alpha / 2.0) / mu ** (alpha / 2.0)
-    row = np.concatenate([[-noise_term * s0 - i0], b])
-    row[1:2] += noise_term * s0
-    return _clamped(float(jet_exp(row).sum()), "bound", 0.0)
+    noise = noise_term * s0
+    total = _series_total(math.exp(-noise - i0), noise, 1.0, b)
+    return _clamped(float(total), "bound", 0.0)
 
 
 @_in_double_range

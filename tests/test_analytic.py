@@ -16,6 +16,7 @@ import scipy.integrate as si
 from scipy.special import erfcx
 from scipy.stats import kstest
 
+from uavcov import analytic, model
 from uavcov.analytic import (
     cellfree_coverage,
     downlink_coverage,
@@ -347,6 +348,29 @@ def test_analytic_values_converge_on_the_initial_partition(monkeypatch):
         calls.clear()
     effective_density_factor(NetworkParams(density=1e-6), GammaTanElevation(3.0, math.radians(20.0)))
     assert len(calls) <= 2, calls
+
+
+def _exhausted(*args):
+    raise quadrature.AccuracyError(
+        "quadrature did not converge after 200 subdivisions", estimate=0.5, error_bound=1e-3)
+
+
+@pytest.mark.parametrize("coverage", [downlink_coverage, cellfree_coverage])
+def test_quadrature_failure_keeps_its_type(monkeypatch, coverage):
+    # AccuracyError is an ArithmeticError: it came out as an
+    # InvalidParameterError blaming alpha and lambda for the double range
+    monkeypatch.setattr(analytic, "integrate", _exhausted)
+    with pytest.raises(quadrature.AccuracyError, match="200 subdivisions") as exc:
+        coverage(NetworkParams(density=1e-6, n_antennas=4), E25)
+    assert type(exc.value) is quadrature.AccuracyError and exc.value.error_bound == 1e-3
+
+
+def test_w_eff_quadrature_failure_keeps_its_type_in_the_jensen_bound(monkeypatch):
+    # the bound integrates only through a gamma_tan elevation's w_eff
+    monkeypatch.setattr(model, "integrate", _exhausted)
+    with pytest.raises(quadrature.AccuracyError, match="200 subdivisions"):
+        jensen_lower_bound(NetworkParams(density=1e-6, n_antennas=4),
+                           GammaTanElevation(3.0, math.radians(20.0)))
 
 
 # a fixed slice of the north-star grid: alpha, N and ell in full, theta and

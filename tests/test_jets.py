@@ -7,6 +7,8 @@ import mpmath
 import numpy as np
 import pytest
 
+from uavcov import analytic
+from uavcov.analytic import _ig_series, _series_total
 from uavcov.numerics import jet_exp
 from uavcov.validation import finite_difference
 
@@ -93,3 +95,35 @@ def test_underflowed_rows_are_zero():
         out = jet_exp(rows)
     assert np.array_equal(out[:2], np.zeros((2, 4)))
     assert np.allclose(out[2], [1.0, 1.0, 0.5, 1.0 / 6.0])
+
+
+@pytest.mark.parametrize("gemv_entries", [analytic._GEMV_ENTRIES, 100])
+@pytest.mark.parametrize("n", [1, 2, 5, 24, 64])
+def test_series_total_matches_jet_exp_rows(n, gemv_entries, monkeypatch):
+    # the downlink's rows [-nu - z (1 + I0), z b_1 + nu, z b_2, ...] at the
+    # quadrature nodes, z and nu including 0, against jet_exp row by row;
+    # a cap of 100 entries sends the steps past k = 2 through einsum
+    monkeypatch.setattr(analytic, "_GEMV_ENTRIES", gemv_entries)
+    i0, b = _ig_series(10.0, 2.0 / 2.75, n - 1)
+    rng = np.random.default_rng(n)
+    z = np.concatenate([[0.0, 0.0, 1.0, 3.0], rng.exponential(2.0, 40)])
+    nu = np.concatenate([[0.0, 0.7, 0.0, 2.5], rng.exponential(1.0, 40)])
+    rows = np.concatenate([(-nu - z * (1.0 + i0))[:, None], z[:, None] * b], axis=1)
+    rows[:, 1:2] += nu[:, None]
+    want = jet_exp(rows).sum(axis=-1)
+    got = _series_total(np.exp(rows[:, 0]), nu, z, b)
+    assert got.shape == z.shape
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_series_total_keeps_the_node_shape_and_zeroes_underflowed_rows():
+    # exp(a_0) underflows at z = 1e3 and at an infinite noise term: those
+    # rows are exact zeros, and no infinite z or nu meets a 0
+    _, b = _ig_series(10.0, 0.5, 23)
+    z = np.array([[1e3, 0.5], [np.inf, 2.0]])
+    nu = np.array([[1.0, np.inf], [0.0, 0.1]])
+    with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+        got = _series_total(np.exp(-nu - 2.0 * z), nu, z, b)
+    assert got.shape == (2, 2)
+    assert got[0, 0] == 0.0 and got[0, 1] == 0.0 and got[1, 0] == 0.0
+    assert got[1, 1] > 0.0
