@@ -184,20 +184,30 @@ def interference_integral(u, v):
     return _ig_series(u, v, 0)[0]
 
 
+def load_special():
+    """scipy.special, imported at its first use.
+
+    At module level it would add about 0.25 s to every cold start, Monte
+    Carlo runs and config errors included, and only the analytic downlink
+    needs it.  cli.run_sweep calls this before it times a run's analytic
+    downlink values, so that no value's time carries the import.
+    """
+    import scipy.special
+
+    return scipy.special
+
+
 def _ig_series(s0, v, k):
     """I0 = I(s0, v) and b_1..b_k with I(s0 (1 - h), v) = I0 - sum_j b_j h^j.
 
     b_j = v s0^v B(j - v, 1 + v) I_q(j - v, 1 + v), q = s0/(1 + s0): every
     b_j is nonnegative and they sum to I0 over all j.
     """
-    # imported here: at module level scipy.special adds ~0.25 s to every cold
-    # start, Monte Carlo runs included, and only the analytic route needs it
-    from scipy.special import beta as beta_fn, betainc
-
+    special = load_special()
     j = np.arange(k + 1, dtype=float)
     a = np.where(j == 0, 1.0 - v, j - v)
     b = np.where(j == 0, v, 1.0 + v)
-    terms = v * s0**v * beta_fn(a, b) * betainc(a, b, s0 / (1.0 + s0))
+    terms = v * s0**v * special.beta(a, b) * special.betainc(a, b, s0 / (1.0 + s0))
     return float(terms[0]), terms[1:]
 
 
@@ -209,10 +219,12 @@ def _series_total(e0, noise, z, b):
     jet_exp's recurrence becomes e_k = (z sum_j j b_j e_{k-j} + noise
     e_{k-1}) / k with b shared by every row.  Kept newest-first,
     e[N-1-k] = e_k, the coefficients make each step one matrix-vector
-    product over all rows.  Rows whose e0 underflows to 0 come out as
-    exact zeros.
+    product over all rows; at N = 1 there is no step and the total is e0.
+    Rows whose e0 underflows to 0 come out as exact zeros.
     """
     n = len(b) + 1
+    if n == 1:
+        return np.asarray(e0, dtype=float)
     shape = np.shape(e0)
     e0 = np.ravel(e0)
     alive = e0 > 0.0

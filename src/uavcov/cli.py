@@ -29,7 +29,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import validation
-from .analytic import cellfree_coverage, downlink_coverage
+from .analytic import cellfree_coverage, downlink_coverage, load_special
 from .config import ConfigError, check_caps, parse_config, points
 from .jobs import map_jobs
 from .montecarlo import estimate_sweep, shares_draw
@@ -141,7 +141,8 @@ def run_sweep(cfg, workers=1):
     differs from a standalone run of that point.  Each draw and each
     analytic value is one evaluate_point job.  A row's wall_ms is its
     analytic time plus its draw's time over the draw's size, so the rows
-    add up to the run's time.
+    add up to the run's time less the one-time scipy.special import that an
+    analytic downlink run makes before its jobs.
     """
     variable = "" if cfg.sweep is None else cfg.sweep.variable
     pts = points(cfg)
@@ -158,6 +159,8 @@ def run_sweep(cfg, workers=1):
         jobs.append((estimate_sweep, (cfg.metric, list(params), list(elevs), cfg.n_samples,
                                       seed, None, cfg.guard_tolerance)))
     jobs += [(coverage, pts[i][2]) for i in analytic]
+    if analytic and coverage is downlink_coverage:
+        load_special()  # its series needs it: loaded before the clock starts
     done = iter(map_jobs(evaluate_point, jobs, workers))
     mc_out = {}
     for draw in draws:

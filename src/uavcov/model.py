@@ -83,9 +83,16 @@ class NetworkParams:
 def los_probability(theta, c1=SUBURBAN_C1, c2=SUBURBAN_C2):
     """P[line of sight | elevation angle theta], theta in radians in [0, pi/2].
 
-    Computed as 1/(1 + c2 exp(-c1 theta)) in one output array, step by step
-    in that order; NaN is outside the range.
+    Computed as 1/(1 + c2 exp(-c1 theta)), step by step in that order, with
+    numpy's exp: a scalar theta (a Python or numpy number) in scalar
+    arithmetic, returning a float, and an array in one output array.  Both
+    give the same bits for the same angle.  NaN is outside the range.
     """
+    if np.isscalar(theta):
+        th = float(theta)
+        if not 0.0 <= th <= math.pi / 2:
+            raise InvalidParameterError("elevation angle must lie in [0, pi/2] radians")
+        return 1.0 / (float(np.exp(th * -c1)) * c2 + 1.0)
     th = np.asarray(theta, dtype=float)
     if th.size and not (th.min() >= 0.0 and th.max() <= math.pi / 2):
         raise InvalidParameterError("elevation angle must lie in [0, pi/2] radians")
@@ -94,7 +101,7 @@ def los_probability(theta, c1=SUBURBAN_C1, c2=SUBURBAN_C2):
     out *= c2
     out += 1.0
     np.divide(1.0, out, out=out)
-    return float(out) if np.isscalar(theta) else out
+    return out
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,11 @@ away, would bring the total within tolerance, and evaluates every new
 half-panel in one integrand call on an (m, 15) array.  Semi-infinite ranges
 are mapped to (0, 1) with x = a + (t/(1-t))^3; the Kronrod nodes are
 interior, so integrable endpoint singularities introduced by the map are
-handled by subdivision.
+handled by subdivision.  The first round on (0, 1) is the same for every
+semi-infinite integral, so its partition and mapped nodes are computed once
+per process (per panel count), at the first such integral; each integral
+then applies only its own integrand and the Jacobian, in the same order,
+so the values keep every bit.  Finite ranges compute their nodes afresh.
 """
 
 import math
@@ -76,19 +80,32 @@ class AccuracyError(ArithmeticError):
         self.error_bound = error_bound
 
 
-def _kronrod_panels(f, lo, hi):
-    """K15 estimates and |K15 - G7| errors of f on the panels [lo, hi]."""
+def _nodes(lo, hi):
+    """Half-widths and the (m, 15) Kronrod nodes of the panels [lo, hi]."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
-    fx = np.asarray(f(mid[:, None] + half[:, None] * _NODES), dtype=float)
+    return half, mid[:, None] + half[:, None] * _NODES
+
+
+def _kronrod_panels(f, lo, hi):
+    """K15 estimates and |K15 - G7| errors of f on the panels [lo, hi]."""
+    half, x = _nodes(lo, hi)
+    fx = np.asarray(f(x), dtype=float)
     ik = half * (fx @ _WK)
     return ik, np.abs(ik - half * (fx @ _WGFULL))
 
 
-def _adapt(f, a, b):
-    edges = np.linspace(float(a), float(b), _INITIAL_PANELS + 1)
-    lo, hi = edges[:-1], edges[1:]
-    est, err = _kronrod_panels(f, lo, hi)
+def _partition(a, b, panels):
+    """Lower and upper ends of `panels` equal panels covering [a, b]."""
+    edges = np.linspace(float(a), float(b), panels + 1)
+    return edges[:-1], edges[1:]
+
+
+def _adapt(f, lo, hi, first=None):
+    """Integrate f over the initial partition's panels [lo, hi].  first,
+    when given, stands in for f in the first round: a form of f that
+    already knows those panels' nodes."""
+    est, err = _kronrod_panels(f if first is None else first, lo, hi)
     splits = 0
     while True:
         total = float(est.sum())
@@ -143,10 +160,31 @@ def integrate(f, a, b):
             val = f(a + u**3) * 3.0 * u * u / (1.0 - tc) ** 2
             return np.where(safe, val, 0.0)
 
-        return _adapt(g, 0.0, 1.0)
+        lo, hi, x, u, d = _mapped_partition(_INITIAL_PANELS)
+
+        def g0(t):
+            # g on the initial partition, whose nodes all lie below t = 1
+            return f(a + x) * 3.0 * u * u / d
+
+        return _adapt(g, lo, hi, g0)
     if a == b:
         return 0.0
-    return _adapt(f, a, b)
+    return _adapt(f, *_partition(a, b, _INITIAL_PANELS))
+
+
+@lru_cache(maxsize=None)
+def _mapped_partition(panels):
+    """The initial partition (lo, hi) of (0, 1) into `panels` panels, and
+    u^3, u = t/(1-t) and (1-t)^2 at its Kronrod nodes t, computed as
+    integrate and g compute them: every semi-infinite integral starts from
+    these same nodes.  Read-only, since every call shares them."""
+    lo, hi = _partition(0.0, 1.0, panels)
+    _, t = _nodes(lo, hi)
+    u = t / (1.0 - t)
+    mapped = lo, hi, u**3, u, (1.0 - t) ** 2
+    for arr in mapped:
+        arr.setflags(write=False)
+    return mapped
 
 
 @lru_cache(maxsize=8)

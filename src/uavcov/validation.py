@@ -29,6 +29,7 @@ from .analytic import (
     downlink_coverage,
     effective_density_factor,
     interference_integral,
+    load_special,
     nearest_sq_rate,
     peak_gain_cdf,
     thinned_points,
@@ -172,14 +173,12 @@ def _downlink_erfc(density, beta, noise, theta_deg):
     """alpha = 4, N = 1: coverage is int_0^inf exp(-a z - b z^2) dz =
     sqrt(pi / 4b) erfcx(a / (2 sqrt b)), with a = 1 + I(beta, 1/2) and
     b = beta noise / (power (pi density w_eff)^2)."""
-    from scipy.special import erfcx  # imported here, as in analytic._ig_series
-
     p = NetworkParams(density=density, alpha=4.0, beta=beta, noise=noise)
     elev = ConstantElevation(math.radians(theta_deg))
     mu = math.pi * density * effective_density_factor(p, elev)
     a = 1.0 + interference_integral(beta, 0.5)
     b = beta * noise / (p.power * mu**2)
-    want = math.sqrt(math.pi / (4.0 * b)) * erfcx(a / (2.0 * math.sqrt(b)))
+    want = math.sqrt(math.pi / (4.0 * b)) * load_special().erfcx(a / (2.0 * math.sqrt(b)))
     return downlink_coverage(p, elev).value, want
 
 

@@ -8,6 +8,7 @@ under test.
 """
 
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -34,7 +35,7 @@ from uavcov.model import (
     los_probability,
     realize_network,
 )
-from uavcov.montecarlo import estimate_downlink
+from uavcov.montecarlo import estimate_downlink, guard_radius
 from uavcov.numerics import inverse_laplace, quadrature
 
 E25 = ConstantElevation(math.radians(25.0))
@@ -554,3 +555,80 @@ def test_coverage_orderings_across_grid():
             jb = jensen_lower_bound(p, E25).value
             assert jb <= dl + 1e-9
             assert dl <= cf + 1e-9
+
+
+# The reprs of every analytic value at these settings, as recorded before
+# the semi-infinite quadrature's first round was cached and the scalar LoS
+# path added: those were speed-ups only, and this pins that no bit moved.
+# Key: (alpha, N, density, theta_bar deg, elevation law, noise, cell-free
+# beta dB or None without noise); value: downlink value and
+# numerical_error, Jensen value, cell-free value and numerical_error,
+# w_eff and guard_radius at tolerance 1e-3.  gamma_tan has shape 3.
+NOISE = 10.0 ** -9.25
+GOLDEN_BITS = {
+    (2.05, 1, 1e-06, 25.0, 'constant', NOISE, 70.0): (
+        '0.20036351193448174', '2.0036351193448174e-11', '0.01848254116593065',
+        '0.059379532344986115', '4.312476133577055e-12', '0.820864320238359', '16449.72761653936',
+    ),
+    (2.05, 4, 1e-07, 10.0, 'gamma_tan', 0.0, None): (
+        '0.5904524144413815', '5.904524144413816e-11', '0.00010172989621408846',
+        None, None, '0.6286124366484929', '59402.14982819232',
+    ),
+    (2.05, 24, 1e-05, 60.0, 'constant', 0.0, None): (
+        '0.995266850375982', '9.95266850375982e-11', '2.3936414276124134e-18',
+        None, None, '0.24999999995143024', '5200.606268079686',
+    ),
+    (2.05, 24, 1e-06, 25.0, 'gamma_tan', NOISE, 95.0): (
+        '0.9952668464520048', '9.952668464520048e-11', '0.018482539983456395',
+        '0.0014202870459641627', '2.171858507692081e-14', '0.7445412536249457', '17114.978530420576',
+    ),
+    (2.75, 1, 1e-06, 25.0, 'constant', NOISE, 42.0): (
+        '0.7928248499457627', '7.928248499457628e-11', '0.770035875171886',
+        '0.2520994022202576', '2.010812495642304e-11', '0.8209402164566074', '17336.30358249965',
+    ),
+    (2.75, 1, 1e-07, 60.0, 'gamma_tan', 0.0, None): (
+        '0.7928631322030705', '7.928631322030705e-11', '0.7700870384290887',
+        None, None, '0.3498790830173795', '68137.88026596431',
+    ),
+    (2.75, 4, 1e-05, 10.0, 'constant', NOISE, 60.0): (
+        '0.9976610865322835', '9.976610865322835e-11', '0.77008460954593',
+        '0.3578416724389505', '2.9061274622296262e-11', '0.7531898864986297', '5963.398513531982',
+    ),
+    (2.75, 24, 1e-06, 25.0, 'gamma_tan', NOISE, 60.0): (
+        '1.0', '1e-10', '0.7700295738220146',
+        '0.10915707966392223', '8.38664410665769e-12', '0.754440443812524', '18015.13749785882',
+    ),
+    (6.0, 1, 1e-07, 10.0, 'constant', 0.0, None): (
+        '0.9540923494869786', '9.540923494869787e-11', '0.9530226875541816',
+        None, None, '0.8436179277002439', '17841.241161527712',
+    ),
+    (6.0, 1, 1e-06, 60.0, 'gamma_tan', 0.0, None): (
+        '0.9540923494869786', '9.540923494869787e-11', '0.9530226875541816',
+        None, None, '0.35088908275620617', '5641.895835477563',
+    ),
+    (6.0, 4, 1e-06, 25.0, 'gamma_tan', NOISE, 42.0): (
+        '0.035651006143472344', '3.5651006143472346e-12', '0.0',
+        '0.0006711244928998912', '6.537135815494444e-14', '0.7791333957721154', '5641.895835477563',
+    ),
+    (6.0, 24, 1e-07, 25.0, 'constant', NOISE, 30.0): (
+        '0.0070966242494375584', '7.096624249437559e-13', '0.0',
+        '0.00033054024575416126', '3.219660752757566e-14', '0.8211295351418345', '17841.241161527712',
+    ),
+}
+
+
+@pytest.mark.parametrize("setting", GOLDEN_BITS)
+def test_analytic_values_keep_their_recorded_bits(setting):
+    alpha, n, density, theta_deg, law, noise, cf_beta_db = setting
+    p = NetworkParams(density=density, alpha=alpha, n_antennas=n, noise=noise)
+    theta = math.radians(theta_deg)
+    elev = ConstantElevation(theta) if law == "constant" else GammaTanElevation(3.0, theta)
+    dl = downlink_coverage(p, elev)
+    got = [dl.value, dl.numerical_error, jensen_lower_bound(p, elev).value]
+    if cf_beta_db is None:
+        got += [None, None]
+    else:
+        cf = cellfree_coverage(replace(p, beta=10.0 ** (cf_beta_db / 10.0)), elev)
+        got += [cf.value, cf.numerical_error]
+    got += [effective_density_factor(p, elev), guard_radius(p, elev, 1e-3)]
+    assert tuple(None if x is None else repr(x) for x in got) == GOLDEN_BITS[setting]

@@ -6,8 +6,9 @@ a scipy subpackage is a cost on every run: scipy.special alone adds about
 0.25 s to a cold start, and scipy.stats (optimize, linalg, sparse, spatial,
 ndimage, interpolate, integrate and fft) about 0.8 s and 44 MB.  Import
 such a package inside the function that uses it: scipy.special loads at the
-first analytic value, scipy.stats at the first KS test, concurrent.futures
-at the first pool.  A Monte Carlo run or a config error loads no scipy.
+first analytic downlink value (a point or sweep run loads it just before its
+jobs), scipy.stats at the first KS test, concurrent.futures at the first
+pool.  A Monte Carlo run or a config error loads no scipy.
 
 The same goes for names: every exported name needs a user, and every name
 the benchmark in perfbench/ imports, traces or patches must still exist.
@@ -78,6 +79,15 @@ def test_analytic_point_loads_scipy_special_at_its_first_value(tmp_path):
     assert code == 0 and "scipy.special" in modules
     # deferred, not replaced: the value recorded when it loaded at import
     assert row["p_analytic"] == 0.7928248499457627
+
+
+
+def test_cold_analytic_point_books_no_import_in_its_row(tmp_path):
+    # run_sweep loads scipy.special before its jobs start, so the row's
+    # wall_ms is the value's own time (under a millisecond), not the import
+    # (about 0.25 s)
+    row, code, _ = _point(tmp_path, "mode = analytic\n")
+    assert code == 0 and row["wall_ms"] < 50.0
 
 
 def _used_names():

@@ -97,6 +97,25 @@ def test_los_probability_is_the_written_out_law_bit_for_bit():
     assert los_probability(np.empty(0)).shape == (0,)
 
 
+
+def test_scalar_los_probability_equals_the_array_path_bit_for_bit():
+    # a scalar angle takes scalar arithmetic; it must give the bits of the
+    # same angle in an array, as a float, for Python and numpy scalars alike
+    thetas = np.linspace(0.0, math.pi / 2, 10_001)
+    want = los_probability(thetas)
+    for theta, w in zip(thetas, want):
+        for scalar in (float(theta), theta):
+            got = los_probability(scalar)
+            assert type(got) is float and got == w
+            assert got == los_probability(np.array([scalar]))[0]
+
+
+@pytest.mark.parametrize("theta", [-1e-12, math.pi / 2 + 1e-12, math.nan])
+def test_numpy_scalar_angles_outside_the_range_are_refused(theta):
+    with pytest.raises(InvalidParameterError):
+        los_probability(np.float64(theta))
+
+
 def test_poisson_counts():
     p = NetworkParams(density=5e-6)
     radius = 2000.0

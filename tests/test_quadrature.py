@@ -132,3 +132,75 @@ def test_round_that_would_overrun_the_budget_raises_before_evaluating(monkeypatc
         integrate(_recording(lambda x: np.exp(-x * x), shapes), 0.0, 5.0)
     assert shapes == [(1, 15), (2, 15)]
     assert info.value.estimate == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-3)
+
+
+def _uncached(f, a):
+    """integrate(f, a, inf) by the semi-infinite map written out in full at
+    every node, first round included, through the same adaptive rule."""
+
+    def g(t):
+        t = np.asarray(t, dtype=float)
+        safe = 1.0 - t > 0.0
+        tc = np.where(safe, t, 0.5)
+        u = tc / (1.0 - tc)
+        val = f(a + u**3) * 3.0 * u * u / (1.0 - tc) ** 2
+        return np.where(safe, val, 0.0)
+
+    return quadrature._adapt(g, *quadrature._partition(0.0, 1.0, quadrature._INITIAL_PANELS))
+
+
+_TAILS = [
+    (lambda x: np.exp(-x), 0.0),
+    (lambda x: x**3 * np.exp(-x), 0.0),
+    (lambda x: np.exp(-3.0 * x) / np.sqrt(x), 0.0),  # refines at the x = 0 singularity
+    (lambda x: x**-2.375, 1.0),
+]
+
+
+def _rounds(monkeypatch):
+    """Every round's panel estimates and errors, call by call."""
+    rounds = []
+    panels = quadrature._kronrod_panels
+
+    def recording(f, lo, hi):
+        out = panels(f, lo, hi)
+        rounds.append(out)
+        return out
+
+    monkeypatch.setattr(quadrature, "_kronrod_panels", recording)
+    return rounds
+
+
+@pytest.mark.parametrize("f, a", _TAILS, ids=["exp", "gamma_moment", "inverse_sqrt", "power_tail"])
+def test_cached_first_round_gives_the_uncached_bits(monkeypatch, f, a):
+    # panel by panel, not only in the total, where a rounding change can
+    # cancel out
+    rounds = _rounds(monkeypatch)
+    val = integrate(f, a, np.inf)
+    cached = rounds[:]
+    rounds.clear()
+    assert val == _uncached(f, a)
+    assert len(cached) == len(rounds)
+    for (est, err), (want_est, want_err) in zip(cached, rounds):
+        assert np.array_equal(est, want_est) and np.array_equal(err, want_err)
+
+
+@pytest.mark.parametrize("panels", [1, 8])
+def test_cached_first_round_follows_the_panel_count(monkeypatch, panels):
+    # the cache is keyed by the panel count: a stale 32-panel entry would
+    # hand the integrand a (32, 15) array on the first call
+    monkeypatch.setattr(quadrature, "_INITIAL_PANELS", panels)
+    for f, a in _TAILS:
+        shapes = []
+        val = integrate(_recording(f, shapes), a, np.inf)
+        assert shapes[0] == (panels, 15)
+        assert val == _uncached(f, a)
+    assert integrate(lambda x: np.exp(-x), 0.0, np.inf) == pytest.approx(1.0, rel=1e-10)
+    assert integrate(lambda x: x**-2.375, 1.0, np.inf) == pytest.approx(1.0 / 1.375, rel=1e-10)
+
+
+def test_cached_first_round_nodes_are_read_only():
+    integrate(lambda x: np.exp(-x), 0.0, np.inf)
+    for arr in quadrature._mapped_partition(quadrature._INITIAL_PANELS):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
