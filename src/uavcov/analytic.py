@@ -204,6 +204,11 @@ def _ig_series(s0, v, k):
     b_j is nonnegative and they sum to I0 over all j.
     """
     special = load_special()
+    if k == 0:
+        # scalar calls in the array path's order: the same bits, at a
+        # quarter of the cost of building index arrays for one term
+        i0 = v * s0**v * special.beta(1.0 - v, v) * special.betainc(1.0 - v, v, s0 / (1.0 + s0))
+        return float(i0), np.empty(0)
     j = np.arange(k + 1, dtype=float)
     a = np.where(j == 0, 1.0 - v, j - v)
     b = np.where(j == 0, v, 1.0 + v)

@@ -33,8 +33,9 @@ _BLOCK_POINTS points each (a realization larger than that is a block of
 its own), and every block reuses the same few buffers: the radius
 uniforms turn into the 3D distances in one, then into the fading gains
 times the path gains; sqrt(1 + tan^2 Theta) (non-constant laws), then
-the LoS uniforms, then the attenuated path gains take the other.  The
-arithmetic per point is that of the plain array expressions, so any
+the LoS uniforms, then the attenuated path gains take the other, and
+with ell < 1 a third holds each point's attenuation ell + (1 - ell) los.
+The arithmetic per point is that of the plain array expressions, so any
 block size gives the same bits.  Under constant elevation a chunk's peak
 allocation is a fixed working set of a few MB, whatever the chunk holds.
 A non-constant law keeps the chunk's tangents, 8 bytes per point, since
@@ -53,16 +54,22 @@ estimate_downlink and estimate_cellfree are the one-row case of
 estimate_sweep.
 
 Rows with several constant theta_bar are drawn at the largest of their
-guard radii and at the run's seed.  The walk draws planar distances
-(theta_bar = 0) and marks each point with its LoS bucket, the number of
-row thresholds at or below its uniform; _theta_blocks reduces each block
-to a few numbers per (realization, bucket), from which every row reads its
-serving gain and interference.  Its stream holds the counts,
-radius uniforms and LoS uniforms as above; the downlink's fading then
-starts with the per-realization Gamma(N, 1) serving gains, followed by
-Exp(1) per point, so no row's estimate equals a separate run's, and the
-rows are correlated.  A draw with a single theta_bar takes the plain path
-and keeps its bits.
+guard radii and at the run's seed, by _theta_blocks.  Under a constant
+elevation a UAV's LoS mark is a coin flip at rho(theta_bar) whatever its
+position, so the rows' sorted thresholds cut the UAVs into LoS classes,
+each a Poisson process of its own (the marking theorem).  Such a chunk's
+stream holds the point counts and the radius uniforms as above (planar
+distances, theta_bar = 0) and no LoS uniforms: the fading starts right
+after the radii, with the downlink's per-realization Gamma(N, 1) serving
+gains first and then Exp(1) per point in block order (cell-free: Gamma(N,
+1) per point).  Each realization's count is split over the classes by a
+multinomial draw, read from a copy of the chunk generator advanced by
+_SPLIT_STEPS = 2^64 outputs from the end of the counts, far past anything
+else the chunk draws, and a realization's points lie class after class.
+Every sub-stream is read in realization order, so the block size moves no
+bit.  No row's estimate equals a separate run's, and the rows are
+correlated.  A draw with a single theta_bar takes the plain path and keeps
+its bits.
 """
 
 import math
@@ -82,7 +89,8 @@ _POINTS_PER_CHUNK = 2_000_000  # batching target; fixed so chunking is reproduci
 _MIN_RADIUS_FACTOR = 10.0      # floor: R >= 10 / sqrt(pi * density)
 _BLOCK_POINTS = 65_536         # points per block of a chunk; any value gives the same bits
 _MAX_POINTS = 2**24            # mean points per realization; ~0.44 GB at ~26 B/pt
-_MAX_ROWS = 10_000             # rows of one run; bounds a theta_bar draw's buckets
+_MAX_ROWS = 10_000             # rows of one run; bounds a theta_bar draw's classes per realization
+_SPLIT_STEPS = 2**64           # outputs between a chunk's draws and a theta_bar draw's class splits
 
 
 class EmptyRealizationError(ValueError):
@@ -221,7 +229,7 @@ def _stream_at(rng, steps):
     return np.random.Generator(bit_gen)
 
 
-def _draw_chunk(params, elev, radius, n, rng, rho=None):
+def _draw_chunk(params, elev, radius, n, rng):
     """One batch of n realizations, walked in blocks of whole realizations.
 
     Returns (fade, blocks).  fade is the stream of the estimator's fading
@@ -231,19 +239,8 @@ def _draw_chunk(params, elev, radius, n, rng, rho=None):
     starts, then the attenuated gains L ||U||^-alpha, 3D distances and LoS
     marks of its points.  xi, d3 and los are views of buffers that the next
     block overwrites.  The stream layout is in the module docstring.
-
-    With rho, the ascending LoS probabilities of the rows of a
-    constant-elevation theta_bar sweep, elev must be ConstantElevation(0):
-    d3 is the planar distance, xi is d3^-alpha without attenuation, and the
-    mark of a point is its LoS bucket, searchsorted(rho, u, 'right') of its
-    LoS uniform u, so the point is LoS at sorted row j exactly when its
-    bucket is at most j.  A block then holds at most
-    _BLOCK_POINTS // (len(rho) + 1) realizations, so that the per-bucket
-    buffers of a consumer are block-sized too, and empty blocks are yielded.
     """
-    lam_area = params.density * math.pi * radius * radius
-    counts = rng.poisson(lam_area, size=n)
-    total = int(counts.sum())
+    counts, total = _counts(params, radius, n, rng)
     los_rng = _stream_at(rng, total)
     # the tangents precede the LoS uniforms, and their length is not known
     # until they are drawn, so they are drawn for the whole chunk at once
@@ -251,32 +248,55 @@ def _draw_chunk(params, elev, radius, n, rng, rho=None):
     if not isinstance(elev, ConstantElevation):
         tan_theta = elev.sample_tan(los_rng, total)
     fade = _stream_at(los_rng, total)
-    return fade, _blocks(params, elev, radius, counts, tan_theta, rng, los_rng, rho)
+    return fade, _blocks(params, elev, radius, counts, tan_theta, rng, los_rng)
 
 
-def _blocks(params, elev, radius, counts, tan_theta, rng, los_rng, rho):
-    """The block walk of _draw_chunk: radii from rng, LoS uniforms from los_rng."""
+def _counts(params, radius, n, rng):
+    """Poisson point counts of n realizations of the disk, and their total."""
+    counts = rng.poisson(params.density * math.pi * radius * radius, size=n)
+    return counts, int(counts.sum())
+
+
+def _block_bounds(counts, span=None):
+    """Realization and point bounds of a chunk's blocks.
+
+    A block holds whole realizations, about _BLOCK_POINTS points (a larger
+    realization is a block of its own) and at most span realizations.
+    """
     ends = np.cumsum(counts)
-    span = counts.size if rho is None else max(1, _BLOCK_POINTS // (rho.size + 1))
+    span = span or counts.size
     bounds = [0]
     while bounds[-1] < counts.size:
         a = bounds[-1]
         base = ends[a - 1] if a else 0
         b = int(np.searchsorted(ends, base + _BLOCK_POINTS, side="right"))
         bounds.append(min(max(b, a + 1), a + span))
-    points = np.concatenate(([0], ends))[bounds]
+    return bounds, np.concatenate(([0], ends))[bounds]
+
+
+def _segment_starts(cnz):
+    """Where each segment starts when segments of lengths cnz lie end to end."""
+    starts = np.zeros(cnz.size, dtype=np.int64)
+    np.cumsum(cnz[:-1], out=starts[1:])
+    return starts
+
+
+def _blocks(params, elev, radius, counts, tan_theta, rng, los_rng):
+    """The block walk of _draw_chunk: radii from rng, LoS uniforms from los_rng."""
+    bounds, points = _block_bounds(counts)
     cap = int(np.diff(points).max())
     d3_buf, xi_buf = np.empty(cap), np.empty(cap)
     los_buf = np.empty(cap, dtype=bool)
-    if rho is not None:
-        bucket_buf = np.empty(cap, dtype=np.uint16)
+    ell = params.ell
+    if ell != 1.0:
+        att_buf = np.empty(cap)
     if tan_theta is None:
         # scalar secant and LoS probability; worth it, this is the hot path
         secant = 1.0 / math.cos(elev.theta_bar)
         p_los = los_probability(elev.theta_bar, params.c1, params.c2)
     for a, b, lo, hi in zip(bounds, bounds[1:], points, points[1:]):
         m = int(hi - lo)
-        if m == 0 and rho is None:
+        if m == 0:
             continue
         d3, xi, los = d3_buf[:m], xi_buf[:m], los_buf[:m]
         rng.random(out=d3)
@@ -285,18 +305,7 @@ def _blocks(params, elev, radius, counts, tan_theta, rng, los_rng, rho):
         if tan_theta is None:
             d3 *= secant
             los_rng.random(out=xi)
-            if rho is None:
-                np.less(xi, p_los, out=los)
-            else:
-                # one compare per row counts the thresholds at or below u;
-                # for tens of rows this beats a binary search, whose
-                # branches on random uniforms mispredict
-                mark = bucket_buf[:m]
-                mark.fill(0)
-                for threshold in rho:
-                    np.greater_equal(xi, threshold, out=los)
-                    mark += los
-                los = mark
+            np.less(xi, p_los, out=los)
         else:
             # d3 = r sqrt(1 + tan^2); the angle is wanted only by the LoS law
             tan = tan_theta[lo:hi]
@@ -308,14 +317,18 @@ def _blocks(params, elev, radius, counts, tan_theta, rng, los_rng, rho):
             los_rng.random(out=xi)
             np.less(xi, los_probability(theta, params.c1, params.c2), out=los)
         np.power(d3, -params.alpha, out=xi)
-        if params.ell != 1.0 and rho is None:
-            np.multiply(xi, params.ell, out=xi, where=~los)
+        if ell != 1.0:
+            # ell + (1 - ell) rounds to exactly 1.0 for every ell in [0, 1],
+            # so a LoS gain keeps its bits and an NLoS one is xi * ell; unlike
+            # a multiply masked by ~los, its cost does not depend on how
+            # often the mask flips
+            att = np.multiply(los, 1.0 - ell, out=att_buf[:m])
+            att += ell
+            xi *= att
         c = counts[a:b]
         nz = c > 0
         cnz = c[nz]
-        starts = np.zeros(cnz.size, dtype=np.int64)
-        starts[1:] = np.cumsum(cnz)[:-1]
-        yield slice(a, b), nz, cnz, starts, xi, d3, los
+        yield slice(a, b), nz, cnz, _segment_starts(cnz), xi, d3, los
 
 
 def _first_max_index(xi, xi_max, cnz, starts):
@@ -358,6 +371,18 @@ def _downlink_hits(operands, power, beta, noise):
     return np.count_nonzero(signal >= beta * (interference + noise / power), axis=0)
 
 
+def _gamma_fill(fade, shape, out):
+    """Fill out with Gamma(shape, 1) draws from fade.
+
+    At shape 1 numpy's exponential fill gives the same values and leaves
+    fade in the same state, only faster.
+    """
+    if shape == 1:
+        fade.standard_exponential(out=out)
+    else:
+        fade.standard_gamma(shape, out=out)
+
+
 def _cellfree_chunk(params, elev, radius, tail_units, n, rng):
     """Received signal sum of every realization in units of power, with the
     tail compensation added (a realization without a UAV holds it alone)."""
@@ -366,7 +391,7 @@ def _cellfree_chunk(params, elev, radius, tail_units, n, rng):
     total = np.full(n, compensation)
     # as in _downlink_chunk, the d3 buffer takes the fading gains
     for sl, nz, _, starts, xi, g, _ in blocks:
-        fade.standard_gamma(params.n_antennas, out=g)
+        _gamma_fill(fade, params.n_antennas, g)
         g *= xi
         total[sl][nz] = np.add.reduceat(g, starts) + compensation
     return total
@@ -380,8 +405,6 @@ _KERNELS = {
     "downlink": (_downlink_chunk, _downlink_hits),
     "cellfree": (_cellfree_chunk, _cellfree_hits),
 }
-
-_PLANAR = ConstantElevation(0.0)  # the geometry of a theta_bar draw: d3 is the planar distance
 
 
 def _running_peak(m, g):
@@ -397,56 +420,76 @@ def _theta_blocks(metric, params, radius, rho, gain, tail, n, rng):
 
     One draw serves all rows.  rho holds the rows' LoS probabilities in
     ascending order; gain (cos^alpha theta_bar) and tail (the tail mean at
-    radius) follow the same order, as do the operands' columns.  Row j
-    scales the planar path gain r^-alpha by gain[j] and calls a point LoS
-    when its bucket is at most j (see _draw_chunk).  Each block is reduced
-    to per (realization, bucket) numbers: the sum of fading times r^-alpha,
-    and for the downlink the largest r^-alpha and the fading times r^-alpha
-    of the first point reaching it.  A row then reads a prefix (LoS) and a
-    suffix (NLoS) over its realization's buckets, so the rows cost
-    O(realizations x rows), not a pass over the points each.
+    radius) follow the same order, as do the operands' columns.  A UAV
+    whose LoS mark, a uniform u, lies in [rho_c, rho_{c+1}) is of class c:
+    LoS at sorted rows j >= c and NLoS below.  By the marking theorem the
+    UAVs of class c are a Poisson process of density
+    lambda (rho_{c+1} - rho_c) (rho_0 = 0, rho_{K+1} = 1), so each
+    realization's point count is split over the classes multinomially and
+    no point carries a mark: its points lie class after class.  Row j
+    scales the planar path gain r^-alpha by gain[j], and by ell in the NLoS
+    classes.
 
-    The downlink draws the per-realization serving gains Gamma(N, 1) first
-    from the fading stream, then Exp(1) per point in block order; cell-free
-    draws Gamma(N, 1) per point.  Yields (signal, interference) of the
-    realizations that hold a UAV, or the received sums of every realization,
-    as (realizations, rows) arrays.
+    Each block is reduced to per (realization, class) numbers by segment:
+    the sum of fading times r^-alpha, and for the downlink the largest
+    r^-alpha and the fading times r^-alpha of the first point reaching it.
+    A row then reads a prefix (LoS) and a suffix (NLoS) over its
+    realization's classes, so the rows cost O(realizations x rows), not a
+    pass over the points each.  A block holds at most _BLOCK_POINTS //
+    (8 (K + 1)) realizations, so that these grids stay block-sized too.
+
+    The stream layout is in the module docstring.  Yields (signal,
+    interference) of the realizations that hold a UAV, or the received sums
+    of every realization, as (realizations, rows) arrays.
     """
-    fade, blocks = _draw_chunk(params, _PLANAR, radius, n, rng, rho)
-    width = rho.size + 1
+    counts, total = _counts(params, radius, n, rng)
+    fade = _stream_at(rng, total)
+    split = _stream_at(rng, _SPLIT_STEPS)
+    share = np.diff(rho, prepend=0.0, append=1.0)
+    width = share.size
+    bounds, points = _block_bounds(counts, max(1, _BLOCK_POINTS // (8 * width)))
+    cap = int(np.diff(points).max())
+    xi_buf, g_buf = np.empty(cap), np.empty(cap)
     ell = params.ell
     if metric == "downlink":
         g_star = fade.standard_gamma(params.n_antennas, size=n)
-    for sl, nz, cnz, starts, xi, g, bucket in blocks:
-        size = (sl.stop - sl.start) * width
-        key = np.repeat(np.arange(0, size, width)[nz], cnz)
-        key += bucket
+    for a, b, lo, hi in zip(bounds, bounds[1:], points, points[1:]):
+        cells = split.multinomial(counts[a:b], share).ravel()
+        filled = cells > 0
+        clen = cells[filled]
+        starts = _segment_starts(clen)
+        xi, g = xi_buf[:hi - lo], g_buf[:hi - lo]
+        rng.random(out=g)
+        np.sqrt(g, out=g)
+        g *= radius
+        np.power(g, -params.alpha, out=xi)
         if metric == "downlink":
             fade.standard_exponential(out=g)
         else:
-            fade.standard_gamma(params.n_antennas, out=g)
+            _gamma_fill(fade, params.n_antennas, g)
         g *= xi
-        sums = np.bincount(key, g, size).reshape(-1, width)
-        # row j: LoS buckets 0..j, NLoS buckets j+1..len(rho)
+        sums = np.zeros(cells.size)
+        sums[filled] = np.add.reduceat(g, starts)
+        sums = sums.reshape(-1, width)
+        # row j: LoS classes 0..j, NLoS classes j+1..K
         rest = np.cumsum(sums[:, :-1], axis=1)
         rest += ell * np.cumsum(sums[:, :0:-1], axis=1)[:, ::-1]
         if metric == "cellfree":
             yield gain * rest + params.n_antennas * tail
             continue
-        peak = np.zeros(size)
-        np.maximum.at(peak, key, xi)
+        xi_max = np.maximum.reduceat(xi, starts)
+        peak, at_peak = np.zeros(cells.size), np.zeros(cells.size)
+        peak[filled] = xi_max
         # ties to the lowest index, as in associate
-        top = np.flatnonzero(xi == peak[key])
-        first_key, first = np.unique(key[top], return_index=True)
-        at_peak = np.zeros(size)
-        at_peak[first_key] = g[top[first]]
+        at_peak[filled] = g[_first_max_index(xi, xi_max, clen, starts)]
+        nz = counts[a:b] > 0
         peak, at_peak = peak.reshape(-1, width)[nz], at_peak.reshape(-1, width)[nz]
         los_peak, los_served = _running_peak(peak[:, :-1], at_peak[:, :-1])
         nlos_peak, nlos_served = _running_peak(peak[:, :0:-1], at_peak[:, :0:-1])
         nlos_peak = ell * nlos_peak[:, ::-1]
         by_los = los_peak >= nlos_peak
         served = np.where(by_los, los_served, ell * nlos_served[:, ::-1])
-        signal = g_star[sl][nz, None] * (gain * np.where(by_los, los_peak, nlos_peak))
+        signal = g_star[a:b][nz, None] * (gain * np.where(by_los, los_peak, nlos_peak))
         yield signal, gain * (rest[nz] - served) + tail
 
 
@@ -461,9 +504,9 @@ def shares_draw(settings):
     scaled by (lambda_0/lambda_j)^(1/2), which only scales the noise by
     (lambda_0/lambda_j)^(alpha/2).  A constant theta_bar enters a draw only
     as the factor cos^alpha theta_bar on every path gain and as the LoS
-    threshold rho(theta_bar) on the common LoS uniforms (_theta_blocks).  A
-    tangent law draws its tangents from theta_bar and its shape, so it
-    shares only with equal laws.
+    threshold rho(theta_bar) that bounds the draw's LoS classes
+    (_theta_blocks).  A tangent law draws its tangents from theta_bar and
+    its shape, so it shares only with equal laws.
     """
     (params, elev), *rest = settings
     return all(

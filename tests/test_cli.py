@@ -294,14 +294,15 @@ def test_shared_draw_rows_agree_with_analytic(name):
 
 
 def _count_draws(monkeypatch):
+    # every chunk of a draw, theta_bar draws included, starts with its counts
     calls = []
-    draw = mc._draw_chunk
+    draw = mc._counts
 
     def counted(*args):
         calls.append(1)
         return draw(*args)
 
-    monkeypatch.setattr(mc, "_draw_chunk", counted)
+    monkeypatch.setattr(mc, "_counts", counted)
     return calls
 
 

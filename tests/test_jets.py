@@ -127,3 +127,13 @@ def test_series_total_keeps_the_node_shape_and_zeroes_underflowed_rows():
     assert got.shape == (2, 2)
     assert got[0, 0] == 0.0 and got[0, 1] == 0.0 and got[1, 0] == 0.0
     assert got[1, 1] > 0.0
+
+
+def test_ig_series_scalar_first_term_keeps_the_array_bits():
+    # k = 0 (every N = 1 value) takes scalar calls; its I0 must be the
+    # first entry of the array path's terms, which k >= 1 still takes
+    rng = np.random.default_rng(24)
+    for s0, alpha in zip(10.0 ** rng.uniform(-6.0, 6.0, 500), rng.uniform(2.0, 50.0, 500)):
+        i0, b = _ig_series(float(s0), 2.0 / alpha, 0)
+        assert type(i0) is float and b.size == 0
+        assert i0 == _ig_series(float(s0), 2.0 / alpha, 1)[0], (s0, alpha)

@@ -272,43 +272,52 @@ def _theta_rows(params, elevs, radius):
 
 def _brute_force_theta_hits(metric, params, elevs, n_samples, seed, radius):
     """Hits of every row of a theta_bar draw, each row recomputed point by
-    point on the same draw: its xi, first maximum and sums, as
-    _downlink_chunk and _cellfree_chunk form them."""
+    point.  Each chunk is drawn whole on the stream layout of the montecarlo
+    docstring, every point is marked with its LoS class, and each row forms
+    its xi, first maximum and sums as _downlink_chunk and _cellfree_chunk
+    do."""
     order, rho, gain, tail = _theta_rows(params, elevs, radius)
+    share = np.diff(rho, prepend=0.0, append=1.0)
     noise = params.noise / params.power
     hits = np.zeros(len(elevs), dtype=np.int64)
     for size, rng in mc._chunks(n_samples, radius, params.density, seed):
-        fade, blocks = mc._draw_chunk(params, mc._PLANAR, radius, size, rng, rho)
+        counts = rng.poisson(params.density * math.pi * radius**2, size=size)
+        total = int(counts.sum())
+        fade = mc._stream_at(rng, total)
+        cells = mc._stream_at(rng, mc._SPLIT_STEPS).multinomial(counts, share)
+        planar = (radius * np.sqrt(rng.random(total))) ** -params.alpha
+        klass = np.repeat(np.tile(np.arange(share.size), size), cells.ravel())
         if metric == "downlink":
             g_star = fade.standard_gamma(params.n_antennas, size=size)
-        for sl, nz, cnz, starts, planar, _, bucket in blocks:
-            if metric == "downlink":
-                fading = fade.standard_exponential(size=planar.size)
-            else:
-                fading = fade.standard_gamma(params.n_antennas, size=planar.size)
-            for j, i in enumerate(order):
-                xi = gain[j] * planar * np.where(bucket <= j, 1.0, params.ell)
-                if metric == "cellfree":
-                    total = np.full(sl.stop - sl.start, params.n_antennas * tail[j])
-                    if cnz.size:
-                        total[nz] += np.add.reduceat(fading * xi, starts)
-                    hits[i] += np.count_nonzero(total >= params.beta * noise)
-                    continue
-                if not cnz.size:
-                    continue
-                xi_max = np.maximum.reduceat(xi, starts)
-                i_star = mc._first_max_index(xi, xi_max, cnz, starts)
-                gx = fading * xi
-                interference = np.add.reduceat(gx, starts) - gx[i_star] + tail[j]
-                signal = g_star[sl][nz] * xi_max
-                hits[i] += np.count_nonzero(signal >= params.beta * (interference + noise))
+            fading = fade.standard_exponential(size=total)
+        else:
+            fading = fade.standard_gamma(params.n_antennas, size=total)
+        nz = counts > 0
+        cnz = counts[nz]
+        starts = np.concatenate(([0], np.cumsum(cnz)[:-1]))
+        for j, i in enumerate(order):
+            xi = gain[j] * planar * np.where(klass <= j, 1.0, params.ell)
+            if metric == "cellfree":
+                total_gain = np.full(size, params.n_antennas * tail[j])
+                if cnz.size:
+                    total_gain[nz] += np.add.reduceat(fading * xi, starts)
+                hits[i] += np.count_nonzero(total_gain >= params.beta * noise)
+                continue
+            if not cnz.size:
+                continue
+            xi_max = np.maximum.reduceat(xi, starts)
+            i_star = mc._first_max_index(xi, xi_max, cnz, starts)
+            gx = fading * xi
+            interference = np.add.reduceat(gx, starts) - gx[i_star] + tail[j]
+            signal = g_star[nz] * xi_max
+            hits[i] += np.count_nonzero(signal >= params.beta * (interference + noise))
     return hits
 
 
 @pytest.mark.parametrize("ell", [0.0, 0.25, 1.0])
 @pytest.mark.parametrize("metric", ["downlink", "cellfree"])
 def test_theta_draw_counts_every_row_as_brute_force(block_points, metric, ell):
-    # unsorted rows with a repeat: a repeated rho holds an empty bucket
+    # unsorted rows with a repeat: a repeated rho holds an empty class
     beta = 1.0 if metric == "downlink" else 1e4
     p = NetworkParams(density=1e-6, ell=ell, beta=beta, n_antennas=2)
     elevs = [ConstantElevation(math.radians(t)) for t in (40.0, 5.0, 25.0, 10.0, 25.0, 60.0)]
@@ -319,6 +328,23 @@ def test_theta_draw_counts_every_row_as_brute_force(block_points, metric, ell):
     want = _brute_force_theta_hits(metric, p, elevs, n, seed, radius)
     assert got == want.tolist()
     assert 0 < want.min() and want.max() < n
+
+
+@pytest.mark.parametrize("metric", ["downlink", "cellfree"])
+def test_theta_draw_operands_keep_their_bits_at_every_block_size(monkeypatch, metric):
+    p = NetworkParams(density=1e-6, ell=0.25, n_antennas=2)
+    elevs = [ConstantElevation(math.radians(t)) for t in (5.0, 25.0, 25.0, 60.0)]
+    radius = max(guard_radius(p, e, 1e-3) for e in elevs)
+    _, rho, gain, tail = _theta_rows(p, elevs, radius)
+    digests = set()
+    for block_points in (1, 7, 1000, mc._BLOCK_POINTS):
+        monkeypatch.setattr(mc, "_BLOCK_POINTS", block_points)
+        blocks = list(mc._theta_blocks(
+            metric, p, radius, rho, gain, tail, 200, np.random.default_rng(43)))
+        if metric == "downlink":  # (signal, interference) per block
+            blocks = [np.concatenate(operand) for operand in zip(*blocks)]
+        digests.add(_sha256(np.concatenate(blocks)))
+    assert len(digests) == 1
 
 
 def test_theta_sweep_differences_follow_the_analytic_curve():
@@ -353,6 +379,25 @@ def test_theta_sweep_differences_follow_the_analytic_curve():
     assert np.all(se < math.sqrt(2.0 * 0.72 * 0.28 / n)), se
 
 
+@pytest.mark.parametrize("metric,params", [
+    ("downlink", NetworkParams(density=1e-6, alpha=4.0, beta=0.3)),
+    ("cellfree", NetworkParams(density=1e-6, alpha=4.0, beta=1.0)),
+])
+def test_theta_draw_rows_match_separate_runs(metric, params):
+    # the marking theorem: each row of a theta_bar draw is on its own
+    # distributed as a one-row run at that theta_bar and at the draw's
+    # radius.  Coverage spans 0.2-0.65 over these rows; the seeds are
+    # distinct, so the rows and the runs are independent
+    elevs = [ConstantElevation(math.radians(t)) for t in (5.0, 15.0, 30.0, 60.0)]
+    n = 20000
+    radius = max(guard_radius(params, e, 1e-3) for e in elevs)
+    shared = mc.estimate_sweep(metric, [params] * len(elevs), elevs, n, 901)
+    for k, (row, elev) in enumerate(zip(shared, elevs)):
+        alone = mc.estimate_sweep(metric, [params], elev, n, 902 + k, sim_radius=radius)[0]
+        z = (row.mean - alone.mean) / math.hypot(row.std_error, alone.std_error)
+        assert abs(z) <= 3.0, (elev, row.mean, alone.mean)
+
+
 def test_first_max_index_matches_associate_per_segment():
     alpha, ell = 2.75, 0.25
     segments = [
@@ -381,23 +426,25 @@ def test_chunk_kernels_peak_allocation_per_point():
     # The kernels walk it in blocks of at most _BLOCK_POINTS points and
     # reuse the blocks' buffers, so under constant elevation the peak does
     # not grow with the chunk; nor does a theta_bar draw's, whose
-    # per-bucket arrays are block-sized too.  gamma_tan keeps the chunk's
-    # tangents, 8 B per point, on top of the same kind of fixed working set.
+    # per-class grids are block-sized too, at 12 rows and at 1000.
+    # gamma_tan keeps the chunk's tangents, 8 B per point, on top of the
+    # same kind of fixed working set.
     p = NetworkParams(density=1e-6)
     seed = 7
-    elevs = [ConstantElevation(math.radians(t)) for t in np.linspace(25.0, 60.0, 12)]
-    _, rho, gain, tails = _theta_rows(p, elevs, guard_radius(p, E25, 1e-3))
 
-    def theta_chunk(metric):
+    def theta_chunk(metric, rows):
+        elevs = [ConstantElevation(math.radians(t)) for t in np.linspace(25.0, 60.0, rows)]
+        _, rho, gain, tails = _theta_rows(p, elevs, guard_radius(p, E25, 1e-3))
+
         def chunk(params, elev, radius, tail, n, rng):
             for _ in mc._theta_blocks(metric, params, radius, rho, gain, tails, n, rng):
                 pass
-        chunk.__name__ = f"theta {metric}"
+        chunk.__name__ = f"theta {metric} {rows} rows"
         return chunk
 
+    theta_chunks = [theta_chunk(m, rows) for m in ("downlink", "cellfree") for rows in (12, 1000)]
     for elev, per_point, fixed, chunks in (
-        (E25, 0, 3 * 2**20, (mc._downlink_chunk, mc._cellfree_chunk,
-                             theta_chunk("downlink"), theta_chunk("cellfree"))),
+        (E25, 0, 3 * 2**20, (mc._downlink_chunk, mc._cellfree_chunk, *theta_chunks)),
         (GammaTanElevation(3.0, math.radians(20.0)), 8, 4 * 2**20,
          (mc._downlink_chunk, mc._cellfree_chunk)),
     ):
@@ -414,6 +461,29 @@ def test_chunk_kernels_peak_allocation_per_point():
                 finally:
                     tracemalloc.stop()
                 assert peak <= per_point * points + fixed, (elev, n, chunk.__name__, peak)
+
+
+def test_nlos_attenuation_arithmetic_keeps_los_gains_exact():
+    # _blocks attenuates by xi *= ell + (1 - ell) los, which keeps the bits
+    # of the masked multiply exactly when the sum rounds to 1.0 at every
+    # ell in [0, 1], subnormal ones included
+    rng = np.random.default_rng(24)
+    ells = np.concatenate((
+        rng.random(10**6), 10.0 ** rng.uniform(-323.0, 0.0, 10**5),
+        [0.0, 5e-324, np.finfo(float).tiny, 0.25, 0.5, np.nextafter(1.0, 0.0), 1.0]))
+    assert np.all(ells + (1.0 - ells) == 1.0)
+
+
+def test_unit_shape_gamma_fill_is_the_exponential_fill():
+    # cell-free fading at N = 1 takes numpy's exponential fill: the same
+    # values, and the generator left in the same state
+    for shape in (1, 1.0, 2):
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        want, got = np.empty(10**5), np.empty(10**5)
+        a.standard_gamma(shape, out=want)
+        mc._gamma_fill(b, shape, got)
+        assert want.tobytes() == got.tobytes(), shape
+        assert a.bit_generator.state == b.bit_generator.state, shape
 
 
 def test_estimate_matches_analytic_downlink():
@@ -573,9 +643,9 @@ def test_entry_points_refuse_oversized_realizations_before_drawing(monkeypatch):
 
 
 def test_estimate_sweep_refuses_rows_over_the_cap_before_drawing(monkeypatch):
-    # a theta_bar draw counts LoS buckets in 16 bits and keeps rows + 1
-    # numbers per realization of a block
-    monkeypatch.setattr(mc, "_draw_chunk", None)
+    # a theta_bar draw keeps rows + 1 numbers per realization of a block,
+    # and its blocks hold at least one realization
+    monkeypatch.setattr(mc, "_counts", None)
     p = NetworkParams(density=1e-6)
     elevs = [ConstantElevation(math.radians(t)) for t in np.linspace(5.0, 60.0, mc._MAX_ROWS + 1)]
     with pytest.raises(InvalidParameterError, match=f"at most {mc._MAX_ROWS} rows"):
