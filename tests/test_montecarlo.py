@@ -527,6 +527,18 @@ def test_estimate_matches_analytic_with_nlos_erased(metric, params, elev, seed, 
     assert abs(est.z_score(analytic(params, elev).value)) <= 3.0
 
 
+@pytest.mark.parametrize("n_antennas,beta_db,seed", [
+    (2, 39.60, 102), (4, 42.74, 104), (16, 48.87, 116),
+])
+def test_cellfree_estimate_matches_analytic_over_antennas(n_antennas, beta_db, seed):
+    # N > 1 cell-free, beta set per N so that coverage is about 0.8.  A tail
+    # compensation of tail instead of N tail reads z 3.8-9.4 here, and
+    # Gamma(1, 1) fading in place of Gamma(N, 1) reads z > 70
+    p = NetworkParams(density=1e-6, n_antennas=n_antennas, beta=10.0 ** (beta_db / 10.0))
+    est = estimate_cellfree(p, E25, 10_000, seed)
+    assert abs(est.z_score(cellfree_coverage(p, E25).value)) <= 3.0
+
+
 def test_estimate_stable_under_doubled_radius():
     p = NetworkParams(density=1e-6)
     r = guard_radius(p, E25, 1e-3)
