@@ -136,6 +136,16 @@ def peak_gain_cdf(r, params, elev):
     return float(out) if out.ndim == 0 else out
 
 
+def nearest_sq_params(params, case):
+    """params with the attenuation that defines case's squared nearest
+    distance: ell = 1 ('all-los-unit'), params.ell ('los-weighted') or 0
+    ('pure-los'); see nearest_sq_rate."""
+    ells = {"all-los-unit": 1.0, "los-weighted": params.ell, "pure-los": 0.0}
+    if case not in ells:
+        raise ValueError(f"case must be one of {tuple(ells)}, got {case!r}")
+    return replace(params, ell=ells[case])
+
+
 def nearest_sq_rate(params, elev, case):
     """Rate of the exponential law of a squared nearest distance in the
     equivalent planar process: P[Y > y] = exp(-rate y), rate = pi density c.
@@ -145,10 +155,8 @@ def nearest_sq_rate(params, elev, case):
     min (L^(-1/alpha) ||U_i||)^2, c = w_eff.  case 'pure-los': min ||U_i||^2
     over LoS UAVs only, c = E[rho cos^2], the density factor at ell = 0.
     """
-    ells = {"all-los-unit": 1.0, "los-weighted": params.ell, "pure-los": 0.0}
-    if case not in ells:
-        raise ValueError(f"case must be one of {tuple(ells)}, got {case!r}")
-    return math.pi * params.density * effective_density_factor(replace(params, ell=ells[case]), elev)
+    params = nearest_sq_params(params, case)
+    return math.pi * params.density * effective_density_factor(params, elev)
 
 
 def thinned_points(realization, ell, alpha):

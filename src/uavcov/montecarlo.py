@@ -13,37 +13,38 @@ given (params, elevation, n_samples, master_seed) is bit-reproducible
 regardless of host or worker count.  Chunks are sized by a fixed target of
 points per batch, a pure function of the inputs.
 
-Each chunk's stream holds, in this order: Poisson point counts, radius
-uniforms, elevation tangents (non-constant laws only), LoS uniforms, then
-the estimator's fading (Exp(1) per point and Gamma(N, 1) per realization
-for the downlink, Gamma(N, 1) per point for cell-free).  The kernel reads
-that stream at three positions at once.  After the counts, with `total`
-points in the chunk, the radius uniforms are the chunk generator's next
-`total` outputs.  A copy of the generator advanced by `total` (PCG64
-jump-ahead; one float64 uniform is one 64-bit output) draws the tangents
-for the whole chunk, then reads the LoS uniforms.  A copy of that one
-advanced by another `total` reads the fading.  The fading draws vary in
-length (ziggurat exponential, Gamma), but they come last, so one
-continuing stream gives the same sequence, and the per-realization
-serving gain follows the last block.  The copies take the chunk
-generator's state; no fresh entropy is drawn.
+Under a constant elevation a UAV's LoS mark is a coin flip at
+rho(theta_bar) whatever its position, so the LoS and the NLoS UAVs are
+independent Poisson processes of density lambda rho and lambda (1 - rho)
+(the marking theorem); several theta_bar cut the UAVs into more such LoS
+classes.  So a constant-elevation chunk is drawn by class (_class_blocks)
+and marks no point: its stream holds the Poisson point counts, one radius
+uniform per point, then the fading (the downlink's per-realization
+Gamma(N, 1) serving gains first, then Exp(1) per point; cell-free:
+Gamma(N, 1) per point).  Each realization's count is split over the
+classes by a multinomial draw from a copy of the chunk generator advanced
+by _SPLIT_STEPS = 2^64 outputs from the end of the counts, far past
+anything else the chunk draws, and its points lie class after class.
 
-So the kernel walks a chunk in blocks of whole realizations, about
-_BLOCK_POINTS points each (a realization larger than that is a block of
-its own), and every block reuses the same few buffers: the radius
-uniforms turn into the 3D distances in one, then into the fading gains
-times the path gains; sqrt(1 + tan^2 Theta) (non-constant laws), then
-the LoS uniforms, then the attenuated path gains take the other, and
-with ell < 1 a third holds each point's attenuation ell + (1 - ell) los.
-The arithmetic per point is that of the plain array expressions, so any
-block size gives the same bits.  Under constant elevation a chunk's peak
-allocation is a fixed working set of a few MB, whatever the chunk holds.
-A non-constant law keeps the chunk's tangents, 8 bytes per point, since
-its LoS uniforms start where the variable-length tangent draws end; the
-tangents turn into Theta in place, block by block, for the LoS law, and
-the 3D distance r sqrt(1 + tan^2 Theta) needs no cosine.  Since a block
-holds at least one whole realization, a disk that would hold more than
-_MAX_POINTS points on average is refused before the first draw.
+A tangent law (gamma_tan) marks its points one by one (_draw_chunk): its
+stream holds the counts, the radius uniforms, the elevation tangents, the
+LoS uniforms, then the fading (the downlink's serving gains last).  With
+`total` points in a chunk, the radius uniforms are the chunk generator's
+next `total` outputs after the counts; what follows them is read from a
+copy of the generator advanced by `total` (PCG64 jump-ahead; one float64
+uniform is one 64-bit output), and a tangent law's fading from a copy
+advanced by another `total`.  The fading draws vary in length, but they
+come last, so one continuing stream gives the same sequence.  The copies
+take the chunk generator's state; no fresh entropy is drawn.
+
+Both walk a chunk in blocks of whole realizations, about _BLOCK_POINTS
+points each (a larger realization is a block of its own), reusing a few
+buffers and reading every sub-stream in realization order, so any block
+size gives the same bits.  A constant-elevation chunk's peak allocation is
+a fixed working set of a few MB; a tangent law keeps the chunk's tangents
+too, 8 bytes per point.  A block holds at least one whole realization, so a
+disk that would hold more than _MAX_POINTS points on average is refused
+before the first draw.
 
 A chunk kernel stops before the coverage test and returns per-realization
 operands: the serving signal and the interference (downlink), or the
@@ -52,24 +53,6 @@ hits for each row with the comparison a single estimate makes, so one draw
 serves every row that shares_draw admits; the sharing rule is stated there.
 estimate_downlink and estimate_cellfree are the one-row case of
 estimate_sweep.
-
-Rows with several constant theta_bar are drawn at the largest of their
-guard radii and at the run's seed, by _theta_blocks.  Under a constant
-elevation a UAV's LoS mark is a coin flip at rho(theta_bar) whatever its
-position, so the rows' sorted thresholds cut the UAVs into LoS classes,
-each a Poisson process of its own (the marking theorem).  Such a chunk's
-stream holds the point counts and the radius uniforms as above (planar
-distances, theta_bar = 0) and no LoS uniforms: the fading starts right
-after the radii, with the downlink's per-realization Gamma(N, 1) serving
-gains first and then Exp(1) per point in block order (cell-free: Gamma(N,
-1) per point).  Each realization's count is split over the classes by a
-multinomial draw, read from a copy of the chunk generator advanced by
-_SPLIT_STEPS = 2^64 outputs from the end of the counts, far past anything
-else the chunk draws, and a realization's points lie class after class.
-Every sub-stream is read in realization order, so the block size moves no
-bit.  No row's estimate equals a separate run's, and the rows are
-correlated.  A draw with a single theta_bar takes the plain path and keeps
-its bits.
 """
 
 import math
@@ -80,6 +63,7 @@ import numpy as np
 
 from .analytic import (
     effective_density_factor,
+    nearest_sq_params,
     nearest_sq_rate,
     tail_gain_moment,
 )
@@ -89,8 +73,8 @@ _POINTS_PER_CHUNK = 2_000_000  # batching target; fixed so chunking is reproduci
 _MIN_RADIUS_FACTOR = 10.0      # floor: R >= 10 / sqrt(pi * density)
 _BLOCK_POINTS = 65_536         # points per block of a chunk; any value gives the same bits
 _MAX_POINTS = 2**24            # mean points per realization; ~0.44 GB at ~26 B/pt
-_MAX_ROWS = 10_000             # rows of one run; bounds a theta_bar draw's classes per realization
-_SPLIT_STEPS = 2**64           # outputs between a chunk's draws and a theta_bar draw's class splits
+_MAX_ROWS = 10_000             # rows of one run; bounds a class draw's grids per realization
+_SPLIT_STEPS = 2**64           # outputs between a chunk's draws and its LoS class splits
 
 
 class EmptyRealizationError(ValueError):
@@ -230,7 +214,7 @@ def _stream_at(rng, steps):
 
 
 def _draw_chunk(params, elev, radius, n, rng):
-    """One batch of n realizations, walked in blocks of whole realizations.
+    """One batch of n realizations of a tangent law, walked in blocks.
 
     Returns (fade, blocks).  fade is the stream of the estimator's fading
     draws, taken in block order.  blocks yields (sl, nz, cnz, starts, xi,
@@ -244,11 +228,9 @@ def _draw_chunk(params, elev, radius, n, rng):
     los_rng = _stream_at(rng, total)
     # the tangents precede the LoS uniforms, and their length is not known
     # until they are drawn, so they are drawn for the whole chunk at once
-    tan_theta = None
-    if not isinstance(elev, ConstantElevation):
-        tan_theta = elev.sample_tan(los_rng, total)
+    tan_theta = elev.sample_tan(los_rng, total)
     fade = _stream_at(los_rng, total)
-    return fade, _blocks(params, elev, radius, counts, tan_theta, rng, los_rng)
+    return fade, _blocks(params, radius, counts, tan_theta, rng, los_rng)
 
 
 def _counts(params, radius, n, rng):
@@ -281,7 +263,7 @@ def _segment_starts(cnz):
     return starts
 
 
-def _blocks(params, elev, radius, counts, tan_theta, rng, los_rng):
+def _blocks(params, radius, counts, tan_theta, rng, los_rng):
     """The block walk of _draw_chunk: radii from rng, LoS uniforms from los_rng."""
     bounds, points = _block_bounds(counts)
     cap = int(np.diff(points).max())
@@ -290,10 +272,6 @@ def _blocks(params, elev, radius, counts, tan_theta, rng, los_rng):
     ell = params.ell
     if ell != 1.0:
         att_buf = np.empty(cap)
-    if tan_theta is None:
-        # scalar secant and LoS probability; worth it, this is the hot path
-        secant = 1.0 / math.cos(elev.theta_bar)
-        p_los = los_probability(elev.theta_bar, params.c1, params.c2)
     for a, b, lo, hi in zip(bounds, bounds[1:], points, points[1:]):
         m = int(hi - lo)
         if m == 0:
@@ -302,20 +280,15 @@ def _blocks(params, elev, radius, counts, tan_theta, rng, los_rng):
         rng.random(out=d3)
         np.sqrt(d3, out=d3)
         d3 *= radius
-        if tan_theta is None:
-            d3 *= secant
-            los_rng.random(out=xi)
-            np.less(xi, p_los, out=los)
-        else:
-            # d3 = r sqrt(1 + tan^2); the angle is wanted only by the LoS law
-            tan = tan_theta[lo:hi]
-            np.square(tan, out=xi)
-            xi += 1.0
-            np.sqrt(xi, out=xi)
-            d3 *= xi
-            theta = np.arctan(tan, out=tan)
-            los_rng.random(out=xi)
-            np.less(xi, los_probability(theta, params.c1, params.c2), out=los)
+        # d3 = r sqrt(1 + tan^2); the angle is wanted only by the LoS law
+        tan = tan_theta[lo:hi]
+        np.square(tan, out=xi)
+        xi += 1.0
+        np.sqrt(xi, out=xi)
+        d3 *= xi
+        theta = np.arctan(tan, out=tan)
+        los_rng.random(out=xi)
+        np.less(xi, los_probability(theta, params.c1, params.c2), out=los)
         np.power(d3, -params.alpha, out=xi)
         if ell != 1.0:
             # ell + (1 - ell) rounds to exactly 1.0 for every ell in [0, 1],
@@ -366,7 +339,7 @@ def _downlink_chunk(params, elev, radius, tail_units, n, rng):
 
 
 def _downlink_hits(operands, power, beta, noise):
-    """Hits per column (rows of a theta_bar draw), or in all (one row)."""
+    """Hits per column of (realizations, rows) operands, or in all of 1-D ones."""
     signal, interference = operands
     return np.count_nonzero(signal >= beta * (interference + noise / power), axis=0)
 
@@ -415,82 +388,87 @@ def _running_peak(m, g):
     return peak, np.take_along_axis(g, at, axis=1)
 
 
-def _theta_blocks(metric, params, radius, rho, gain, tail, n, rng):
-    """Per-block operands of every row of a constant-elevation theta_bar sweep.
+def _class_blocks(params, radius, share, counts, width, rng):
+    """The block walk of a constant-elevation chunk drawn by LoS class.
 
-    One draw serves all rows.  rho holds the rows' LoS probabilities in
-    ascending order; gain (cos^alpha theta_bar) and tail (the tail mean at
-    radius) follow the same order, as do the operands' columns.  A UAV
-    whose LoS mark, a uniform u, lies in [rho_c, rho_{c+1}) is of class c:
-    LoS at sorted rows j >= c and NLoS below.  By the marking theorem the
-    UAVs of class c are a Poisson process of density
-    lambda (rho_{c+1} - rho_c) (rho_0 = 0, rho_{K+1} = 1), so each
-    realization's point count is split over the classes multinomially and
-    no point carries a mark: its points lie class after class.  Row j
-    scales the planar path gain r^-alpha by gain[j], and by ell in the NLoS
-    classes.
-
-    Each block is reduced to per (realization, class) numbers by segment:
-    the sum of fading times r^-alpha, and for the downlink the largest
-    r^-alpha and the fading times r^-alpha of the first point reaching it.
-    A row then reads a prefix (LoS) and a suffix (NLoS) over its
-    realization's classes, so the rows cost O(realizations x rows), not a
-    pass over the points each.  A block holds at most _BLOCK_POINTS //
-    (8 (K + 1)) realizations, so that these grids stay block-sized too.
-
-    The stream layout is in the module docstring.  Yields (signal,
-    interference) of the realizations that hold a UAV, or the received sums
-    of every realization, as (realizations, rows) arrays.
+    counts are the chunk's point counts, just drawn from rng; share holds
+    the classes' shares of the density.  Yields (sl, nz, filled, clen,
+    starts, xi, spare) per block: its slice of the chunk's realizations,
+    their nonzero mask, which (realization, class) cells hold a point, the
+    point counts and segment starts of those, the points' planar r^-alpha
+    class after class, and a scratch buffer; the next block overwrites the
+    last two.  A block holds at most _BLOCK_POINTS // (8 width)
+    realizations, so grids of width numbers per realization stay small.
     """
-    counts, total = _counts(params, radius, n, rng)
-    fade = _stream_at(rng, total)
     split = _stream_at(rng, _SPLIT_STEPS)
-    share = np.diff(rho, prepend=0.0, append=1.0)
-    width = share.size
     bounds, points = _block_bounds(counts, max(1, _BLOCK_POINTS // (8 * width)))
     cap = int(np.diff(points).max())
-    xi_buf, g_buf = np.empty(cap), np.empty(cap)
+    xi_buf, spare_buf = np.empty(cap), np.empty(cap)
+    r_sq = radius * radius
+    for a, b, lo, hi in zip(bounds, bounds[1:], points, points[1:]):
+        c = counts[a:b]
+        cells = split.multinomial(c, share).ravel()
+        filled = cells > 0
+        clen = cells[filled]
+        xi = xi_buf[:hi - lo]
+        # (R^2 u)^(-alpha/2) is (R sqrt(u))^-alpha without the sqrt
+        rng.random(out=xi)
+        xi *= r_sq
+        np.power(xi, -0.5 * params.alpha, out=xi)
+        yield slice(a, b), c > 0, filled, clen, _segment_starts(clen), xi, spare_buf[:hi - lo]
+
+
+def _theta_blocks(metric, params, radius, rho, gain, tail, col, n, rng):
+    """Per-block operands of every row of a constant-elevation draw.
+
+    rho holds the draw's distinct LoS probabilities in ascending order, one
+    per theta_bar, and gain (cos^alpha theta_bar) and tail (the tail mean
+    at radius) follow it; row i reads column col[i].  The UAVs of class c,
+    a Poisson process of density lambda (rho_{c+1} - rho_c) (rho_0 = 0,
+    rho_{K+1} = 1), are LoS at columns j >= c and NLoS below, so column j
+    scales their planar r^-alpha by gain[j], and by ell if NLoS.
+
+    A block is reduced by (realization, class) segment to the sum of fading
+    times r^-alpha, and for the downlink to the largest r^-alpha and the
+    fading times r^-alpha of the first point reaching it.  A column reads a
+    prefix (LoS) and a suffix (NLoS) of these, so the rows cost
+    O(realizations x rows), not a pass over the points each.  Yields
+    (signal, interference) of the realizations that hold a UAV, or the
+    received sums of every realization, as (realizations, rows) arrays.
+    """
+    share = np.diff(rho, prepend=0.0, append=1.0)
+    width = share.size
+    counts, total = _counts(params, radius, n, rng)
+    fade = _stream_at(rng, total)
     ell = params.ell
     if metric == "downlink":
         g_star = fade.standard_gamma(params.n_antennas, size=n)
-    for a, b, lo, hi in zip(bounds, bounds[1:], points, points[1:]):
-        cells = split.multinomial(counts[a:b], share).ravel()
-        filled = cells > 0
-        clen = cells[filled]
-        starts = _segment_starts(clen)
-        xi, g = xi_buf[:hi - lo], g_buf[:hi - lo]
-        rng.random(out=g)
-        np.sqrt(g, out=g)
-        g *= radius
-        np.power(g, -params.alpha, out=xi)
-        if metric == "downlink":
-            fade.standard_exponential(out=g)
-        else:
-            _gamma_fill(fade, params.n_antennas, g)
+    for sl, nz, filled, clen, starts, xi, g in _class_blocks(
+            params, radius, share, counts, width + col.size, rng):
+        _gamma_fill(fade, 1 if metric == "downlink" else params.n_antennas, g)
         g *= xi
-        sums = np.zeros(cells.size)
+        sums = np.zeros(filled.size)
         sums[filled] = np.add.reduceat(g, starts)
         sums = sums.reshape(-1, width)
-        # row j: LoS classes 0..j, NLoS classes j+1..K
+        # column j: LoS classes 0..j, NLoS classes j+1..K
         rest = np.cumsum(sums[:, :-1], axis=1)
         rest += ell * np.cumsum(sums[:, :0:-1], axis=1)[:, ::-1]
         if metric == "cellfree":
-            yield gain * rest + params.n_antennas * tail
+            yield (gain * rest + params.n_antennas * tail)[:, col]
             continue
         xi_max = np.maximum.reduceat(xi, starts)
-        peak, at_peak = np.zeros(cells.size), np.zeros(cells.size)
+        peak, at_peak = np.zeros(filled.size), np.zeros(filled.size)
         peak[filled] = xi_max
         # ties to the lowest index, as in associate
         at_peak[filled] = g[_first_max_index(xi, xi_max, clen, starts)]
-        nz = counts[a:b] > 0
         peak, at_peak = peak.reshape(-1, width)[nz], at_peak.reshape(-1, width)[nz]
         los_peak, los_served = _running_peak(peak[:, :-1], at_peak[:, :-1])
         nlos_peak, nlos_served = _running_peak(peak[:, :0:-1], at_peak[:, :0:-1])
         nlos_peak = ell * nlos_peak[:, ::-1]
         by_los = los_peak >= nlos_peak
         served = np.where(by_los, los_served, ell * nlos_served[:, ::-1])
-        signal = g_star[a:b][nz, None] * (gain * np.where(by_los, los_peak, nlos_peak))
-        yield signal, gain * (rest[nz] - served) + tail
+        signal = g_star[sl][nz, None] * (gain * np.where(by_los, los_peak, nlos_peak))
+        yield signal[:, col], (gain * (rest[nz] - served) + tail)[:, col]
 
 
 def shares_draw(settings):
@@ -554,22 +532,25 @@ def estimate_sweep(
     chunk_fn, hits_fn = _KERNELS[metric]
     hits = np.zeros(len(rows), dtype=np.int64)
     chunks = _chunks(n_samples, radius, params.density, master_seed)
-    if len(laws) == 1:
+    if isinstance(laws[0], ConstantElevation):
+        # one column per distinct theta_bar, in rho order; each row reads its own
+        theta = np.array([e.theta_bar for e in laws])
+        rho = los_probability(theta, params.c1, params.c2)
+        order = np.argsort(rho, kind="stable")
+        column = {laws[i]: j for j, i in enumerate(order)}
+        col = np.array([column[e] for e in elevs])
+        gain = np.cos(theta[order]) ** params.alpha
+        tail = np.array([interference_tail_mean(params, laws[i], radius) for i in order])
+        for size, rng in chunks:
+            for operands in _theta_blocks(
+                    metric, params, radius, rho[order], gain, tail, col, size, rng):
+                hits += hits_fn(operands, params.power, beta, noise)
+    else:
         tail_units = interference_tail_mean(params, laws[0], radius)
         for size, rng in chunks:
             operands = chunk_fn(params, laws[0], radius, tail_units, size, rng)
             for j in range(len(rows)):
                 hits[j] += hits_fn(operands, params.power, beta[j], noise[j])
-    else:
-        theta = np.array([e.theta_bar for e in elevs])
-        rho = los_probability(theta, params.c1, params.c2)
-        order = np.argsort(rho, kind="stable")
-        gain = np.cos(theta[order]) ** params.alpha
-        tail = np.array([interference_tail_mean(params, elevs[i], radius) for i in order])
-        for size, rng in chunks:
-            for operands in _theta_blocks(
-                    metric, params, radius, rho[order], gain, tail, size, rng):
-                hits[order] += hits_fn(operands, params.power, beta[order], noise[order])
     estimates = []
     for h in hits.tolist():
         mean = h / n_samples
@@ -613,8 +594,8 @@ def _law_radius(params, rate_constant):
 
 
 def _per_realization(params, elev, n_samples, master_seed, radius, empty, reduce):
-    """One value per realization: reduce(starts, xi, d3, los) over each block's
-    points, and empty for a realization without a point."""
+    """One value per realization of a tangent law: reduce(starts, xi, d3, los)
+    over each block's points, or empty for a realization without one."""
     out = []
     for size, rng in _chunks(n_samples, radius, params.density, master_seed):
         vals = np.full(size, empty)
@@ -623,6 +604,25 @@ def _per_realization(params, elev, n_samples, master_seed, radius, empty, reduce
             vals[sl][nz] = reduce(starts, xi, d3, los)
         out.append(vals)
     return np.concatenate(out)
+
+
+def _peak_gain(params, elev, n_samples, master_seed, radius):
+    """Per-realization maxima of L ||U||^-alpha (0 without a point); under a
+    constant elevation, of each realization's LoS and NLoS class maxima."""
+    if not isinstance(elev, ConstantElevation):
+        return _per_realization(params, elev, n_samples, master_seed, radius, 0.0,
+                                lambda starts, xi, d3, los: np.maximum.reduceat(xi, starts))
+    rho = los_probability(elev.theta_bar, params.c1, params.c2)
+    share = np.array([rho, 1.0 - rho])
+    out = []
+    for size, rng in _chunks(n_samples, radius, params.density, master_seed):
+        peak = np.zeros((size, 2))
+        counts, _ = _counts(params, radius, size, rng)
+        for sl, _, filled, _, starts, xi, _ in _class_blocks(
+                params, radius, share, counts, 2, rng):
+            peak[sl].reshape(-1)[filled] = np.maximum.reduceat(xi, starts)
+        out.append(np.maximum(peak[:, 0], params.ell * peak[:, 1]))
+    return math.cos(elev.theta_bar) ** params.alpha * np.concatenate(out)
 
 
 def sample_peak_gain(params, elev, n_samples, master_seed, sim_radius=None):
@@ -635,10 +635,7 @@ def sample_peak_gain(params, elev, n_samples, master_seed, sim_radius=None):
     if sim_radius is None:
         w_eff = effective_density_factor(params, elev)
         sim_radius = _law_radius(params, w_eff)
-    return _per_realization(
-        params, elev, n_samples, master_seed, sim_radius, 0.0,
-        lambda starts, xi, d3, los: np.maximum.reduceat(xi, starts),
-    )
+    return _peak_gain(params, elev, n_samples, master_seed, sim_radius)
 
 
 def sample_nearest_sq(params, elev, case, n_samples, master_seed, sim_radius=None):
@@ -651,10 +648,13 @@ def sample_nearest_sq(params, elev, case, n_samples, master_seed, sim_radius=Non
     rate_c = nearest_sq_rate(params, elev, case) / (math.pi * params.density)
     if sim_radius is None:
         sim_radius = _law_radius(params, rate_c)
-    v = 2.0 / params.alpha
+    if case == "los-weighted" or isinstance(elev, ConstantElevation):
+        # min (L^(-1/alpha) d3)^2 = (max L d3^-alpha)^(-2/alpha), with L at
+        # the case's attenuation; 0 (no point) gives inf
+        peak = _peak_gain(nearest_sq_params(params, case), elev, n_samples, master_seed, sim_radius)
+        with np.errstate(divide="ignore"):
+            return peak ** (-2.0 / params.alpha)
     reduce = {
-        # min (L^(-1/alpha) d3)^2 = (max xi)^(-2/alpha)
-        "los-weighted": lambda starts, xi, d3, los: np.maximum.reduceat(xi, starts) ** (-v),
         "all-los-unit": lambda starts, xi, d3, los: np.minimum.reduceat(d3, starts) ** 2,
         "pure-los": lambda starts, xi, d3, los: (
             np.minimum.reduceat(np.where(los, d3, np.inf), starts) ** 2),

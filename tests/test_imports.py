@@ -70,8 +70,8 @@ def _point(tmp_path, text):
 def test_monte_carlo_point_loads_no_scipy_and_no_pool(tmp_path):
     row, code, modules = _point(tmp_path, "mode = montecarlo\nn_samples = 2000\n")
     assert code == 0 and modules == []
-    # the value recorded when scipy.special still loaded at import
-    assert (row["p_mc"], row["mc_stderr"]) == (0.7735, 0.009359427065798419)
+    # the value of the same point in a process that has loaded scipy.special
+    assert (row["p_mc"], row["mc_stderr"]) == (0.801, 0.008927457644816915)
 
 
 def test_analytic_point_loads_scipy_special_at_its_first_value(tmp_path):

@@ -5,6 +5,7 @@ import hashlib
 import math
 import pickle
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -178,18 +179,18 @@ def test_outputs_match_recorded_golden_values(block_points):
     # numpy 2.4 on x86-64 with AVX-512, whose SIMD pow/exp may round
     # differently from the kernels numpy picks on another CPU family.
     gamma_tan = GammaTanElevation(3.0, math.radians(20.0))
-    for ell, want in ((0.25, 0.787), (1.0, 0.7933333333333333), (0.0, 0.7843333333333333)):
+    for ell, want in ((0.25, 0.796), (1.0, 0.777), (0.0, 0.7816666666666666)):
         assert estimate_downlink(NetworkParams(density=1e-6, ell=ell), E25, 3000, 11).mean == want
     assert estimate_downlink(NetworkParams(density=1e-6), gamma_tan, 3000, 12).mean == 0.797
     p_cf = NetworkParams(density=1e-6, beta=1e4, n_antennas=2)
-    assert estimate_cellfree(p_cf, E25, 3000, 13).mean == 0.7416666666666667
+    assert estimate_cellfree(p_cf, E25, 3000, 13).mean == 0.7386666666666667
     p = NetworkParams(density=1e-6)
     assert _sha256(sample_peak_gain(p, E25, 3000, 14)) == (
-        "4bea4a70ad24372861716667c297c5c133b7c80519ea1d803f9989f32d4c3710")
+        "9533cdf11f3ff1a1260dc0c93b7ccaaa782f9917bbae4b0f3b399c534ad3e589")
     for i, (case, want) in enumerate((
-        ("all-los-unit", "128e981380b50f174bdbd6ea03e2499db2d9894577780c6ffa090a4f06c15028"),
-        ("los-weighted", "c412b245e5673def396a45761822655065f6fa243601620b3a545976eea6c7e6"),
-        ("pure-los", "d318e65f31eb8183d6cae17279d58d7cdf7a682ca997690861a272778bbc55da"),
+        ("all-los-unit", "a3b204463e6274dce0adc46c4447098bfb3a36622f26ad7e3acfdf7c5035d5ff"),
+        ("los-weighted", "8c2e4141439999be93bb9ab1c8e0bc214cc96872c341edbc13d7669e746cc8c0"),
+        ("pure-los", "e021c4dff7205bca25b643fe8f737b245cf5156fb22b4834a9615f2b97e6f0d2"),
     )):
         assert _sha256(sample_nearest_sq(p, E25, case, 3000, 15 + i)) == want, case
 
@@ -211,9 +212,9 @@ def test_gamma_tan_outputs_match_recorded_golden_values(block_points):
 
 
 @pytest.mark.parametrize("elev,digests", [
-    (E25, ("2076a149d7d26d2c0d6fdf131cf0caf2d05ff078cc7cde3b80f78a0381a9f97a",
-           "85800b865c66a5fb624b40f1c78be0bca015c88b57cac4bd4691d336fc495a40",
-           "cf4663b9b70946a359b62024f9dc1782756fafc8b56c45857ef7acb0f4fcdc0c")),
+    (E25, ("bbdef175e275ecd1e561036c479363f53c2d2741fe695885b87042f401e723a5",
+           "f9cb05d0f60b9ca6bbc25ec7aeae29d1b773724b5a8e8e9c04372ad966dbd7cd",
+           "8d0f36faa8356e88b8520f43dc6abeb1d6760ad501bda478c4704fdbd61f6ba3")),
     (GammaTanElevation(3.0, math.radians(20.0)),
      ("41afd41bdf00f6871a89e286263002f775be7b14cde25b46bb497905eaa7b8fb",
       "69b9a07e58cc3bef66cbd79c646e3dcb88480f4c854c6a140991154cdac1867d",
@@ -225,13 +226,12 @@ def test_realizations_larger_than_a_block_match_recorded_golden_values(
     # default block: such a realization is walked as one block of its own
     p = NetworkParams(density=1e-6)
     radius = 180e3
-    tail = interference_tail_mean(p, elev, radius)
     assert mc._BLOCK_POINTS < 1.01e5 < p.density * math.pi * radius**2
-    signal, interference = mc._downlink_chunk(
-        p, elev, radius, tail, 3, np.random.default_rng(21))
+    signal, interference = _one_row_chunk(
+        "downlink", p, elev, radius, 3, np.random.default_rng(21))
     assert _sha256(np.concatenate([signal, interference])) == digests[0]
-    assert _sha256(mc._cellfree_chunk(
-        p, elev, radius, tail, 3, np.random.default_rng(22))) == digests[1]
+    assert _sha256(_one_row_chunk(
+        "cellfree", p, elev, radius, 3, np.random.default_rng(22))) == digests[1]
     assert _sha256(sample_nearest_sq(p, elev, "pure-los", 3, 23, sim_radius=radius)) == (
         digests[2])
 
@@ -239,13 +239,40 @@ def test_realizations_larger_than_a_block_match_recorded_golden_values(
 def test_chunks_without_points_yield_the_empty_outcome(block_points):
     # a 1 m disk holds a point with probability ~3e-6: every block is empty
     p = NetworkParams(density=1e-6)
-    signal, interference = mc._downlink_chunk(p, E25, 1.0, 0.0, 500, np.random.default_rng(28))
-    assert signal.size == interference.size == 0
-    total = mc._cellfree_chunk(p, E25, 1.0, 0.5, 500, np.random.default_rng(28))
-    assert total.tolist() == [p.n_antennas * 0.5] * 500
-    assert estimate_downlink(p, E25, 500, 24, sim_radius=1.0).mean == 0.0
-    assert (sample_peak_gain(p, E25, 500, 26, sim_radius=1.0) == 0.0).all()
-    assert np.isinf(sample_nearest_sq(p, E25, "pure-los", 500, 27, sim_radius=1.0)).all()
+    for elev in (E25, GammaTanElevation(3.0, math.radians(20.0))):
+        signal, interference = _one_row_chunk(
+            "downlink", p, elev, 1.0, 500, np.random.default_rng(28))
+        assert signal.size == interference.size == 0
+        total = _one_row_chunk("cellfree", p, elev, 1.0, 500, np.random.default_rng(28))
+        tail = interference_tail_mean(p, elev, 1.0)
+        assert total.tolist() == [p.n_antennas * tail] * 500
+        assert estimate_downlink(p, elev, 500, 24, sim_radius=1.0).mean == 0.0
+        assert (sample_peak_gain(p, elev, 500, 26, sim_radius=1.0) == 0.0).all()
+        for i, case in enumerate(("all-los-unit", "los-weighted", "pure-los")):
+            assert np.isinf(sample_nearest_sq(p, elev, case, 500, 27 + i, sim_radius=1.0)).all()
+
+
+def test_constant_elevation_never_reaches_the_marked_kernel(monkeypatch):
+    # every constant-elevation draw is laid out by LoS class and draws no
+    # LoS uniform; only a tangent law marks its points one by one
+    seen = []
+    for name in ("_draw_chunk", "_blocks"):
+        def spy(params, *args, _name=name, _fn=getattr(mc, name)):
+            seen.append((_name, args[0]))
+            return _fn(params, *args)
+        monkeypatch.setattr(mc, name, spy)
+    p = NetworkParams(density=1e-6, beta=1e4, n_antennas=2)
+    for call in _entry_points(sim_radius=5000.0):
+        call()
+    elevs = [ConstantElevation(math.radians(t)) for t in (10.0, 25.0)]
+    mc.estimate_sweep("cellfree", [p, p], elevs, 10, 1, sim_radius=5000.0)
+    for case in ("all-los-unit", "los-weighted"):
+        sample_nearest_sq(p, E25, case, 10, 1, sim_radius=5000.0)
+    assert seen == []
+    gamma_tan = GammaTanElevation(3.0, math.radians(20.0))
+    estimate_cellfree(p, gamma_tan, 10, 1, sim_radius=5000.0)
+    assert [name for name, _ in seen] == ["_draw_chunk", "_blocks"]
+    assert seen[0][1] == gamma_tan
 
 
 def test_runs_over_several_chunks_match_recorded_golden_values(block_points):
@@ -255,37 +282,55 @@ def test_runs_over_several_chunks_match_recorded_golden_values(block_points):
     for elev in (E25, gamma_tan):
         mean_points = p.density * math.pi * guard_radius(p, elev, 1e-3) ** 2
         assert len(mc._chunk_sizes(5000, mean_points)) == 3
-    assert estimate_downlink(p, E25, 5000, 29).mean == 0.793
+    assert estimate_downlink(p, E25, 5000, 29).mean == 0.8046
     assert estimate_downlink(p, gamma_tan, 5000, 30).mean == 0.7992
     p_cf = NetworkParams(density=1e-6, beta=1e4, n_antennas=2)
-    assert estimate_cellfree(p_cf, E25, 5000, 31).mean == 0.7442
+    assert estimate_cellfree(p_cf, E25, 5000, 31).mean == 0.7444
 
 
 def _theta_rows(params, elevs, radius):
-    """estimate_sweep's per-row constants of a theta_bar draw, in rho order."""
-    theta = np.array([e.theta_bar for e in elevs])
+    """estimate_sweep's constants of a constant-elevation draw: the column
+    each row reads, and per distinct theta_bar in rho order its LoS
+    probability, cos^alpha theta_bar and tail mean at radius."""
+    laws = list(dict.fromkeys(elevs))
+    theta = np.array([e.theta_bar for e in laws])
     rho = los_probability(theta, params.c1, params.c2)
     order = np.argsort(rho, kind="stable")
-    tail = np.array([interference_tail_mean(params, elevs[i], radius) for i in order])
-    return order, rho[order], np.cos(theta[order]) ** params.alpha, tail
+    col = np.argsort(order)[[laws.index(e) for e in elevs]]
+    tail = np.array([interference_tail_mean(params, laws[i], radius) for i in order])
+    return col, rho[order], np.cos(theta[order]) ** params.alpha, tail
 
 
-def _brute_force_theta_hits(metric, params, elevs, n_samples, seed, radius):
-    """Hits of every row of a theta_bar draw, each row recomputed point by
-    point.  Each chunk is drawn whole on the stream layout of the montecarlo
-    docstring, every point is marked with its LoS class, and each row forms
-    its xi, first maximum and sums as _downlink_chunk and _cellfree_chunk
-    do."""
-    order, rho, gain, tail = _theta_rows(params, elevs, radius)
+def _one_row_chunk(metric, params, elev, radius, n, rng):
+    """One chunk's operands of a one-row run, as estimate_sweep draws it: by
+    LoS class under a constant elevation, by _downlink_chunk or
+    _cellfree_chunk under a tangent law."""
+    if not isinstance(elev, ConstantElevation):
+        chunk = {"downlink": mc._downlink_chunk, "cellfree": mc._cellfree_chunk}[metric]
+        return chunk(params, elev, radius, interference_tail_mean(params, elev, radius), n, rng)
+    col, rho, gain, tail = _theta_rows(params, [elev], radius)
+    blocks = list(mc._theta_blocks(metric, params, radius, rho, gain, tail, col, n, rng))
+    if metric == "cellfree":
+        return np.concatenate(blocks).ravel()
+    return tuple(np.concatenate(operand).ravel() for operand in zip(*blocks))
+
+
+def _brute_force_hits(metric, rows, elevs, n_samples, seed, radius):
+    """Hits of every row of a constant-elevation draw, each row recomputed
+    point by point.  Each chunk is drawn whole on the stream layout of the
+    montecarlo docstring, every point is marked with its LoS class, and
+    each row forms its xi, first maximum and sums as _downlink_chunk and
+    _cellfree_chunk do."""
+    params = rows[0]
+    col, rho, gain, tail = _theta_rows(params, elevs, radius)
     share = np.diff(rho, prepend=0.0, append=1.0)
-    noise = params.noise / params.power
-    hits = np.zeros(len(elevs), dtype=np.int64)
+    hits = np.zeros(len(rows), dtype=np.int64)
     for size, rng in mc._chunks(n_samples, radius, params.density, seed):
         counts = rng.poisson(params.density * math.pi * radius**2, size=size)
         total = int(counts.sum())
         fade = mc._stream_at(rng, total)
         cells = mc._stream_at(rng, mc._SPLIT_STEPS).multinomial(counts, share)
-        planar = (radius * np.sqrt(rng.random(total))) ** -params.alpha
+        planar = (radius**2 * rng.random(total)) ** (-params.alpha / 2.0)
         klass = np.repeat(np.tile(np.arange(share.size), size), cells.ravel())
         if metric == "downlink":
             g_star = fade.standard_gamma(params.n_antennas, size=size)
@@ -295,13 +340,15 @@ def _brute_force_theta_hits(metric, params, elevs, n_samples, seed, radius):
         nz = counts > 0
         cnz = counts[nz]
         starts = np.concatenate(([0], np.cumsum(cnz)[:-1]))
-        for j, i in enumerate(order):
+        for i, (row, j) in enumerate(zip(rows, col)):
+            noise = row.noise * (params.density / row.density) ** (params.alpha / 2.0)
+            noise /= params.power
             xi = gain[j] * planar * np.where(klass <= j, 1.0, params.ell)
             if metric == "cellfree":
                 total_gain = np.full(size, params.n_antennas * tail[j])
                 if cnz.size:
                     total_gain[nz] += np.add.reduceat(fading * xi, starts)
-                hits[i] += np.count_nonzero(total_gain >= params.beta * noise)
+                hits[i] += np.count_nonzero(total_gain >= row.beta * noise)
                 continue
             if not cnz.size:
                 continue
@@ -310,24 +357,39 @@ def _brute_force_theta_hits(metric, params, elevs, n_samples, seed, radius):
             gx = fading * xi
             interference = np.add.reduceat(gx, starts) - gx[i_star] + tail[j]
             signal = g_star[nz] * xi_max
-            hits[i] += np.count_nonzero(signal >= params.beta * (interference + noise))
+            hits[i] += np.count_nonzero(signal >= row.beta * (interference + noise))
     return hits
+
+
+def _check_against_brute_force(metric, ell, degrees, beta_scales):
+    beta = 1.0 if metric == "downlink" else 1e4
+    p = NetworkParams(density=1e-6, ell=ell, beta=beta, n_antennas=2)
+    elevs = [ConstantElevation(math.radians(t)) for t in degrees]
+    rows = [replace(p, beta=beta * scale) for scale in beta_scales]
+    n, seed = 300, 41
+    radius = max(guard_radius(p, e, 1e-3) for e in elevs)
+    estimates = mc.estimate_sweep(metric, rows, elevs, n, seed)
+    got = [round(est.mean * n) for est in estimates]
+    want = _brute_force_hits(metric, rows, elevs, n, seed, radius)
+    assert got == want.tolist()
+    assert 0 < want.min() and want.max() < n
 
 
 @pytest.mark.parametrize("ell", [0.0, 0.25, 1.0])
 @pytest.mark.parametrize("metric", ["downlink", "cellfree"])
 def test_theta_draw_counts_every_row_as_brute_force(block_points, metric, ell):
-    # unsorted rows with a repeat: a repeated rho holds an empty class
-    beta = 1.0 if metric == "downlink" else 1e4
-    p = NetworkParams(density=1e-6, ell=ell, beta=beta, n_antennas=2)
-    elevs = [ConstantElevation(math.radians(t)) for t in (40.0, 5.0, 25.0, 10.0, 25.0, 60.0)]
-    n, seed = 300, 41
-    radius = max(guard_radius(p, e, 1e-3) for e in elevs)
-    estimates = mc.estimate_sweep(metric, [p] * len(elevs), elevs, n, seed)
-    got = [round(est.mean * n) for est in estimates]
-    want = _brute_force_theta_hits(metric, p, elevs, n, seed, radius)
-    assert got == want.tolist()
-    assert 0 < want.min() and want.max() < n
+    # unsorted rows with a repeat, which reads its twin's column
+    _check_against_brute_force(metric, ell, (40.0, 5.0, 25.0, 10.0, 25.0, 60.0), (1.0,) * 6)
+
+
+@pytest.mark.parametrize("layout", ["one-row", "beta"])
+@pytest.mark.parametrize("ell", [0.0, 0.25, 1.0])
+@pytest.mark.parametrize("metric", ["downlink", "cellfree"])
+def test_one_theta_draw_counts_every_row_as_brute_force(block_points, metric, ell, layout):
+    # one theta_bar: two classes (LoS, NLoS) and one column, which every
+    # beta row reads at its own threshold
+    scales = {"one-row": (1.0,), "beta": (1.0, 0.7, 3.0, 1.5)}[layout]
+    _check_against_brute_force(metric, ell, (25.0,) * len(scales), scales)
 
 
 @pytest.mark.parametrize("metric", ["downlink", "cellfree"])
@@ -335,12 +397,12 @@ def test_theta_draw_operands_keep_their_bits_at_every_block_size(monkeypatch, me
     p = NetworkParams(density=1e-6, ell=0.25, n_antennas=2)
     elevs = [ConstantElevation(math.radians(t)) for t in (5.0, 25.0, 25.0, 60.0)]
     radius = max(guard_radius(p, e, 1e-3) for e in elevs)
-    _, rho, gain, tail = _theta_rows(p, elevs, radius)
+    col, rho, gain, tail = _theta_rows(p, elevs, radius)
     digests = set()
     for block_points in (1, 7, 1000, mc._BLOCK_POINTS):
         monkeypatch.setattr(mc, "_BLOCK_POINTS", block_points)
         blocks = list(mc._theta_blocks(
-            metric, p, radius, rho, gain, tail, 200, np.random.default_rng(43)))
+            metric, p, radius, rho, gain, tail, col, 200, np.random.default_rng(43)))
         if metric == "downlink":  # (signal, interference) per block
             blocks = [np.concatenate(operand) for operand in zip(*blocks)]
         digests.add(_sha256(np.concatenate(blocks)))
@@ -356,13 +418,13 @@ def test_theta_sweep_differences_follow_the_analytic_curve():
     elevs = [ConstantElevation(math.radians(t)) for t in np.linspace(5.0, 60.0, 12)]
     n, seed = 20000, 7
     radius = max(guard_radius(p, e, 1e-3) for e in elevs)
-    order, rho, gain, tail = _theta_rows(p, elevs, radius)
-    assert order.tolist() == list(range(len(elevs)))
+    col, rho, gain, tail = _theta_rows(p, elevs, radius)
+    assert col.tolist() == list(range(len(elevs)))
     hits = np.zeros(len(elevs), dtype=np.int64)
     gained = np.zeros(len(elevs) - 1, dtype=np.int64)
     lost = np.zeros(len(elevs) - 1, dtype=np.int64)
     for size, rng in mc._chunks(n, radius, p.density, seed):
-        for operands in mc._theta_blocks("downlink", p, radius, rho, gain, tail, size, rng):
+        for operands in mc._theta_blocks("downlink", p, radius, rho, gain, tail, col, size, rng):
             signal, interference = operands
             hit = signal >= p.beta * (interference + p.noise / p.power)
             hits += hit.sum(axis=0)
@@ -425,8 +487,8 @@ def test_chunk_kernels_peak_allocation_per_point():
     # A chunk of 500 or 2000 realizations holds ~4.7e5 or ~1.9e6 points.
     # The kernels walk it in blocks of at most _BLOCK_POINTS points and
     # reuse the blocks' buffers, so under constant elevation the peak does
-    # not grow with the chunk; nor does a theta_bar draw's, whose
-    # per-class grids are block-sized too, at 12 rows and at 1000.
+    # not grow with the chunk, whose per-class grids are block-sized too:
+    # one row, 12 rows and 1000.
     # gamma_tan keeps the chunk's tangents, 8 B per point, on top of the
     # same kind of fixed working set.
     p = NetworkParams(density=1e-6)
@@ -434,17 +496,18 @@ def test_chunk_kernels_peak_allocation_per_point():
 
     def theta_chunk(metric, rows):
         elevs = [ConstantElevation(math.radians(t)) for t in np.linspace(25.0, 60.0, rows)]
-        _, rho, gain, tails = _theta_rows(p, elevs, guard_radius(p, E25, 1e-3))
+        col, rho, gain, tails = _theta_rows(p, elevs, guard_radius(p, E25, 1e-3))
 
         def chunk(params, elev, radius, tail, n, rng):
-            for _ in mc._theta_blocks(metric, params, radius, rho, gain, tails, n, rng):
+            for _ in mc._theta_blocks(metric, params, radius, rho, gain, tails, col, n, rng):
                 pass
         chunk.__name__ = f"theta {metric} {rows} rows"
         return chunk
 
-    theta_chunks = [theta_chunk(m, rows) for m in ("downlink", "cellfree") for rows in (12, 1000)]
+    theta_chunks = [
+        theta_chunk(m, rows) for m in ("downlink", "cellfree") for rows in (1, 12, 1000)]
     for elev, per_point, fixed, chunks in (
-        (E25, 0, 3 * 2**20, (mc._downlink_chunk, mc._cellfree_chunk, *theta_chunks)),
+        (E25, 0, 3 * 2**20, theta_chunks),
         (GammaTanElevation(3.0, math.radians(20.0)), 8, 4 * 2**20,
          (mc._downlink_chunk, mc._cellfree_chunk)),
     ):
@@ -512,10 +575,10 @@ def test_estimate_matches_analytic_gamma_tan_below_unit_shape():
 
 @pytest.mark.parametrize("metric,params,elev,seed,tolerance,want", [
     ("downlink", NetworkParams(density=1e-6, ell=0.0), ConstantElevation(math.radians(10.0)),
-     6201, 1e-3, 0.78855),
+     6201, 1e-3, 0.7927),
     ("downlink", NetworkParams(density=1e-7, ell=0.0, n_antennas=4),
      GammaTanElevation(3.0, math.radians(20.0)), 6202, 1e-3, 0.99775),
-    ("cellfree", NetworkParams(density=1e-6, ell=0.0, beta=7575.08), E25, 6203, 3e-4, 0.5009),
+    ("cellfree", NetworkParams(density=1e-6, ell=0.0, beta=7575.08), E25, 6203, 3e-4, 0.4961),
 ], ids=["downlink-theta10", "gamma_tan-N4", "cellfree-beta7575"])
 def test_estimate_matches_analytic_with_nlos_erased(metric, params, elev, seed, tolerance, want):
     # ell = 0 erases the NLoS UAVs: the thinned process is the LoS one alone.
@@ -643,8 +706,9 @@ def test_entry_points_reject_non_integer_sample_counts(n):
 
 def test_entry_points_refuse_oversized_realizations_before_drawing(monkeypatch):
     # 1e7 m at 1e-6 / m^2 is 3.1e8 points per realization, ~8 GB; the
-    # refusal must come before any draw, so a draw here fails the test
-    monkeypatch.setattr(mc, "_draw_chunk", None)
+    # refusal must come before any draw; every draw starts with its counts,
+    # so a draw here fails the test
+    monkeypatch.setattr(mc, "_counts", None)
     for call in _entry_points(sim_radius=1e7):
         with pytest.raises(InvalidParameterError, match=r"3\.14e\+08 points.*16777216"):
             call()
