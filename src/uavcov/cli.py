@@ -3,7 +3,9 @@
 `sweep <config>` runs the configured parameter sweep and writes one row per
 point (CSV by default); `point <config>` evaluates the base configuration
 once and prints JSON; `validate <suite>` runs a cross-check suite, prints
-the JSON report to stdout and PASS/FAIL lines to stderr.
+the JSON report to stdout and PASS/FAIL lines to stderr.  `validate gate`
+runs the acceptance gate, one line per criterion; it refuses `--n-samples`
+and `--seed` (exit 2), since its criteria fix their own.
 
 `sweep` and `point` share one path, run_sweep: `point` is the config with
 its sweep removed, which is one point.  The points are grouped into Monte

@@ -499,6 +499,13 @@ def test_validate_rejects_bad_sample_counts_and_seeds(monkeypatch, capsys, flag,
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--n-samples", "10"), ("--seed", "3")])
+def test_validate_gate_refuses_sample_counts_and_seeds(monkeypatch, capsys, flag, value):
+    monkeypatch.setattr("uavcov.validation._gate_jobs", None)  # no gate job may be built
+    assert main(["validate", "gate", flag, value]) == EXIT_CONFIG
+    assert "'gate'" in capsys.readouterr().err
+
+
 def test_validate_numerics_suite_end_to_end(capsys):
     assert main(["validate", "numerics"]) == EXIT_OK
     captured = capsys.readouterr()
