@@ -19,40 +19,46 @@ independent Poisson processes of density lambda rho and lambda (1 - rho)
 (the marking theorem); several theta_bar cut the UAVs into more such LoS
 classes.  So a constant-elevation chunk is drawn by class (_class_blocks)
 and marks no point: its stream holds the Poisson point counts, one radius
-uniform per point, then the fading (the downlink's per-realization
-Gamma(N, 1) serving gains first, then Exp(1) per point; cell-free:
-Gamma(N, 1) per point).  Each realization's count is split over the
-classes by a multinomial draw from a copy of the chunk generator advanced
-by _SPLIT_STEPS = 2^64 outputs from the end of the counts, far past
-anything else the chunk draws, and its points lie class after class.
+uniform per point, then the fading, read from a copy of the chunk
+generator advanced by the chunk's point count `total` (PCG64 jump-ahead;
+one float64 uniform is one 64-bit output).  Each realization's count is
+split over the classes by a multinomial draw from a copy advanced by
+_SPLIT_STEPS = 2^64 outputs from the end of the counts, far past anything
+else the chunk draws, and its points lie class after class.
 
-A tangent law (gamma_tan) marks its points one by one (_draw_chunk): its
-stream holds the counts, the radius uniforms, the elevation tangents, the
-LoS uniforms, then the fading (the downlink's serving gains last).  With
-`total` points in a chunk, the radius uniforms are the chunk generator's
-next `total` outputs after the counts; what follows them is read from a
-copy of the generator advanced by `total` (PCG64 jump-ahead; one float64
-uniform is one 64-bit output), and a tangent law's fading from a copy
-advanced by another `total`.  The fading draws vary in length, but they
-come last, so one continuing stream gives the same sequence.  The copies
-take the chunk generator's state; no fresh entropy is drawn.
+A tangent law (gamma_tan) marks its points one by one (_marked_blocks):
+its stream holds the counts and the radius uniforms, then, from a copy
+advanced by `total`, the elevation tangents and the LoS uniforms, then,
+from a copy of that one advanced by another `total` once the tangents are
+drawn, the fading.
 
-Both walk a chunk in blocks of whole realizations, about _BLOCK_POINTS
-points each (a larger realization is a block of its own), reusing a few
-buffers and reading every sub-stream in realization order, so any block
-size gives the same bits.  A constant-elevation chunk's peak allocation is
-a fixed working set of a few MB; a tangent law keeps the chunk's tangents
-too, 8 bytes per point.  A block holds at least one whole realization, so a
-disk that would hold more than _MAX_POINTS points on average is refused
-before the first draw.
+The fading is, under either law, the downlink's per-realization Gamma(N,
+1) serving gains first, then Exp(1) per point; cell-free, Gamma(N, 1) per
+point.  Its draws vary in length, but they come last, so one continuing
+stream gives the same sequence.  The copies take the chunk generator's
+state; no fresh entropy is drawn.
 
-A chunk kernel stops before the coverage test and returns per-realization
-operands: the serving signal and the interference (downlink), or the
-received sum with the tail compensation (cell-free).  The run then counts
-hits for each row with the comparison a single estimate makes, so one draw
-serves every row that shares_draw admits; the sharing rule is stated there.
-estimate_downlink and estimate_cellfree are the one-row case of
-estimate_sweep.
+Both laws walk a chunk in blocks of whole realizations, about
+_BLOCK_POINTS points each (a larger realization is a block of its own),
+reusing a few buffers and reading every sub-stream in realization order,
+so any block size gives the same bits.  Both yield one block form: points
+grouped by (realization, LoS class), with their path gains.  A tangent
+law's points carry their secant and attenuation in that gain and all lie
+in one class, LoS at the draw's single column.  So one reduction
+(_row_operands) serves every law and every row.  A constant-elevation
+chunk's peak allocation is a fixed working set of a few MB; a tangent law
+keeps the chunk's tangents too, 8 bytes per point.  A block holds at least
+one whole realization, so a disk that would hold more than _MAX_POINTS
+points on average is refused before the first draw.
+
+The reduction stops before the coverage test and returns per-realization
+operands for every row: the serving signal and the interference
+(downlink), or the received sum with the tail compensation (cell-free).
+The run then counts each row's hits with the comparison a single estimate
+makes, so one draw serves every row that shares_draw admits; the sharing
+rule is stated there.  estimate_downlink and estimate_cellfree are the
+one-row case of estimate_sweep, and the distribution samplers read the
+same block walk (_peak_gain).
 """
 
 import math
@@ -213,40 +219,19 @@ def _stream_at(rng, steps):
     return np.random.Generator(bit_gen)
 
 
-def _draw_chunk(params, elev, radius, n, rng):
-    """One batch of n realizations of a tangent law, walked in blocks.
-
-    Returns (fade, blocks).  fade is the stream of the estimator's fading
-    draws, taken in block order.  blocks yields (sl, nz, cnz, starts, xi,
-    d3, los) for each block that holds a point: the block's slice of the
-    chunk's realizations, their nonzero mask, point counts and segment
-    starts, then the attenuated gains L ||U||^-alpha, 3D distances and LoS
-    marks of its points.  xi, d3 and los are views of buffers that the next
-    block overwrites.  The stream layout is in the module docstring.
-    """
-    counts, total = _counts(params, radius, n, rng)
-    los_rng = _stream_at(rng, total)
-    # the tangents precede the LoS uniforms, and their length is not known
-    # until they are drawn, so they are drawn for the whole chunk at once
-    tan_theta = elev.sample_tan(los_rng, total)
-    fade = _stream_at(los_rng, total)
-    return fade, _blocks(params, radius, counts, tan_theta, rng, los_rng)
-
-
 def _counts(params, radius, n, rng):
     """Poisson point counts of n realizations of the disk, and their total."""
     counts = rng.poisson(params.density * math.pi * radius * radius, size=n)
     return counts, int(counts.sum())
 
 
-def _block_bounds(counts, span=None):
+def _block_bounds(counts, span):
     """Realization and point bounds of a chunk's blocks.
 
     A block holds whole realizations, about _BLOCK_POINTS points (a larger
     realization is a block of its own) and at most span realizations.
     """
     ends = np.cumsum(counts)
-    span = span or counts.size
     bounds = [0]
     while bounds[-1] < counts.size:
         a = bounds[-1]
@@ -263,9 +248,66 @@ def _segment_starts(cnz):
     return starts
 
 
-def _blocks(params, radius, counts, tan_theta, rng, los_rng):
-    """The block walk of _draw_chunk: radii from rng, LoS uniforms from los_rng."""
-    bounds, points = _block_bounds(counts)
+def _draw(params, elev, radius, share, width, n, rng):
+    """One chunk of n realizations: (fade, blocks).
+
+    fade is the stream of the chunk's fading draws and blocks its block walk,
+    by LoS class at shares share of the density under a constant elevation
+    (_class_blocks), point by point under a tangent law (_marked_blocks).
+    A block holds at most _BLOCK_POINTS // (8 width) realizations, so grids
+    of width numbers per realization stay small.  The stream layout is in
+    the module docstring.
+    """
+    counts, total = _counts(params, radius, n, rng)
+    span = max(1, _BLOCK_POINTS // (8 * width))
+    if isinstance(elev, ConstantElevation):
+        return _stream_at(rng, total), _class_blocks(params, radius, share, counts, span, rng)
+    los_rng = _stream_at(rng, total)
+    # the tangents precede the LoS uniforms, and their length is not known
+    # until they are drawn, so they are drawn for the whole chunk at once
+    tan_theta = elev.sample_tan(los_rng, total)
+    fade = _stream_at(los_rng, total)
+    return fade, _marked_blocks(params, radius, counts, tan_theta, span, rng, los_rng)
+
+
+def _class_blocks(params, radius, share, counts, span, rng):
+    """The block walk of a constant-elevation chunk drawn by LoS class.
+
+    counts are the chunk's point counts, just drawn from rng; share holds
+    the classes' shares of the density.  Yields (sl, nz, filled, clen,
+    starts, xi, spare) per block: its slice of the chunk's realizations,
+    their nonzero mask, which (realization, class) cells hold a point, the
+    point counts and segment starts of those, the points' planar r^-alpha
+    class after class, and a scratch buffer; the next block overwrites the
+    last two.
+    """
+    split = _stream_at(rng, _SPLIT_STEPS)
+    bounds, points = _block_bounds(counts, span)
+    cap = int(np.diff(points).max())
+    xi_buf, spare_buf = np.empty(cap), np.empty(cap)
+    r_sq = radius * radius
+    for a, b, lo, hi in zip(bounds, bounds[1:], points, points[1:]):
+        c = counts[a:b]
+        cells = split.multinomial(c, share).ravel()
+        filled = cells > 0
+        clen = cells[filled]
+        xi = xi_buf[:hi - lo]
+        # (R^2 u)^(-alpha/2) is (R sqrt(u))^-alpha without the sqrt
+        rng.random(out=xi)
+        xi *= r_sq
+        np.power(xi, -0.5 * params.alpha, out=xi)
+        yield slice(a, b), c > 0, filled, clen, _segment_starts(clen), xi, spare_buf[:hi - lo]
+
+
+def _marked_blocks(params, radius, counts, tan_theta, span, rng, los_rng):
+    """The block walk of a tangent-law chunk, in _class_blocks' form.
+
+    Radii come from rng and LoS uniforms from los_rng.  xi holds each
+    point's L ||U||^-alpha, its secant and attenuation included, so every
+    point lies in the first of two classes, LoS at the draw's one column,
+    and the second class stays empty.
+    """
+    bounds, points = _block_bounds(counts, span)
     cap = int(np.diff(points).max())
     d3_buf, xi_buf = np.empty(cap), np.empty(cap)
     los_buf = np.empty(cap, dtype=bool)
@@ -274,8 +316,6 @@ def _blocks(params, radius, counts, tan_theta, rng, los_rng):
         att_buf = np.empty(cap)
     for a, b, lo, hi in zip(bounds, bounds[1:], points, points[1:]):
         m = int(hi - lo)
-        if m == 0:
-            continue
         d3, xi, los = d3_buf[:m], xi_buf[:m], los_buf[:m]
         rng.random(out=d3)
         np.sqrt(d3, out=d3)
@@ -300,8 +340,11 @@ def _blocks(params, radius, counts, tan_theta, rng, los_rng):
             xi *= att
         c = counts[a:b]
         nz = c > 0
-        cnz = c[nz]
-        yield slice(a, b), nz, cnz, _segment_starts(cnz), xi, d3, los
+        filled = np.zeros(2 * nz.size, dtype=bool)
+        filled[::2] = nz
+        clen = c[nz]
+        # d3 is not needed past the draw: it is the block's scratch buffer
+        yield slice(a, b), nz, filled, clen, _segment_starts(clen), xi, d3
 
 
 def _first_max_index(xi, xi_max, cnz, starts):
@@ -314,34 +357,14 @@ def _first_max_index(xi, xi_max, cnz, starts):
     return hits[np.searchsorted(hits, starts)]
 
 
-def _downlink_chunk(params, elev, radius, tail_units, n, rng):
-    """Operands (signal, interference) of the realizations that hold a UAV.
-
-    signal is the serving fading gain times the serving path gain and
-    interference the other UAVs' sum plus the tail mean, both in units of
-    power.  A realization without a UAV is never covered, at any threshold.
-    """
-    fade, blocks = _draw_chunk(params, elev, radius, n, rng)
-    peaks, interference = [], []
-    # d3 is not needed past the draw: its buffer takes the fading gains
-    for _, _, cnz, starts, xi, g, _ in blocks:
-        xi_max = np.maximum.reduceat(xi, starts)
-        i_star = _first_max_index(xi, xi_max, cnz, starts)
-        fade.standard_exponential(out=g)
-        g *= xi
-        interference.append(np.add.reduceat(g, starts) - g[i_star] + tail_units)
-        peaks.append(xi_max)
-    if not peaks:
-        return np.empty(0), np.empty(0)
-    xi_max = np.concatenate(peaks)
-    g_star = fade.standard_gamma(params.n_antennas, size=xi_max.size)
-    return g_star * xi_max, np.concatenate(interference)
-
-
 def _downlink_hits(operands, power, beta, noise):
-    """Hits per column of (realizations, rows) operands, or in all of 1-D ones."""
+    """Hits per row of (realizations, rows) operands."""
     signal, interference = operands
     return np.count_nonzero(signal >= beta * (interference + noise / power), axis=0)
+
+
+def _cellfree_hits(total, power, beta, noise):
+    return np.count_nonzero(total >= beta * noise / power, axis=0)
 
 
 def _gamma_fill(fade, shape, out):
@@ -356,81 +379,32 @@ def _gamma_fill(fade, shape, out):
         fade.standard_gamma(shape, out=out)
 
 
-def _cellfree_chunk(params, elev, radius, tail_units, n, rng):
-    """Received signal sum of every realization in units of power, with the
-    tail compensation added (a realization without a UAV holds it alone)."""
-    fade, blocks = _draw_chunk(params, elev, radius, n, rng)
-    compensation = params.n_antennas * tail_units
-    total = np.full(n, compensation)
-    # as in _downlink_chunk, the d3 buffer takes the fading gains
-    for sl, nz, _, starts, xi, g, _ in blocks:
-        _gamma_fill(fade, params.n_antennas, g)
-        g *= xi
-        total[sl][nz] = np.add.reduceat(g, starts) + compensation
-    return total
-
-
-def _cellfree_hits(total, power, beta, noise):
-    return np.count_nonzero(total >= beta * noise / power, axis=0)
-
-
-_KERNELS = {
-    "downlink": (_downlink_chunk, _downlink_hits),
-    "cellfree": (_cellfree_chunk, _cellfree_hits),
-}
-
-
 def _running_peak(m, g):
     """Running maximum of m along axis 1, and g where it was reached."""
+    if m.shape[1] == 1:
+        return m, g
     peak = np.maximum.accumulate(m, axis=1)
     at = np.where(m == peak, np.arange(m.shape[1]), 0)
     np.maximum.accumulate(at, axis=1, out=at)
     return peak, np.take_along_axis(g, at, axis=1)
 
 
-def _class_blocks(params, radius, share, counts, width, rng):
-    """The block walk of a constant-elevation chunk drawn by LoS class.
-
-    counts are the chunk's point counts, just drawn from rng; share holds
-    the classes' shares of the density.  Yields (sl, nz, filled, clen,
-    starts, xi, spare) per block: its slice of the chunk's realizations,
-    their nonzero mask, which (realization, class) cells hold a point, the
-    point counts and segment starts of those, the points' planar r^-alpha
-    class after class, and a scratch buffer; the next block overwrites the
-    last two.  A block holds at most _BLOCK_POINTS // (8 width)
-    realizations, so grids of width numbers per realization stay small.
-    """
-    split = _stream_at(rng, _SPLIT_STEPS)
-    bounds, points = _block_bounds(counts, max(1, _BLOCK_POINTS // (8 * width)))
-    cap = int(np.diff(points).max())
-    xi_buf, spare_buf = np.empty(cap), np.empty(cap)
-    r_sq = radius * radius
-    for a, b, lo, hi in zip(bounds, bounds[1:], points, points[1:]):
-        c = counts[a:b]
-        cells = split.multinomial(c, share).ravel()
-        filled = cells > 0
-        clen = cells[filled]
-        xi = xi_buf[:hi - lo]
-        # (R^2 u)^(-alpha/2) is (R sqrt(u))^-alpha without the sqrt
-        rng.random(out=xi)
-        xi *= r_sq
-        np.power(xi, -0.5 * params.alpha, out=xi)
-        yield slice(a, b), c > 0, filled, clen, _segment_starts(clen), xi, spare_buf[:hi - lo]
-
-
-def _theta_blocks(metric, params, radius, rho, gain, tail, col, n, rng):
-    """Per-block operands of every row of a constant-elevation draw.
+def _row_operands(metric, params, elev, radius, rho, gain, tail, col, n, rng):
+    """Per-block operands of every row of one draw.
 
     rho holds the draw's distinct LoS probabilities in ascending order, one
-    per theta_bar, and gain (cos^alpha theta_bar) and tail (the tail mean
-    at radius) follow it; row i reads column col[i].  The UAVs of class c,
-    a Poisson process of density lambda (rho_{c+1} - rho_c) (rho_0 = 0,
+    per column, and gain (the factor on every path gain) and tail (the tail
+    mean at radius) follow it; row i reads column col[i].  The UAVs of class
+    c, a Poisson process of density lambda (rho_{c+1} - rho_c) (rho_0 = 0,
     rho_{K+1} = 1), are LoS at columns j >= c and NLoS below, so column j
-    scales their planar r^-alpha by gain[j], and by ell if NLoS.
+    scales their path gain by gain[j], and by ell if NLoS.  Under a constant
+    elevation a column is a theta_bar, with gain cos^alpha theta_bar.  A
+    tangent law's points carry their own secant and attenuation: its draw
+    has one column, rho = gain = [1], and all its points in class 0.
 
     A block is reduced by (realization, class) segment to the sum of fading
-    times r^-alpha, and for the downlink to the largest r^-alpha and the
-    fading times r^-alpha of the first point reaching it.  A column reads a
+    times path gain, and for the downlink to the largest path gain and the
+    fading times path gain of the first point reaching it.  A column reads a
     prefix (LoS) and a suffix (NLoS) of these, so the rows cost
     O(realizations x rows), not a pass over the points each.  Yields
     (signal, interference) of the realizations that hold a UAV, or the
@@ -438,13 +412,11 @@ def _theta_blocks(metric, params, radius, rho, gain, tail, col, n, rng):
     """
     share = np.diff(rho, prepend=0.0, append=1.0)
     width = share.size
-    counts, total = _counts(params, radius, n, rng)
-    fade = _stream_at(rng, total)
+    fade, blocks = _draw(params, elev, radius, share, width + col.size, n, rng)
     ell = params.ell
     if metric == "downlink":
         g_star = fade.standard_gamma(params.n_antennas, size=n)
-    for sl, nz, filled, clen, starts, xi, g in _class_blocks(
-            params, radius, share, counts, width + col.size, rng):
+    for sl, nz, filled, clen, starts, xi, g in blocks:
         _gamma_fill(fade, 1 if metric == "downlink" else params.n_antennas, g)
         g *= xi
         sums = np.zeros(filled.size)
@@ -483,7 +455,7 @@ def shares_draw(settings):
     (lambda_0/lambda_j)^(alpha/2).  A constant theta_bar enters a draw only
     as the factor cos^alpha theta_bar on every path gain and as the LoS
     threshold rho(theta_bar) that bounds the draw's LoS classes
-    (_theta_blocks).  A tangent law draws its tangents from theta_bar and
+    (_row_operands).  A tangent law draws its tangents from theta_bar and
     its shape, so it shares only with equal laws.
     """
     (params, elev), *rest = settings
@@ -529,9 +501,6 @@ def estimate_sweep(
     beta = np.array([p.beta for p in rows])
     noise = np.array(
         [p.noise * (params.density / p.density) ** (params.alpha / 2.0) for p in rows])
-    chunk_fn, hits_fn = _KERNELS[metric]
-    hits = np.zeros(len(rows), dtype=np.int64)
-    chunks = _chunks(n_samples, radius, params.density, master_seed)
     if isinstance(laws[0], ConstantElevation):
         # one column per distinct theta_bar, in rho order; each row reads its own
         theta = np.array([e.theta_bar for e in laws])
@@ -539,18 +508,19 @@ def estimate_sweep(
         order = np.argsort(rho, kind="stable")
         column = {laws[i]: j for j, i in enumerate(order)}
         col = np.array([column[e] for e in elevs])
-        gain = np.cos(theta[order]) ** params.alpha
-        tail = np.array([interference_tail_mean(params, laws[i], radius) for i in order])
-        for size, rng in chunks:
-            for operands in _theta_blocks(
-                    metric, params, radius, rho[order], gain, tail, col, size, rng):
-                hits += hits_fn(operands, params.power, beta, noise)
+        rho, gain = rho[order], np.cos(theta[order]) ** params.alpha
+        laws = [laws[i] for i in order]
     else:
-        tail_units = interference_tail_mean(params, laws[0], radius)
-        for size, rng in chunks:
-            operands = chunk_fn(params, laws[0], radius, tail_units, size, rng)
-            for j in range(len(rows)):
-                hits[j] += hits_fn(operands, params.power, beta[j], noise[j])
+        # one column, at which a tangent law's marked points are all LoS
+        rho = gain = np.ones(1)
+        col = np.zeros(len(rows), dtype=np.intp)
+    tail = np.array([interference_tail_mean(params, e, radius) for e in laws])
+    hits_fn = _downlink_hits if metric == "downlink" else _cellfree_hits
+    hits = np.zeros(len(rows), dtype=np.int64)
+    for size, rng in _chunks(n_samples, radius, params.density, master_seed):
+        for operands in _row_operands(
+                metric, params, laws[0], radius, rho, gain, tail, col, size, rng):
+            hits += hits_fn(operands, params.power, beta, noise)
     estimates = []
     for h in hits.tolist():
         mean = h / n_samples
@@ -593,36 +563,25 @@ def _law_radius(params, rate_constant):
     return math.sqrt(30.0 / max(rate_constant * math.pi * params.density, 1e-300))
 
 
-def _per_realization(params, elev, n_samples, master_seed, radius, empty, reduce):
-    """One value per realization of a tangent law: reduce(starts, xi, d3, los)
-    over each block's points, or empty for a realization without one."""
-    out = []
-    for size, rng in _chunks(n_samples, radius, params.density, master_seed):
-        vals = np.full(size, empty)
-        _, blocks = _draw_chunk(params, elev, radius, size, rng)
-        for sl, nz, _, starts, xi, d3, los in blocks:
-            vals[sl][nz] = reduce(starts, xi, d3, los)
-        out.append(vals)
-    return np.concatenate(out)
-
-
 def _peak_gain(params, elev, n_samples, master_seed, radius):
-    """Per-realization maxima of L ||U||^-alpha (0 without a point); under a
-    constant elevation, of each realization's LoS and NLoS class maxima."""
-    if not isinstance(elev, ConstantElevation):
-        return _per_realization(params, elev, n_samples, master_seed, radius, 0.0,
-                                lambda starts, xi, d3, los: np.maximum.reduceat(xi, starts))
-    rho = los_probability(elev.theta_bar, params.c1, params.c2)
+    """Per-realization maxima of L ||U||^-alpha (0 without a point): the
+    larger of a realization's LoS class maximum and ell times its NLoS one,
+    times cos^alpha theta_bar.  A tangent law's points carry their own
+    secant and attenuation and lie in the LoS class, at scale 1."""
+    if isinstance(elev, ConstantElevation):
+        rho = los_probability(elev.theta_bar, params.c1, params.c2)
+        scale = math.cos(elev.theta_bar) ** params.alpha
+    else:
+        rho = scale = 1.0
     share = np.array([rho, 1.0 - rho])
     out = []
     for size, rng in _chunks(n_samples, radius, params.density, master_seed):
         peak = np.zeros((size, 2))
-        counts, _ = _counts(params, radius, size, rng)
-        for sl, _, filled, _, starts, xi, _ in _class_blocks(
-                params, radius, share, counts, 2, rng):
+        _, blocks = _draw(params, elev, radius, share, 2, size, rng)
+        for sl, _, filled, _, starts, xi, _ in blocks:
             peak[sl].reshape(-1)[filled] = np.maximum.reduceat(xi, starts)
         out.append(np.maximum(peak[:, 0], params.ell * peak[:, 1]))
-    return math.cos(elev.theta_bar) ** params.alpha * np.concatenate(out)
+    return scale * np.concatenate(out)
 
 
 def sample_peak_gain(params, elev, n_samples, master_seed, sim_radius=None):
@@ -648,15 +607,8 @@ def sample_nearest_sq(params, elev, case, n_samples, master_seed, sim_radius=Non
     rate_c = nearest_sq_rate(params, elev, case) / (math.pi * params.density)
     if sim_radius is None:
         sim_radius = _law_radius(params, rate_c)
-    if case == "los-weighted" or isinstance(elev, ConstantElevation):
-        # min (L^(-1/alpha) d3)^2 = (max L d3^-alpha)^(-2/alpha), with L at
-        # the case's attenuation; 0 (no point) gives inf
-        peak = _peak_gain(nearest_sq_params(params, case), elev, n_samples, master_seed, sim_radius)
-        with np.errstate(divide="ignore"):
-            return peak ** (-2.0 / params.alpha)
-    reduce = {
-        "all-los-unit": lambda starts, xi, d3, los: np.minimum.reduceat(d3, starts) ** 2,
-        "pure-los": lambda starts, xi, d3, los: (
-            np.minimum.reduceat(np.where(los, d3, np.inf), starts) ** 2),
-    }[case]
-    return _per_realization(params, elev, n_samples, master_seed, sim_radius, np.inf, reduce)
+    # min (L^(-1/alpha) d3)^2 = (max L d3^-alpha)^(-2/alpha), with L at the
+    # case's attenuation; 0 (no point) gives inf
+    peak = _peak_gain(nearest_sq_params(params, case), elev, n_samples, master_seed, sim_radius)
+    with np.errstate(divide="ignore"):
+        return peak ** (-2.0 / params.alpha)

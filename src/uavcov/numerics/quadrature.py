@@ -11,10 +11,11 @@ half-panel in one integrand call on an (m, 15) array.  Semi-infinite ranges
 are mapped to (0, 1) with x = a + (t/(1-t))^3; the Kronrod nodes are
 interior, so integrable endpoint singularities introduced by the map are
 handled by subdivision.  The first round on (0, 1) is the same for every
-semi-infinite integral, so its partition and mapped nodes are computed once
-per process (per panel count), at the first such integral; each integral
-then applies only its own integrand and the Jacobian, in the same order,
-so the values keep every bit.  Finite ranges compute their nodes afresh.
+semi-infinite integral, so its partition, half-widths and mapped nodes are
+computed once per process (per panel count), at the first such integral;
+each integral then applies only its own integrand and the Jacobian, in the
+same order, so the values keep every bit.  Finite ranges compute their
+nodes afresh.
 """
 
 import math
@@ -87,10 +88,20 @@ def _nodes(lo, hi):
     return half, mid[:, None] + half[:, None] * _NODES
 
 
-def _kronrod_panels(f, lo, hi):
-    """K15 estimates and |K15 - G7| errors of f on the panels [lo, hi]."""
-    half, x = _nodes(lo, hi)
-    fx = np.asarray(f(x), dtype=float)
+def _at_nodes(f):
+    """The panel rule of an elementwise f: (lo, hi) -> the panels'
+    half-widths and f at their Kronrod nodes."""
+    def rule(lo, hi):
+        half, x = _nodes(lo, hi)
+        return half, f(x)
+    return rule
+
+
+def _kronrod_panels(rule, lo, hi):
+    """K15 estimates and |K15 - G7| errors on the panels [lo, hi], of the
+    half-widths and integrand values that rule(lo, hi) gives."""
+    half, fx = rule(lo, hi)
+    fx = np.asarray(fx, dtype=float)
     ik = half * (fx @ _WK)
     return ik, np.abs(ik - half * (fx @ _WGFULL))
 
@@ -102,10 +113,11 @@ def _partition(a, b, panels):
 
 
 def _adapt(f, lo, hi, first=None):
-    """Integrate f over the initial partition's panels [lo, hi].  first,
-    when given, stands in for f in the first round: a form of f that
-    already knows those panels' nodes."""
-    est, err = _kronrod_panels(f if first is None else first, lo, hi)
+    """Integrate the elementwise f over the initial partition's panels
+    [lo, hi].  first, when given, is the first round's panel rule: one that
+    already knows those panels' half-widths and nodes."""
+    rule = _at_nodes(f)
+    est, err = _kronrod_panels(rule if first is None else first, lo, hi)
     splits = 0
     while True:
         total = float(est.sum())
@@ -130,7 +142,7 @@ def _adapt(f, lo, hi, first=None):
         mid = 0.5 * (lo[split] + hi[split])
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])
-        new_est, new_err = _kronrod_panels(f, new_lo, new_hi)
+        new_est, new_err = _kronrod_panels(rule, new_lo, new_hi)
         lo = np.concatenate([lo[keep], new_lo])
         hi = np.concatenate([hi[keep], new_hi])
         est = np.concatenate([est[keep], new_est])
@@ -160,11 +172,12 @@ def integrate(f, a, b):
             val = f(a + u**3) * 3.0 * u * u / (1.0 - tc) ** 2
             return np.where(safe, val, 0.0)
 
-        lo, hi, x, u, d = _mapped_partition(_INITIAL_PANELS)
+        lo, hi, half, x, u, d = _mapped_partition(_INITIAL_PANELS)
 
-        def g0(t):
-            # g on the initial partition, whose nodes all lie below t = 1
-            return f(a + x) * 3.0 * u * u / d
+        def g0(lo, hi):
+            # g's panel rule on the initial partition, whose nodes all lie
+            # below t = 1
+            return half, f(a + x) * 3.0 * u * u / d
 
         return _adapt(g, lo, hi, g0)
     if a == b:
@@ -174,14 +187,14 @@ def integrate(f, a, b):
 
 @lru_cache(maxsize=None)
 def _mapped_partition(panels):
-    """The initial partition (lo, hi) of (0, 1) into `panels` panels, and
-    u^3, u = t/(1-t) and (1-t)^2 at its Kronrod nodes t, computed as
-    integrate and g compute them: every semi-infinite integral starts from
-    these same nodes.  Read-only, since every call shares them."""
+    """The initial partition (lo, hi) of (0, 1) into `panels` panels, its
+    half-widths, and u^3, u = t/(1-t) and (1-t)^2 at its Kronrod nodes t,
+    computed as integrate and g compute them: every semi-infinite integral
+    starts from these same nodes.  Read-only, since every call shares them."""
     lo, hi = _partition(0.0, 1.0, panels)
-    _, t = _nodes(lo, hi)
+    half, t = _nodes(lo, hi)
     u = t / (1.0 - t)
-    mapped = lo, hi, u**3, u, (1.0 - t) ** 2
+    mapped = lo, hi, half, u**3, u, (1.0 - t) ** 2
     for arr in mapped:
         arr.setflags(write=False)
     return mapped

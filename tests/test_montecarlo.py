@@ -181,7 +181,8 @@ def test_outputs_match_recorded_golden_values(block_points):
     gamma_tan = GammaTanElevation(3.0, math.radians(20.0))
     for ell, want in ((0.25, 0.796), (1.0, 0.777), (0.0, 0.7816666666666666)):
         assert estimate_downlink(NetworkParams(density=1e-6, ell=ell), E25, 3000, 11).mean == want
-    assert estimate_downlink(NetworkParams(density=1e-6), gamma_tan, 3000, 12).mean == 0.797
+    assert estimate_downlink(NetworkParams(density=1e-6), gamma_tan, 3000, 12).mean == (
+        0.8116666666666666)
     p_cf = NetworkParams(density=1e-6, beta=1e4, n_antennas=2)
     assert estimate_cellfree(p_cf, E25, 3000, 13).mean == 0.7386666666666667
     p = NetworkParams(density=1e-6)
@@ -196,19 +197,25 @@ def test_outputs_match_recorded_golden_values(block_points):
 
 
 def test_gamma_tan_outputs_match_recorded_golden_values(block_points):
-    # The non-constant branch of _draw_chunk: the tangent draws, the LoS
-    # uniforms and the LoS law must keep their order and their bits.
+    # The tangent walk (_marked_blocks): the tangent draws, the LoS uniforms
+    # and the LoS law must keep their order and their bits.  The path gains
+    # and the samplers' digests are those the marked walk gave before it
+    # took the class walk's block form.
     gamma_tan = GammaTanElevation(3.0, math.radians(20.0))
     p_cf = NetworkParams(density=1e-6, beta=1e4, n_antennas=2)
     assert estimate_cellfree(p_cf, gamma_tan, 3000, 16).mean == 0.7066666666666667
     p = NetworkParams(density=1e-6)
     radius = guard_radius(p, gamma_tan, 1e-3)
-    _, blocks = mc._draw_chunk(p, gamma_tan, radius, 200, np.random.default_rng(18))
-    # each block's marks live in a buffer the next block overwrites
-    los = np.concatenate([block[-1].copy() for block in blocks])
-    assert los.size == 204954
-    assert hashlib.sha256(np.ascontiguousarray(los).tobytes()).hexdigest() == (
-        "1167c4ad2ff7d3ae8d35a6af81fe3e81c7a13d49565d70106677107923d2a8ec")
+    share = np.array([1.0, 0.0])
+    _, blocks = mc._draw(p, gamma_tan, radius, share, 3, 200, np.random.default_rng(18))
+    # each block's gains live in a buffer the next block overwrites
+    xi = np.concatenate([block[5].copy() for block in blocks])
+    assert xi.size == 204954
+    assert _sha256(xi) == "c90fbe587f770da1a687216c5e8b532ec66ef6d3e96d7ace4fb7d144f1109614"
+    assert _sha256(sample_peak_gain(p, gamma_tan, 3000, 14)) == (
+        "080038b1cb916575d26179f7db4a1ee596c2965f039b46ce3e04c4b4e4c69ba0")
+    assert _sha256(sample_nearest_sq(p, gamma_tan, "los-weighted", 3000, 16)) == (
+        "74d18a782d55f4c565da17a0d6e4a40520776e3085e36845eb19ad58bdeebded")
 
 
 @pytest.mark.parametrize("elev,digests", [
@@ -216,9 +223,9 @@ def test_gamma_tan_outputs_match_recorded_golden_values(block_points):
            "f9cb05d0f60b9ca6bbc25ec7aeae29d1b773724b5a8e8e9c04372ad966dbd7cd",
            "8d0f36faa8356e88b8520f43dc6abeb1d6760ad501bda478c4704fdbd61f6ba3")),
     (GammaTanElevation(3.0, math.radians(20.0)),
-     ("41afd41bdf00f6871a89e286263002f775be7b14cde25b46bb497905eaa7b8fb",
+     ("0e5ed5d38bc3692a922380f185c5a268c73232090589ca74746c8f76418de7dd",
       "69b9a07e58cc3bef66cbd79c646e3dcb88480f4c854c6a140991154cdac1867d",
-      "1d6bcd47cf61e5e6d6f6a532682349d8420929f8738591988fca6bac8db5b6b4")),
+      "2bf306e2b8e12e34ea0c212786af153666661de7782ab3e8ea3cd73eaf387fd9")),
 ], ids=["constant", "gamma_tan"])
 def test_realizations_larger_than_a_block_match_recorded_golden_values(
         block_points, elev, digests):
@@ -256,11 +263,18 @@ def test_constant_elevation_never_reaches_the_marked_kernel(monkeypatch):
     # every constant-elevation draw is laid out by LoS class and draws no
     # LoS uniform; only a tangent law marks its points one by one
     seen = []
-    for name in ("_draw_chunk", "_blocks"):
-        def spy(params, *args, _name=name, _fn=getattr(mc, name)):
-            seen.append((_name, args[0]))
-            return _fn(params, *args)
-        monkeypatch.setattr(mc, name, spy)
+    marked, tangents = mc._marked_blocks, GammaTanElevation.sample_tan
+
+    def spy_blocks(params, *args):
+        seen.append("_marked_blocks")
+        return marked(params, *args)
+
+    def spy_tangents(elev, *args):
+        seen.append(elev)
+        return tangents(elev, *args)
+
+    monkeypatch.setattr(mc, "_marked_blocks", spy_blocks)
+    monkeypatch.setattr(GammaTanElevation, "sample_tan", spy_tangents)
     p = NetworkParams(density=1e-6, beta=1e4, n_antennas=2)
     for call in _entry_points(sim_radius=5000.0):
         call()
@@ -271,8 +285,7 @@ def test_constant_elevation_never_reaches_the_marked_kernel(monkeypatch):
     assert seen == []
     gamma_tan = GammaTanElevation(3.0, math.radians(20.0))
     estimate_cellfree(p, gamma_tan, 10, 1, sim_radius=5000.0)
-    assert [name for name, _ in seen] == ["_draw_chunk", "_blocks"]
-    assert seen[0][1] == gamma_tan
+    assert seen == [gamma_tan, "_marked_blocks"]
 
 
 def test_runs_over_several_chunks_match_recorded_golden_values(block_points):
@@ -283,16 +296,20 @@ def test_runs_over_several_chunks_match_recorded_golden_values(block_points):
         mean_points = p.density * math.pi * guard_radius(p, elev, 1e-3) ** 2
         assert len(mc._chunk_sizes(5000, mean_points)) == 3
     assert estimate_downlink(p, E25, 5000, 29).mean == 0.8046
-    assert estimate_downlink(p, gamma_tan, 5000, 30).mean == 0.7992
+    assert estimate_downlink(p, gamma_tan, 5000, 30).mean == 0.7842
     p_cf = NetworkParams(density=1e-6, beta=1e4, n_antennas=2)
     assert estimate_cellfree(p_cf, E25, 5000, 31).mean == 0.7444
 
 
-def _theta_rows(params, elevs, radius):
-    """estimate_sweep's constants of a constant-elevation draw: the column
-    each row reads, and per distinct theta_bar in rho order its LoS
-    probability, cos^alpha theta_bar and tail mean at radius."""
+def _draw_rows(params, elevs, radius):
+    """estimate_sweep's constants of a draw: the column each row reads, and
+    per column its LoS probability, its factor on every path gain and its
+    tail mean at radius.  A constant elevation has one column per distinct
+    theta_bar, in rho order; a tangent law one, at rho = gain = 1."""
     laws = list(dict.fromkeys(elevs))
+    if not isinstance(laws[0], ConstantElevation):
+        tail = np.array([interference_tail_mean(params, laws[0], radius)])
+        return np.zeros(len(elevs), dtype=np.intp), np.ones(1), np.ones(1), tail
     theta = np.array([e.theta_bar for e in laws])
     rho = los_probability(theta, params.c1, params.c2)
     order = np.argsort(rho, kind="stable")
@@ -301,37 +318,50 @@ def _theta_rows(params, elevs, radius):
     return col, rho[order], np.cos(theta[order]) ** params.alpha, tail
 
 
+def _row_blocks(metric, params, elevs, radius, n, rng):
+    """One chunk's per-block operands of every row, as estimate_sweep
+    draws them."""
+    col, rho, gain, tail = _draw_rows(params, elevs, radius)
+    return mc._row_operands(metric, params, elevs[0], radius, rho, gain, tail, col, n, rng)
+
+
 def _one_row_chunk(metric, params, elev, radius, n, rng):
-    """One chunk's operands of a one-row run, as estimate_sweep draws it: by
-    LoS class under a constant elevation, by _downlink_chunk or
-    _cellfree_chunk under a tangent law."""
-    if not isinstance(elev, ConstantElevation):
-        chunk = {"downlink": mc._downlink_chunk, "cellfree": mc._cellfree_chunk}[metric]
-        return chunk(params, elev, radius, interference_tail_mean(params, elev, radius), n, rng)
-    col, rho, gain, tail = _theta_rows(params, [elev], radius)
-    blocks = list(mc._theta_blocks(metric, params, radius, rho, gain, tail, col, n, rng))
+    """One chunk's operands of a one-row run, as estimate_sweep draws it."""
+    blocks = list(_row_blocks(metric, params, [elev], radius, n, rng))
     if metric == "cellfree":
         return np.concatenate(blocks).ravel()
     return tuple(np.concatenate(operand).ravel() for operand in zip(*blocks))
 
 
 def _brute_force_hits(metric, rows, elevs, n_samples, seed, radius):
-    """Hits of every row of a constant-elevation draw, each row recomputed
-    point by point.  Each chunk is drawn whole on the stream layout of the
-    montecarlo docstring, every point is marked with its LoS class, and
-    each row forms its xi, first maximum and sums as _downlink_chunk and
-    _cellfree_chunk do."""
+    """Hits of every row of a draw, each row recounted point by point.
+
+    Each chunk is drawn whole on the stream layout of the montecarlo
+    docstring.  A constant draw marks every point with its LoS class; a
+    tangent draw gives every point its secant and LoS mark, and puts it in
+    class 0.  Each row then forms its path gains, first maximum and sums
+    over each realization's points."""
     params = rows[0]
-    col, rho, gain, tail = _theta_rows(params, elevs, radius)
-    share = np.diff(rho, prepend=0.0, append=1.0)
+    col, rho, gain, tail = _draw_rows(params, elevs, radius)
     hits = np.zeros(len(rows), dtype=np.int64)
     for size, rng in mc._chunks(n_samples, radius, params.density, seed):
         counts = rng.poisson(params.density * math.pi * radius**2, size=size)
         total = int(counts.sum())
-        fade = mc._stream_at(rng, total)
-        cells = mc._stream_at(rng, mc._SPLIT_STEPS).multinomial(counts, share)
-        planar = (radius**2 * rng.random(total)) ** (-params.alpha / 2.0)
-        klass = np.repeat(np.tile(np.arange(share.size), size), cells.ravel())
+        if isinstance(elevs[0], ConstantElevation):
+            fade = mc._stream_at(rng, total)
+            share = np.diff(rho, prepend=0.0, append=1.0)
+            cells = mc._stream_at(rng, mc._SPLIT_STEPS).multinomial(counts, share)
+            path = (radius**2 * rng.random(total)) ** (-params.alpha / 2.0)
+            klass = np.repeat(np.tile(np.arange(share.size), size), cells.ravel())
+        else:
+            marks = mc._stream_at(rng, total)
+            d3 = radius * np.sqrt(rng.random(total))
+            tan = elevs[0].sample_tan(marks, total)
+            d3 *= np.sqrt(tan**2 + 1.0)
+            fade = mc._stream_at(marks, total)
+            los = marks.random(total) < los_probability(np.arctan(tan), params.c1, params.c2)
+            path = d3 ** -params.alpha * np.where(los, 1.0, params.ell)
+            klass = np.zeros(total, dtype=np.intp)
         if metric == "downlink":
             g_star = fade.standard_gamma(params.n_antennas, size=size)
             fading = fade.standard_exponential(size=total)
@@ -343,7 +373,8 @@ def _brute_force_hits(metric, rows, elevs, n_samples, seed, radius):
         for i, (row, j) in enumerate(zip(rows, col)):
             noise = row.noise * (params.density / row.density) ** (params.alpha / 2.0)
             noise /= params.power
-            xi = gain[j] * planar * np.where(klass <= j, 1.0, params.ell)
+            # column j: classes 0..j are LoS, the rest NLoS
+            xi = gain[j] * path * np.where(klass <= j, 1.0, params.ell)
             if metric == "cellfree":
                 total_gain = np.full(size, params.n_antennas * tail[j])
                 if cnz.size:
@@ -361,10 +392,9 @@ def _brute_force_hits(metric, rows, elevs, n_samples, seed, radius):
     return hits
 
 
-def _check_against_brute_force(metric, ell, degrees, beta_scales):
+def _check_against_brute_force(metric, ell, elevs, beta_scales):
     beta = 1.0 if metric == "downlink" else 1e4
     p = NetworkParams(density=1e-6, ell=ell, beta=beta, n_antennas=2)
-    elevs = [ConstantElevation(math.radians(t)) for t in degrees]
     rows = [replace(p, beta=beta * scale) for scale in beta_scales]
     n, seed = 300, 41
     radius = max(guard_radius(p, e, 1e-3) for e in elevs)
@@ -375,11 +405,16 @@ def _check_against_brute_force(metric, ell, degrees, beta_scales):
     assert 0 < want.min() and want.max() < n
 
 
+def _constant(*degrees):
+    return [ConstantElevation(math.radians(t)) for t in degrees]
+
+
 @pytest.mark.parametrize("ell", [0.0, 0.25, 1.0])
 @pytest.mark.parametrize("metric", ["downlink", "cellfree"])
 def test_theta_draw_counts_every_row_as_brute_force(block_points, metric, ell):
     # unsorted rows with a repeat, which reads its twin's column
-    _check_against_brute_force(metric, ell, (40.0, 5.0, 25.0, 10.0, 25.0, 60.0), (1.0,) * 6)
+    elevs = _constant(40.0, 5.0, 25.0, 10.0, 25.0, 60.0)
+    _check_against_brute_force(metric, ell, elevs, (1.0,) * 6)
 
 
 @pytest.mark.parametrize("layout", ["one-row", "beta"])
@@ -389,7 +424,18 @@ def test_one_theta_draw_counts_every_row_as_brute_force(block_points, metric, el
     # one theta_bar: two classes (LoS, NLoS) and one column, which every
     # beta row reads at its own threshold
     scales = {"one-row": (1.0,), "beta": (1.0, 0.7, 3.0, 1.5)}[layout]
-    _check_against_brute_force(metric, ell, (25.0,) * len(scales), scales)
+    _check_against_brute_force(metric, ell, _constant(*(25.0,) * len(scales)), scales)
+
+
+@pytest.mark.parametrize("layout", ["one-row", "beta"])
+@pytest.mark.parametrize("ell", [0.0, 0.25, 1.0])
+@pytest.mark.parametrize("metric", ["downlink", "cellfree"])
+def test_tangent_draw_counts_every_row_as_brute_force(block_points, metric, ell, layout):
+    # a tangent law: one class, LoS at the draw's one column, which every
+    # beta row reads at its own threshold; the net under the tangent goldens
+    scales = {"one-row": (1.0,), "beta": (1.0, 0.7, 3.0, 1.5)}[layout]
+    gamma_tan = GammaTanElevation(3.0, math.radians(20.0))
+    _check_against_brute_force(metric, ell, [gamma_tan] * len(scales), scales)
 
 
 @pytest.mark.parametrize("metric", ["downlink", "cellfree"])
@@ -397,12 +443,10 @@ def test_theta_draw_operands_keep_their_bits_at_every_block_size(monkeypatch, me
     p = NetworkParams(density=1e-6, ell=0.25, n_antennas=2)
     elevs = [ConstantElevation(math.radians(t)) for t in (5.0, 25.0, 25.0, 60.0)]
     radius = max(guard_radius(p, e, 1e-3) for e in elevs)
-    col, rho, gain, tail = _theta_rows(p, elevs, radius)
     digests = set()
     for block_points in (1, 7, 1000, mc._BLOCK_POINTS):
         monkeypatch.setattr(mc, "_BLOCK_POINTS", block_points)
-        blocks = list(mc._theta_blocks(
-            metric, p, radius, rho, gain, tail, col, 200, np.random.default_rng(43)))
+        blocks = list(_row_blocks(metric, p, elevs, radius, 200, np.random.default_rng(43)))
         if metric == "downlink":  # (signal, interference) per block
             blocks = [np.concatenate(operand) for operand in zip(*blocks)]
         digests.add(_sha256(np.concatenate(blocks)))
@@ -418,13 +462,12 @@ def test_theta_sweep_differences_follow_the_analytic_curve():
     elevs = [ConstantElevation(math.radians(t)) for t in np.linspace(5.0, 60.0, 12)]
     n, seed = 20000, 7
     radius = max(guard_radius(p, e, 1e-3) for e in elevs)
-    col, rho, gain, tail = _theta_rows(p, elevs, radius)
-    assert col.tolist() == list(range(len(elevs)))
+    assert _draw_rows(p, elevs, radius)[0].tolist() == list(range(len(elevs)))
     hits = np.zeros(len(elevs), dtype=np.int64)
     gained = np.zeros(len(elevs) - 1, dtype=np.int64)
     lost = np.zeros(len(elevs) - 1, dtype=np.int64)
     for size, rng in mc._chunks(n, radius, p.density, seed):
-        for operands in mc._theta_blocks("downlink", p, radius, rho, gain, tail, col, size, rng):
+        for operands in _row_blocks("downlink", p, elevs, radius, size, rng):
             signal, interference = operands
             hit = signal >= p.beta * (interference + p.noise / p.power)
             hits += hit.sum(axis=0)
@@ -485,51 +528,41 @@ def test_first_max_index_matches_associate_per_segment():
 
 def test_chunk_kernels_peak_allocation_per_point():
     # A chunk of 500 or 2000 realizations holds ~4.7e5 or ~1.9e6 points.
-    # The kernels walk it in blocks of at most _BLOCK_POINTS points and
-    # reuse the blocks' buffers, so under constant elevation the peak does
+    # The kernel walks it in blocks of at most _BLOCK_POINTS points and
+    # reuses the blocks' buffers, so under constant elevation the peak does
     # not grow with the chunk, whose per-class grids are block-sized too:
-    # one row, 12 rows and 1000.
+    # theta_bar draws of one row, 12 rows and 1000.
     # gamma_tan keeps the chunk's tangents, 8 B per point, on top of the
-    # same kind of fixed working set.
+    # same kind of fixed working set: beta draws of one row and 1000.
     p = NetworkParams(density=1e-6)
     seed = 7
-
-    def theta_chunk(metric, rows):
-        elevs = [ConstantElevation(math.radians(t)) for t in np.linspace(25.0, 60.0, rows)]
-        col, rho, gain, tails = _theta_rows(p, elevs, guard_radius(p, E25, 1e-3))
-
-        def chunk(params, elev, radius, tail, n, rng):
-            for _ in mc._theta_blocks(metric, params, radius, rho, gain, tails, col, n, rng):
-                pass
-        chunk.__name__ = f"theta {metric} {rows} rows"
-        return chunk
-
-    theta_chunks = [
-        theta_chunk(m, rows) for m in ("downlink", "cellfree") for rows in (1, 12, 1000)]
-    for elev, per_point, fixed, chunks in (
-        (E25, 0, 3 * 2**20, theta_chunks),
-        (GammaTanElevation(3.0, math.radians(20.0)), 8, 4 * 2**20,
-         (mc._downlink_chunk, mc._cellfree_chunk)),
+    gamma_tan = GammaTanElevation(3.0, math.radians(20.0))
+    for per_point, fixed, draws in (
+        (0, 3 * 2**20, [_constant(*np.linspace(25.0, 60.0, rows)) for rows in (1, 12, 1000)]),
+        (8, 4 * 2**20, [[gamma_tan] * rows for rows in (1, 1000)]),
     ):
-        radius = guard_radius(p, elev, 1e-3)
-        tail = interference_tail_mean(p, elev, radius)
+        radius = guard_radius(p, draws[0][0], 1e-3)
         for n in (500, 2000):
             points = int(np.random.default_rng(seed).poisson(
                 p.density * math.pi * radius**2, n).sum())
-            for chunk in chunks:
-                tracemalloc.start()
-                try:
-                    chunk(p, elev, radius, tail, n, np.random.default_rng(seed))
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-                assert peak <= per_point * points + fixed, (elev, n, chunk.__name__, peak)
+            for metric in ("downlink", "cellfree"):
+                for elevs in draws:
+                    blocks = _row_blocks(metric, p, elevs, radius, n, np.random.default_rng(seed))
+                    tracemalloc.start()
+                    try:
+                        for _ in blocks:
+                            pass
+                        peak = tracemalloc.get_traced_memory()[1]
+                    finally:
+                        tracemalloc.stop()
+                    assert peak <= per_point * points + fixed, (
+                        elevs[0], len(elevs), metric, n, peak)
 
 
 def test_nlos_attenuation_arithmetic_keeps_los_gains_exact():
-    # _blocks attenuates by xi *= ell + (1 - ell) los, which keeps the bits
-    # of the masked multiply exactly when the sum rounds to 1.0 at every
-    # ell in [0, 1], subnormal ones included
+    # _marked_blocks attenuates by xi *= ell + (1 - ell) los, which keeps
+    # the bits of the masked multiply exactly when the sum rounds to 1.0 at
+    # every ell in [0, 1], subnormal ones included
     rng = np.random.default_rng(24)
     ells = np.concatenate((
         rng.random(10**6), 10.0 ** rng.uniform(-323.0, 0.0, 10**5),
@@ -577,7 +610,7 @@ def test_estimate_matches_analytic_gamma_tan_below_unit_shape():
     ("downlink", NetworkParams(density=1e-6, ell=0.0), ConstantElevation(math.radians(10.0)),
      6201, 1e-3, 0.7927),
     ("downlink", NetworkParams(density=1e-7, ell=0.0, n_antennas=4),
-     GammaTanElevation(3.0, math.radians(20.0)), 6202, 1e-3, 0.99775),
+     GammaTanElevation(3.0, math.radians(20.0)), 6202, 1e-3, 0.99745),
     ("cellfree", NetworkParams(density=1e-6, ell=0.0, beta=7575.08), E25, 6203, 3e-4, 0.4961),
 ], ids=["downlink-theta10", "gamma_tan-N4", "cellfree-beta7575"])
 def test_estimate_matches_analytic_with_nlos_erased(metric, params, elev, seed, tolerance, want):
@@ -758,16 +791,18 @@ def test_entry_points_accept_numpy_integer_sample_counts():
 
 def test_peak_gain_samples_follow_cdf():
     p = NetworkParams(density=1e-6)
-    xs = sample_peak_gain(p, E25, 5000, 123)
-    assert kstest(xs, lambda r: peak_gain_cdf(r, p, E25)).pvalue > 0.01
+    for elev, seed in ((E25, 123), (GammaTanElevation(3.0, math.radians(20.0)), 124)):
+        xs = sample_peak_gain(p, elev, 5000, seed)
+        assert kstest(xs, lambda r: peak_gain_cdf(r, p, elev)).pvalue > 0.01, elev
 
 
 def test_nearest_sq_samples_follow_exponential_laws():
     p = NetworkParams(density=1e-6)
-    for i, case in enumerate(("all-los-unit", "los-weighted", "pure-los")):
-        xs = sample_nearest_sq(p, E25, case, 5000, 200 + i)
-        rate = nearest_sq_rate(p, E25, case)
-        assert kstest(xs, "expon", args=(0.0, 1.0 / rate)).pvalue > 0.01, case
+    for elev, seed in ((E25, 200), (GammaTanElevation(3.0, math.radians(20.0)), 203)):
+        for i, case in enumerate(("all-los-unit", "los-weighted", "pure-los")):
+            xs = sample_nearest_sq(p, elev, case, 5000, seed + i)
+            rate = nearest_sq_rate(p, elev, case)
+            assert kstest(xs, "expon", args=(0.0, 1.0 / rate)).pvalue > 0.01, (elev, case)
 
 
 def test_nearest_sq_rejects_unknown_case():
