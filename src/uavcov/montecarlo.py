@@ -13,43 +13,49 @@ given (params, elevation, n_samples, master_seed) is bit-reproducible
 regardless of host or worker count.  Chunks are sized by a fixed target of
 points per batch, a pure function of the inputs.
 
-Under a constant elevation a UAV's LoS mark is a coin flip at
-rho(theta_bar) whatever its position, so the LoS and the NLoS UAVs are
-independent Poisson processes of density lambda rho and lambda (1 - rho)
-(the marking theorem); several theta_bar cut the UAVs into more such LoS
-classes.  So a constant-elevation chunk is drawn by class (_class_blocks)
-and marks no point: its stream holds the Poisson point counts, one radius
-uniform per point, then the fading, read from a copy of the chunk
-generator advanced by the chunk's point count `total` (PCG64 jump-ahead;
-one float64 uniform is one 64-bit output).  Each realization's count is
-split over the classes by a multinomial draw from a copy advanced by
-_SPLIT_STEPS = 2^64 outputs from the end of the counts, far past anything
-else the chunk draws, and its points lie class after class.
+Every chunk draws from its generator the Poisson point counts, then one
+radius uniform per point.  Its other draws come from copies of the chunk
+generator advanced past the counts (PCG64 jump-ahead; one float64 uniform
+is one 64-bit output), so each has a stream of its own.  With `total` the
+chunk's point count: at `total`, the LoS uniforms, which only a tangent
+law draws; at `total` under a constant elevation and `2 total` under a
+tangent law, the fading; at _SPLIT_STEPS = 2^64, far past anything else
+the chunk draws, the side stream.  The copies take the chunk generator's
+state; no fresh entropy is drawn.
 
-A tangent law (gamma_tan) marks its points one by one (_marked_blocks):
-its stream holds the counts and the radius uniforms, then, from a copy
-advanced by `total`, the elevation tangents and the LoS uniforms, then,
-from a copy of that one advanced by another `total` once the tangents are
-drawn, the fading.
+The paper's UAVs are a planar Poisson process whose marks (elevation, and
+the LoS mark drawn from it) are independent of their positions.  Under a
+constant elevation a UAV's LoS mark is a coin flip at rho(theta_bar), so
+the LoS and the NLoS UAVs are independent Poisson processes of density
+lambda rho and lambda (1 - rho) (the marking theorem); several theta_bar
+cut the UAVs into more such LoS classes.  So a constant-elevation chunk is
+drawn by class (_class_blocks) and marks no point: the side stream splits
+each realization's count over the classes by a multinomial draw, and its
+points lie class after class.  A tangent law marks its points one by one
+(_marked_blocks): the side stream holds their tangents, and a point is LoS
+when its uniform falls below the LoS probability at its angle.
 
 The fading is, under either law, the downlink's per-realization Gamma(N,
 1) serving gains first, then Exp(1) per point; cell-free, Gamma(N, 1) per
-point.  Its draws vary in length, but they come last, so one continuing
-stream gives the same sequence.  The copies take the chunk generator's
-state; no fresh entropy is drawn.
+point.  The tangents and the fading vary in length, but each fills a
+stream of its own in realization order, so drawing them block by block
+gives the same sequence as drawing them whole.
 
 Both laws walk a chunk in blocks of whole realizations, about
 _BLOCK_POINTS points each (a larger realization is a block of its own),
-reusing a few buffers and reading every sub-stream in realization order,
-so any block size gives the same bits.  Both yield one block form: points
-grouped by (realization, LoS class), with their path gains.  A tangent
-law's points carry their secant and attenuation in that gain and all lie
-in one class, LoS at the draw's single column.  So one reduction
-(_row_operands) serves every law and every row.  A constant-elevation
-chunk's peak allocation is a fixed working set of a few MB; a tangent law
-keeps the chunk's tangents too, 8 bytes per point.  A block holds at least
-one whole realization, so a disk that would hold more than _MAX_POINTS
-points on average is refused before the first draw.
+reading every stream in realization order, so any block size gives the
+same bits.  A block's points live in two buffers of _BLOCK_POINTS floats
+that each thread keeps across blocks, chunks and runs (_block_buffers).
+Both walks yield one block form: points grouped by (realization, LoS
+class), with their path gains.  A tangent law's points carry their secant
+and attenuation in that gain and all lie in one class, LoS at the draw's
+single column.  So one reduction (_row_operands) serves every law and
+every row.  A chunk's peak allocation is a fixed working set of a few MB
+under either law, whatever its point count: its per-realization counts,
+the thread's two buffers and one block's temporaries (a tangent law's
+tangents and LoS law, the downlink's first-maximum search).  A block holds
+at least one whole realization, so a disk that would hold more than
+_MAX_POINTS points on average is refused before the first draw.
 
 The reduction stops before the coverage test and returns per-realization
 operands for every row: the serving signal and the interference
@@ -63,6 +69,8 @@ same block walk (_peak_gain).
 
 import math
 import operator
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -78,9 +86,10 @@ from .model import ConstantElevation, InvalidParameterError, los_probability
 _POINTS_PER_CHUNK = 2_000_000  # batching target; fixed so chunking is reproducible
 _MIN_RADIUS_FACTOR = 10.0      # floor: R >= 10 / sqrt(pi * density)
 _BLOCK_POINTS = 65_536         # points per block of a chunk; any value gives the same bits
-_MAX_POINTS = 2**24            # mean points per realization; ~0.44 GB at ~26 B/pt
+_MAX_POINTS = 2**24            # mean points per realization; a block of one realization
+                               # peaks at ~33 B/pt (~0.55 GB) under a tangent law, 27 constant
 _MAX_ROWS = 10_000             # rows of one run; bounds a class draw's grids per realization
-_SPLIT_STEPS = 2**64           # outputs between a chunk's draws and its LoS class splits
+_SPLIT_STEPS = 2**64           # outputs from a chunk's counts to its side stream
 
 
 class EmptyRealizationError(ValueError):
@@ -255,96 +264,123 @@ def _draw(params, elev, radius, share, width, n, rng):
     by LoS class at shares share of the density under a constant elevation
     (_class_blocks), point by point under a tangent law (_marked_blocks).
     A block holds at most _BLOCK_POINTS // (8 width) realizations, so grids
-    of width numbers per realization stay small.  The stream layout is in
-    the module docstring.
+    of width numbers per realization stay small.  After the counts, rng
+    keeps the radii; the side stream (class splits or tangents) starts at
+    _SPLIT_STEPS, and a tangent law's LoS uniforms at total, which puts its
+    fading at 2 total (module docstring).
     """
     counts, total = _counts(params, radius, n, rng)
     span = max(1, _BLOCK_POINTS // (8 * width))
+    side = _stream_at(rng, _SPLIT_STEPS)
     if isinstance(elev, ConstantElevation):
-        return _stream_at(rng, total), _class_blocks(params, radius, share, counts, span, rng)
-    los_rng = _stream_at(rng, total)
-    # the tangents precede the LoS uniforms, and their length is not known
-    # until they are drawn, so they are drawn for the whole chunk at once
-    tan_theta = elev.sample_tan(los_rng, total)
-    fade = _stream_at(los_rng, total)
-    return fade, _marked_blocks(params, radius, counts, tan_theta, span, rng, los_rng)
+        return _stream_at(rng, total), _class_blocks(
+            params, radius, share, counts, span, rng, side)
+    return _stream_at(rng, 2 * total), _marked_blocks(
+        params, elev, radius, counts, span, rng, _stream_at(rng, total), side)
 
 
-def _class_blocks(params, radius, share, counts, span, rng):
+_workspace = threading.local()  # a thread's block buffers while no walk holds them
+
+
+@contextmanager
+def _block_buffers():
+    """Two buffers of _BLOCK_POINTS floats for one block walk.
+
+    Each thread keeps one pair across blocks, chunks and runs, and lends it
+    to one walk at a time: a walk that starts while another walk of the same
+    thread holds it gets a pair of its own.  A thread keeps one pair at most.
+    """
+    pair = getattr(_workspace, "pair", None)
+    _workspace.pair = None
+    if pair is None or pair[0].size != _BLOCK_POINTS:
+        pair = np.empty(_BLOCK_POINTS), np.empty(_BLOCK_POINTS)
+    try:
+        yield pair
+    finally:
+        _workspace.pair = pair
+
+
+def _block_views(pair, m):
+    """The first m floats of each buffer of pair; fresh arrays, dropped
+    with the block, for a block of one realization larger than the pair."""
+    if m > pair[0].size:
+        return np.empty(m), np.empty(m)
+    return pair[0][:m], pair[1][:m]
+
+
+def _class_blocks(params, radius, share, counts, span, rng, split):
     """The block walk of a constant-elevation chunk drawn by LoS class.
 
     counts are the chunk's point counts, just drawn from rng; share holds
-    the classes' shares of the density.  Yields (sl, nz, filled, clen,
-    starts, xi, spare) per block: its slice of the chunk's realizations,
-    their nonzero mask, which (realization, class) cells hold a point, the
-    point counts and segment starts of those, the points' planar r^-alpha
-    class after class, and a scratch buffer; the next block overwrites the
-    last two.
+    the classes' shares of the density, and split is the stream of their
+    multinomial splits.  Yields (sl, nz, filled, clen, starts, xi, spare)
+    per block: its slice of the chunk's realizations, their nonzero mask,
+    which (realization, class) cells hold a point, the point counts and
+    segment starts of those, the points' planar r^-alpha class after class,
+    and a scratch buffer; the next block overwrites the last two.
     """
-    split = _stream_at(rng, _SPLIT_STEPS)
     bounds, points = _block_bounds(counts, span)
-    cap = int(np.diff(points).max())
-    xi_buf, spare_buf = np.empty(cap), np.empty(cap)
     r_sq = radius * radius
-    for a, b, lo, hi in zip(bounds, bounds[1:], points, points[1:]):
-        c = counts[a:b]
-        cells = split.multinomial(c, share).ravel()
-        filled = cells > 0
-        clen = cells[filled]
-        xi = xi_buf[:hi - lo]
-        # (R^2 u)^(-alpha/2) is (R sqrt(u))^-alpha without the sqrt
-        rng.random(out=xi)
-        xi *= r_sq
-        np.power(xi, -0.5 * params.alpha, out=xi)
-        yield slice(a, b), c > 0, filled, clen, _segment_starts(clen), xi, spare_buf[:hi - lo]
+    with _block_buffers() as pair:
+        for a, b, lo, hi in zip(bounds, bounds[1:], points, points[1:]):
+            c = counts[a:b]
+            cells = split.multinomial(c, share).ravel()
+            filled = cells > 0
+            clen = cells[filled]
+            xi, spare = _block_views(pair, int(hi - lo))
+            # (R^2 u)^(-alpha/2) is (R sqrt(u))^-alpha without the sqrt
+            rng.random(out=xi)
+            xi *= r_sq
+            np.power(xi, -0.5 * params.alpha, out=xi)
+            yield slice(a, b), c > 0, filled, clen, _segment_starts(clen), xi, spare
 
 
-def _marked_blocks(params, radius, counts, tan_theta, span, rng, los_rng):
+def _marked_blocks(params, elev, radius, counts, span, rng, los_rng, side):
     """The block walk of a tangent-law chunk, in _class_blocks' form.
 
-    Radii come from rng and LoS uniforms from los_rng.  xi holds each
-    point's L ||U||^-alpha, its secant and attenuation included, so every
-    point lies in the first of two classes, LoS at the draw's one column,
-    and the second class stays empty.
+    Radii come from rng, LoS uniforms from los_rng and tangents from side,
+    block by block.  xi holds each point's L ||U||^-alpha, its secant and
+    attenuation included, so every point lies in the first of two classes,
+    LoS at the draw's one column, and the second class stays empty.
     """
     bounds, points = _block_bounds(counts, span)
-    cap = int(np.diff(points).max())
-    d3_buf, xi_buf = np.empty(cap), np.empty(cap)
-    los_buf = np.empty(cap, dtype=bool)
+    with _block_buffers() as pair:
+        for a, b, lo, hi in zip(bounds, bounds[1:], points, points[1:]):
+            xi, scratch = _block_views(pair, int(hi - lo))
+            _mark(params, elev, radius, rng, los_rng, side, xi, scratch)
+            c = counts[a:b]
+            nz = c > 0
+            filled = np.zeros(2 * nz.size, dtype=bool)
+            filled[::2] = nz
+            clen = c[nz]
+            yield slice(a, b), nz, filled, clen, _segment_starts(clen), xi, scratch
+
+
+def _mark(params, elev, radius, rng, los_rng, side, xi, scratch):
+    """Fill xi with the L ||U||^-alpha of one block's points.
+
+    ||U||^2 = R^2 u (1 + tan^2), so one pow gives ||U||^-alpha without a 3D
+    distance or a sqrt; the angle is wanted only by the LoS law.  The block's
+    tangent and LoS arrays die on return, before the reduction's own.
+    """
+    rng.random(out=xi)
+    xi *= radius * radius
+    tan = elev.sample_tan(side, xi.size)
+    np.square(tan, out=scratch)
+    scratch += 1.0
+    xi *= scratch
+    np.power(xi, -0.5 * params.alpha, out=xi)
+    los_rng.random(out=scratch)
+    los = scratch < los_probability(np.arctan(tan, out=tan), params.c1, params.c2)
     ell = params.ell
     if ell != 1.0:
-        att_buf = np.empty(cap)
-    for a, b, lo, hi in zip(bounds, bounds[1:], points, points[1:]):
-        m = int(hi - lo)
-        d3, xi, los = d3_buf[:m], xi_buf[:m], los_buf[:m]
-        rng.random(out=d3)
-        np.sqrt(d3, out=d3)
-        d3 *= radius
-        # d3 = r sqrt(1 + tan^2); the angle is wanted only by the LoS law
-        tan = tan_theta[lo:hi]
-        np.square(tan, out=xi)
-        xi += 1.0
-        np.sqrt(xi, out=xi)
-        d3 *= xi
-        theta = np.arctan(tan, out=tan)
-        los_rng.random(out=xi)
-        np.less(xi, los_probability(theta, params.c1, params.c2), out=los)
-        np.power(d3, -params.alpha, out=xi)
-        if ell != 1.0:
-            # ell + (1 - ell) rounds to exactly 1.0 for every ell in [0, 1],
-            # so a LoS gain keeps its bits and an NLoS one is xi * ell; unlike
-            # a multiply masked by ~los, its cost does not depend on how
-            # often the mask flips
-            att = np.multiply(los, 1.0 - ell, out=att_buf[:m])
-            att += ell
-            xi *= att
-        c = counts[a:b]
-        nz = c > 0
-        filled = np.zeros(2 * nz.size, dtype=bool)
-        filled[::2] = nz
-        clen = c[nz]
-        # d3 is not needed past the draw: it is the block's scratch buffer
-        yield slice(a, b), nz, filled, clen, _segment_starts(clen), xi, d3
+        # ell + (1 - ell) rounds to exactly 1.0 for every ell in [0, 1], so a
+        # LoS gain keeps its bits and an NLoS one is xi * ell; unlike a
+        # multiply masked by ~los, its cost does not depend on how often the
+        # mask flips
+        att = np.multiply(los, 1.0 - ell, out=scratch)
+        att += ell
+        xi *= att
 
 
 def _first_max_index(xi, xi_max, cnz, starts):
