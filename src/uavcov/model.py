@@ -5,10 +5,11 @@ each UAV independently draws an elevation angle Theta seen from the typical
 user at the origin, so its altitude is ||X|| tan(Theta) and its 3D distance
 ||X|| sqrt(1 + tan^2(Theta)).  A Bernoulli line-of-sight mark with probability
 rho(Theta) = 1/(1 + c2 exp(-c1 Theta)) selects the attenuation L in {1, ell}.
-An elevation law is any object with sample_tan(rng, size), drawing a fresh
-array of tan(Theta) (the altitude mark per unit range; the angle itself is
-needed only by the LoS law), and expect(fn) = E[fn(Theta)] for a vectorized
-fn on [0, pi/2).
+An elevation law is any object with sample_tan(rng, size, out=None), which
+draws size values of tan(Theta) (the altitude mark per unit range; the angle
+itself is needed only by the LoS law) into out, or into a fresh array
+without one, and returns that array; and expect(fn) = E[fn(Theta)] for a
+vectorized fn on [0, pi/2).
 
 Angles are radians everywhere; powers are linear milliwatts.
 """
@@ -116,8 +117,11 @@ class ConstantElevation:
                 f"theta_bar must lie in [0, pi/2) radians, got {self.theta_bar!r}"
             )
 
-    def sample_tan(self, rng, size):
-        return np.full(size, np.tan(self.theta_bar))
+    def sample_tan(self, rng, size, out=None):
+        if out is None:
+            out = np.empty(size)
+        out.fill(np.tan(self.theta_bar))
+        return out
 
     def expect(self, fn):
         return float(fn(self.theta_bar))
@@ -147,8 +151,14 @@ class GammaTanElevation:
     def rate(self):
         return self.shape / math.tan(self.theta_bar)
 
-    def sample_tan(self, rng, size):
-        return rng.gamma(self.shape, scale=1.0 / self.rate, size=size)
+    def sample_tan(self, rng, size, out=None):
+        # a standard gamma fill times the scale gives rng.gamma(shape,
+        # scale)'s bits, and draws into out without a temporary
+        if out is None:
+            out = np.empty(size)
+        rng.standard_gamma(self.shape, out=out)
+        out *= 1.0 / self.rate
+        return out
 
     def expect(self, fn):
         # E[fn(arctan(G/rate))] with G ~ Gamma(shape, 1); integrate against

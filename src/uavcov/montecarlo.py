@@ -18,10 +18,10 @@ radius uniform per point.  Its other draws come from copies of the chunk
 generator advanced past the counts (PCG64 jump-ahead; one float64 uniform
 is one 64-bit output), so each has a stream of its own.  With `total` the
 chunk's point count: at `total`, the LoS uniforms, which only a tangent
-law draws; at `total` under a constant elevation and `2 total` under a
-tangent law, the fading; at _SPLIT_STEPS = 2^64, far past anything else
-the chunk draws, the side stream.  The copies take the chunk generator's
-state; no fresh entropy is drawn.
+law draws, and only at ell < 1; at `total` under a constant elevation and
+`2 total` under a tangent law, the fading; at _SPLIT_STEPS = 2^64, far
+past anything else the chunk draws, the side stream.  The copies take the
+chunk generator's state; no fresh entropy is drawn.
 
 The paper's UAVs are a planar Poisson process whose marks (elevation, and
 the LoS mark drawn from it) are independent of their positions.  Under a
@@ -33,7 +33,8 @@ drawn by class (_class_blocks) and marks no point: the side stream splits
 each realization's count over the classes by a multinomial draw, and its
 points lie class after class.  A tangent law marks its points one by one
 (_marked_blocks): the side stream holds their tangents, and a point is LoS
-when its uniform falls below the LoS probability at its angle.
+when its uniform falls below the LoS probability at its angle.  At ell = 1
+the mark changes no gain, and no LoS uniform is drawn.
 
 The fading is, under either law, the downlink's per-realization Gamma(N,
 1) serving gains first, then Exp(1) per point; cell-free, Gamma(N, 1) per
@@ -45,17 +46,25 @@ Both laws walk a chunk in blocks of whole realizations, about
 _BLOCK_POINTS points each (a larger realization is a block of its own),
 reading every stream in realization order, so any block size gives the
 same bits.  A block's points live in two buffers of _BLOCK_POINTS floats
-that each thread keeps across blocks, chunks and runs (_block_buffers).
-Both walks yield one block form: points grouped by (realization, LoS
-class), with their path gains.  A tangent law's points carry their secant
-and attenuation in that gain and all lie in one class, LoS at the draw's
-single column.  So one reduction (_row_operands) serves every law and
-every row.  A chunk's peak allocation is a fixed working set of a few MB
-under either law, whatever its point count: its per-realization counts,
-the thread's two buffers and one block's temporaries (a tangent law's
-tangents and LoS law, the downlink's first-maximum search).  A block holds
-at least one whole realization, so a disk that would hold more than
-_MAX_POINTS points on average is refused before the first draw.
+that each thread keeps across blocks, chunks and runs (_block_buffers).  A
+tangent law's walk starts one helper thread, which draws the tangents one
+fill ahead (_tangent_fills): a fill holds whole blocks, about
+_BLOCK_POINTS points, and lies in one of two more kept buffers.  Only the
+helper reads the side stream, in realization order, so the bits do not
+depend on the thread; meanwhile the calling thread draws the radii and the
+LoS uniforms, forms the path gains and reduces the blocks.  The walk joins
+its helper when it ends, also when it is closed early or the reduction
+raises.  A constant law starts no thread.  Both walks yield one block
+form: points grouped by (realization, LoS class), with their path gains.
+A tangent law's points carry their secant and attenuation in that gain and
+all lie in one class, LoS at the draw's single column.  So one reduction
+(_row_operands) serves every law and every row.  A chunk's peak allocation
+is a fixed working set of a few MB under either law, whatever its point
+count: its per-realization counts, the thread's two buffers (four under a
+tangent law) and one block's temporaries (a tangent law's LoS law, the
+downlink's first-maximum search).  A block holds at least one whole
+realization, so a disk that would hold more than _MAX_POINTS points on
+average is refused before the first draw.
 
 The reduction stops before the coverage test and returns per-realization
 operands for every row: the serving signal and the interference
@@ -69,8 +78,9 @@ same block walk (_peak_gain).
 
 import math
 import operator
+import queue
 import threading
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -86,8 +96,9 @@ from .model import ConstantElevation, InvalidParameterError, los_probability
 _POINTS_PER_CHUNK = 2_000_000  # batching target; fixed so chunking is reproducible
 _MIN_RADIUS_FACTOR = 10.0      # floor: R >= 10 / sqrt(pi * density)
 _BLOCK_POINTS = 65_536         # points per block of a chunk; any value gives the same bits
-_MAX_POINTS = 2**24            # mean points per realization; a block of one realization
-                               # peaks at ~33 B/pt (~0.55 GB) under a tangent law, 27 constant
+_MAX_POINTS = 2**24            # mean points per realization; a chunk of one such realization
+                               # peaks at ~33 B/pt (~0.55 GB) under a tangent law, 25 constant;
+                               # of several, at ~57 B/pt (~0.96 GB) and 32
 _MAX_ROWS = 10_000             # rows of one run; bounds a class draw's grids per realization
 _SPLIT_STEPS = 2**64           # outputs from a chunk's counts to its side stream
 
@@ -283,29 +294,31 @@ _workspace = threading.local()  # a thread's block buffers while no walk holds t
 
 
 @contextmanager
-def _block_buffers():
-    """Two buffers of _BLOCK_POINTS floats for one block walk.
+def _block_buffers(count):
+    """count buffers of _BLOCK_POINTS floats for one block walk.
 
-    Each thread keeps one pair across blocks, chunks and runs, and lends it
-    to one walk at a time: a walk that starts while another walk of the same
-    thread holds it gets a pair of its own.  A thread keeps one pair at most.
+    Each thread keeps one set across blocks, chunks and runs, grown to the
+    largest count a walk has asked for, and lends it to one walk at a time:
+    a walk that starts while another walk of the same thread holds it gets
+    buffers of its own.  A thread keeps one set at most.
     """
-    pair = getattr(_workspace, "pair", None)
-    _workspace.pair = None
-    if pair is None or pair[0].size != _BLOCK_POINTS:
-        pair = np.empty(_BLOCK_POINTS), np.empty(_BLOCK_POINTS)
+    kept = getattr(_workspace, "buffers", None) or []
+    _workspace.buffers = None
+    if kept and kept[0].size != _BLOCK_POINTS:
+        kept = []
+    kept += [np.empty(_BLOCK_POINTS) for _ in range(count - len(kept))]
     try:
-        yield pair
+        yield kept[:count]
     finally:
-        _workspace.pair = pair
+        _workspace.buffers = kept
 
 
-def _block_views(pair, m):
-    """The first m floats of each buffer of pair; fresh arrays, dropped
-    with the block, for a block of one realization larger than the pair."""
-    if m > pair[0].size:
+def _block_views(buffers, m):
+    """The first m floats of the first two buffers; fresh arrays, dropped
+    with the block, for a block of one realization larger than a buffer."""
+    if m > buffers[0].size:
         return np.empty(m), np.empty(m)
-    return pair[0][:m], pair[1][:m]
+    return buffers[0][:m], buffers[1][:m]
 
 
 def _class_blocks(params, radius, share, counts, span, rng, split):
@@ -321,13 +334,13 @@ def _class_blocks(params, radius, share, counts, span, rng, split):
     """
     bounds, points = _block_bounds(counts, span)
     r_sq = radius * radius
-    with _block_buffers() as pair:
+    with _block_buffers(2) as buffers:
         for a, b, lo, hi in zip(bounds, bounds[1:], points, points[1:]):
             c = counts[a:b]
             cells = split.multinomial(c, share).ravel()
             filled = cells > 0
             clen = cells[filled]
-            xi, spare = _block_views(pair, int(hi - lo))
+            xi, spare = _block_views(buffers, int(hi - lo))
             # (R^2 u)^(-alpha/2) is (R sqrt(u))^-alpha without the sqrt
             rng.random(out=xi)
             xi *= r_sq
@@ -338,16 +351,24 @@ def _class_blocks(params, radius, share, counts, span, rng, split):
 def _marked_blocks(params, elev, radius, counts, span, rng, los_rng, side):
     """The block walk of a tangent-law chunk, in _class_blocks' form.
 
-    Radii come from rng, LoS uniforms from los_rng and tangents from side,
-    block by block.  xi holds each point's L ||U||^-alpha, its secant and
-    attenuation included, so every point lies in the first of two classes,
-    LoS at the draw's one column, and the second class stays empty.
+    Radii come from rng and LoS uniforms from los_rng, block by block, on
+    the calling thread; the tangents come from side, fill by fill, on a
+    helper thread (_tangent_fills).  A fill holds the tangents of whole
+    consecutive blocks, about _BLOCK_POINTS of them, whatever the span.  xi
+    holds each point's L ||U||^-alpha, its secant and attenuation included,
+    so every point lies in the first of two classes, LoS at the draw's one
+    column, and the second class stays empty.
     """
     bounds, points = _block_bounds(counts, span)
-    with _block_buffers() as pair:
-        for a, b, lo, hi in zip(bounds, bounds[1:], points, points[1:]):
-            xi, scratch = _block_views(pair, int(hi - lo))
-            _mark(params, elev, radius, rng, los_rng, side, xi, scratch)
+    firsts = _fill_bounds(points)
+    sizes = np.diff(points[firsts]).tolist()
+    opens = set(firsts)
+    with _block_buffers(4) as buffers, _tangent_fills(elev, side, sizes, buffers[2:]) as fills:
+        for i, (a, b, lo, hi) in enumerate(zip(bounds, bounds[1:], points, points[1:])):
+            if i in opens:
+                tan, base = next(fills), lo
+            xi, scratch = _block_views(buffers, int(hi - lo))
+            _mark(params, radius, rng, los_rng, tan[lo - base:hi - base], xi, scratch)
             c = counts[a:b]
             nz = c > 0
             filled = np.zeros(2 * nz.size, dtype=bool)
@@ -356,31 +377,94 @@ def _marked_blocks(params, elev, radius, counts, span, rng, los_rng, side):
             yield slice(a, b), nz, filled, clen, _segment_starts(clen), xi, scratch
 
 
-def _mark(params, elev, radius, rng, los_rng, side, xi, scratch):
-    """Fill xi with the L ||U||^-alpha of one block's points.
+def _fill_bounds(points):
+    """Indices of the blocks that start a fill, then the block count.
+
+    A fill holds whole consecutive blocks, as many as fit in _BLOCK_POINTS
+    points, and at least one; points are the blocks' point bounds.
+    """
+    firsts = [0]
+    while firsts[-1] < points.size - 1:
+        f = firsts[-1]
+        g = int(np.searchsorted(points, points[f] + _BLOCK_POINTS, side="right")) - 1
+        firsts.append(max(g, f + 1))
+    return firsts
+
+
+@contextmanager
+def _tangent_fills(elev, side, sizes, buffers):
+    """An iterator over tangent fills of the given sizes, drawn from side in
+    order by elev.sample_tan on a helper thread, one fill ahead.
+
+    Fill k lies in buffers[k % 2], or in a fresh array if it is larger.  A
+    fill is the caller's until it takes the next one, so the helper draws
+    fill k + 1 while the caller works on fill k.  Only the helper reads
+    side, and it calls nothing but sample_tan.  An exception the helper
+    raises reaches the caller at its next take.  On exit, also an early one,
+    the helper is stopped and joined, so the buffers are free again.
+    """
+    free = threading.Semaphore(len(buffers))
+    ready = queue.SimpleQueue()
+    stop = threading.Event()
+
+    def draw():
+        try:
+            for k, size in enumerate(sizes):
+                free.acquire()
+                if stop.is_set():
+                    return
+                buf = buffers[k % len(buffers)]
+                ready.put(elev.sample_tan(side, size, out=buf[:size] if size <= buf.size else None))
+        except BaseException as exc:  # handed to the caller, which re-raises it
+            ready.put(exc)
+
+    def take():
+        for k in range(len(sizes)):
+            if k:
+                free.release()  # the caller is done with fill k - 1
+            fill = ready.get()
+            if isinstance(fill, BaseException):
+                raise fill
+            yield fill
+
+    helper = threading.Thread(target=draw, name="uavcov-tangents", daemon=True)
+    helper.start()
+    try:
+        yield take()
+    finally:
+        stop.set()
+        free.release()
+        helper.join()
+
+
+def _mark(params, radius, rng, los_rng, tan, xi, scratch):
+    """Fill xi with the L ||U||^-alpha of one block's points, whose tangents
+    are tan.
 
     ||U||^2 = R^2 u (1 + tan^2), so one pow gives ||U||^-alpha without a 3D
-    distance or a sqrt; the angle is wanted only by the LoS law.  The block's
-    tangent and LoS arrays die on return, before the reduction's own.
+    distance or a sqrt; the angle is wanted only by the LoS law, which
+    overwrites tan with it.  At ell = 1 every mark leaves the gain as it is,
+    so no LoS uniform is drawn; they have a stream of their own, so no other
+    draw moves.  The block's LoS arrays die on return, before the
+    reduction's own.
     """
     rng.random(out=xi)
     xi *= radius * radius
-    tan = elev.sample_tan(side, xi.size)
     np.square(tan, out=scratch)
     scratch += 1.0
     xi *= scratch
     np.power(xi, -0.5 * params.alpha, out=xi)
+    ell = params.ell
+    if ell == 1.0:
+        return
     los_rng.random(out=scratch)
     los = scratch < los_probability(np.arctan(tan, out=tan), params.c1, params.c2)
-    ell = params.ell
-    if ell != 1.0:
-        # ell + (1 - ell) rounds to exactly 1.0 for every ell in [0, 1], so a
-        # LoS gain keeps its bits and an NLoS one is xi * ell; unlike a
-        # multiply masked by ~los, its cost does not depend on how often the
-        # mask flips
-        att = np.multiply(los, 1.0 - ell, out=scratch)
-        att += ell
-        xi *= att
+    # ell + (1 - ell) rounds to exactly 1.0 for every ell in [0, 1], so a
+    # LoS gain keeps its bits and an NLoS one is xi * ell; unlike a multiply
+    # masked by ~los, its cost does not depend on how often the mask flips
+    att = np.multiply(los, 1.0 - ell, out=scratch)
+    att += ell
+    xi *= att
 
 
 def _first_max_index(xi, xi_max, cnz, starts):
@@ -452,31 +536,32 @@ def _row_operands(metric, params, elev, radius, rho, gain, tail, col, n, rng):
     ell = params.ell
     if metric == "downlink":
         g_star = fade.standard_gamma(params.n_antennas, size=n)
-    for sl, nz, filled, clen, starts, xi, g in blocks:
-        _gamma_fill(fade, 1 if metric == "downlink" else params.n_antennas, g)
-        g *= xi
-        sums = np.zeros(filled.size)
-        sums[filled] = np.add.reduceat(g, starts)
-        sums = sums.reshape(-1, width)
-        # column j: LoS classes 0..j, NLoS classes j+1..K
-        rest = np.cumsum(sums[:, :-1], axis=1)
-        rest += ell * np.cumsum(sums[:, :0:-1], axis=1)[:, ::-1]
-        if metric == "cellfree":
-            yield (gain * rest + params.n_antennas * tail)[:, col]
-            continue
-        xi_max = np.maximum.reduceat(xi, starts)
-        peak, at_peak = np.zeros(filled.size), np.zeros(filled.size)
-        peak[filled] = xi_max
-        # ties to the lowest index, as in associate
-        at_peak[filled] = g[_first_max_index(xi, xi_max, clen, starts)]
-        peak, at_peak = peak.reshape(-1, width)[nz], at_peak.reshape(-1, width)[nz]
-        los_peak, los_served = _running_peak(peak[:, :-1], at_peak[:, :-1])
-        nlos_peak, nlos_served = _running_peak(peak[:, :0:-1], at_peak[:, :0:-1])
-        nlos_peak = ell * nlos_peak[:, ::-1]
-        by_los = los_peak >= nlos_peak
-        served = np.where(by_los, los_served, ell * nlos_served[:, ::-1])
-        signal = g_star[sl][nz, None] * (gain * np.where(by_los, los_peak, nlos_peak))
-        yield signal[:, col], (gain * (rest[nz] - served) + tail)[:, col]
+    with closing(blocks):  # a walk left early stops its helper at once
+        for sl, nz, filled, clen, starts, xi, g in blocks:
+            _gamma_fill(fade, 1 if metric == "downlink" else params.n_antennas, g)
+            g *= xi
+            sums = np.zeros(filled.size)
+            sums[filled] = np.add.reduceat(g, starts)
+            sums = sums.reshape(-1, width)
+            # column j: LoS classes 0..j, NLoS classes j+1..K
+            rest = np.cumsum(sums[:, :-1], axis=1)
+            rest += ell * np.cumsum(sums[:, :0:-1], axis=1)[:, ::-1]
+            if metric == "cellfree":
+                yield (gain * rest + params.n_antennas * tail)[:, col]
+                continue
+            xi_max = np.maximum.reduceat(xi, starts)
+            peak, at_peak = np.zeros(filled.size), np.zeros(filled.size)
+            peak[filled] = xi_max
+            # ties to the lowest index, as in associate
+            at_peak[filled] = g[_first_max_index(xi, xi_max, clen, starts)]
+            peak, at_peak = peak.reshape(-1, width)[nz], at_peak.reshape(-1, width)[nz]
+            los_peak, los_served = _running_peak(peak[:, :-1], at_peak[:, :-1])
+            nlos_peak, nlos_served = _running_peak(peak[:, :0:-1], at_peak[:, :0:-1])
+            nlos_peak = ell * nlos_peak[:, ::-1]
+            by_los = los_peak >= nlos_peak
+            served = np.where(by_los, los_served, ell * nlos_served[:, ::-1])
+            signal = g_star[sl][nz, None] * (gain * np.where(by_los, los_peak, nlos_peak))
+            yield signal[:, col], (gain * (rest[nz] - served) + tail)[:, col]
 
 
 def shares_draw(settings):
@@ -554,9 +639,10 @@ def estimate_sweep(
     hits_fn = _downlink_hits if metric == "downlink" else _cellfree_hits
     hits = np.zeros(len(rows), dtype=np.int64)
     for size, rng in _chunks(n_samples, radius, params.density, master_seed):
-        for operands in _row_operands(
-                metric, params, laws[0], radius, rho, gain, tail, col, size, rng):
-            hits += hits_fn(operands, params.power, beta, noise)
+        with closing(_row_operands(
+                metric, params, laws[0], radius, rho, gain, tail, col, size, rng)) as blocks:
+            for operands in blocks:
+                hits += hits_fn(operands, params.power, beta, noise)
     estimates = []
     for h in hits.tolist():
         mean = h / n_samples
@@ -614,8 +700,9 @@ def _peak_gain(params, elev, n_samples, master_seed, radius):
     for size, rng in _chunks(n_samples, radius, params.density, master_seed):
         peak = np.zeros((size, 2))
         _, blocks = _draw(params, elev, radius, share, 2, size, rng)
-        for sl, _, filled, _, starts, xi, _ in blocks:
-            peak[sl].reshape(-1)[filled] = np.maximum.reduceat(xi, starts)
+        with closing(blocks):
+            for sl, _, filled, _, starts, xi, _ in blocks:
+                peak[sl].reshape(-1)[filled] = np.maximum.reduceat(xi, starts)
         out.append(np.maximum(peak[:, 0], params.ell * peak[:, 1]))
     return scale * np.concatenate(out)
 

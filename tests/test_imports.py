@@ -74,6 +74,16 @@ def test_monte_carlo_point_loads_no_scipy_and_no_pool(tmp_path):
     assert (row["p_mc"], row["mc_stderr"]) == (0.801, 0.008927457644816915)
 
 
+def test_gamma_tan_monte_carlo_point_loads_no_scipy_and_no_pool(tmp_path):
+    # its walk draws the tangents on a helper thread, started with plain
+    # threading: no pool, no concurrent module
+    row, code, modules = _point(tmp_path, "mode = montecarlo\nn_samples = 2000\n"
+                                "elevation = gamma_tan\nshape = 3\ntheta_bar_deg = 20\n")
+    assert code == 0 and modules == []
+    # the value recorded when the walk drew every tangent on the calling thread
+    assert (row["p_mc"], row["mc_stderr"]) == (0.796, 0.009010660353159472)
+
+
 def test_analytic_point_loads_scipy_special_at_its_first_value(tmp_path):
     row, code, modules = _point(tmp_path, "mode = analytic\n")
     assert code == 0 and "scipy.special" in modules

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from uavcov import validation
+from uavcov import montecarlo, validation
 from uavcov.analytic import downlink_coverage
 from uavcov.jobs import map_jobs
 from uavcov.model import ConstantElevation, GammaTanElevation, NetworkParams
@@ -57,6 +57,35 @@ def test_eight_threads_with_fast_switching_match_serial():
     try:
         runner.start()
         runner.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert out == [serial]
+
+
+def _tangent_job(job):
+    metric, n, seed = job
+    if metric == "downlink":
+        return estimate_downlink(NetworkParams(density=1e-6, n_antennas=n), GAMMA20, 300, seed)
+    params = NetworkParams(density=1e-6, beta=1e4, n_antennas=n)
+    return estimate_cellfree(params, GAMMA20, 300, seed)
+
+
+def test_tangent_walks_on_four_threads_with_fast_switching_match_serial(monkeypatch):
+    # each gamma_tan walk draws its tangents on a helper thread of its own,
+    # fill by fill: four jobs at once run eight threads, and small blocks
+    # make many fills, so any state shared between walks or a fill taken
+    # out of order would show as a result that differs from the serial one
+    monkeypatch.setattr(montecarlo, "_BLOCK_POINTS", 4096)
+    job_list = [(("downlink", "cellfree")[i % 2], 1 + i % 3, 60 + i) for i in range(8)]
+    serial = map_jobs(_tangent_job, job_list, 1)
+    out = []
+    runner = threading.Thread(target=lambda: out.append(map_jobs(_tangent_job, job_list, 4)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner.start()
+        runner.join(timeout=60.0)
     finally:
         sys.setswitchinterval(interval)
     assert not runner.is_alive()

@@ -262,19 +262,24 @@ def test_chunks_without_points_yield_the_empty_outcome(block_points):
 def test_constant_elevation_never_reaches_the_marked_kernel(monkeypatch):
     # every constant-elevation draw is laid out by LoS class and draws no
     # tangent or LoS uniform; only a tangent law marks its points one by
-    # one, drawing each block's tangents as it walks it
-    seen = []
-    marked, tangents = mc._marked_blocks, GammaTanElevation.sample_tan
+    # one, drawing its tangents fill by fill, each fill holding whole blocks
+    seen, blocks = [], []
+    marked, mark, tangents = mc._marked_blocks, mc._mark, GammaTanElevation.sample_tan
 
     def spy_blocks(params, *args):
         seen.append("_marked_blocks")
         return marked(params, *args)
 
-    def spy_tangents(elev, *args):
-        seen.append(elev)
-        return tangents(elev, *args)
+    def spy_mark(*args):
+        blocks.append(args[4].size)
+        return mark(*args)
+
+    def spy_tangents(elev, *args, **kwargs):
+        seen.append(elev)  # on the walk's helper thread
+        return tangents(elev, *args, **kwargs)
 
     monkeypatch.setattr(mc, "_marked_blocks", spy_blocks)
+    monkeypatch.setattr(mc, "_mark", spy_mark)
     monkeypatch.setattr(GammaTanElevation, "sample_tan", spy_tangents)
     p = NetworkParams(density=1e-6, beta=1e4, n_antennas=2)
     for call in _entry_points(sim_radius=5000.0):
@@ -283,12 +288,22 @@ def test_constant_elevation_never_reaches_the_marked_kernel(monkeypatch):
     mc.estimate_sweep("cellfree", [p, p], elevs, 10, 1, sim_radius=5000.0)
     for case in ("all-los-unit", "los-weighted"):
         sample_nearest_sq(p, E25, case, 10, 1, sim_radius=5000.0)
-    assert seen == []
-    # 10 realizations of ~79 points: one block each at 100 points a block
+    assert seen == [] and blocks == []
+    # 10 realizations of ~79 points: one block and one fill each at 100
+    # points a block
     monkeypatch.setattr(mc, "_BLOCK_POINTS", 100)
     gamma_tan = GammaTanElevation(3.0, math.radians(20.0))
     estimate_cellfree(p, gamma_tan, 10, 1, sim_radius=5000.0)
-    assert seen == ["_marked_blocks"] + [gamma_tan] * 10
+    assert seen == ["_marked_blocks"] + [gamma_tan] * 10 and len(blocks) == 10
+    # at 1000 points a block, a one-row draw walks them in one block; 100
+    # rows cut them into 10 blocks of one realization, and still one fill
+    monkeypatch.setattr(mc, "_BLOCK_POINTS", 1000)
+    for rows, n_blocks in ((1, 1), (100, 10)):
+        seen.clear()
+        blocks.clear()
+        mc.estimate_sweep("cellfree", [p] * rows, gamma_tan, 10, 1, sim_radius=5000.0)
+        assert seen == ["_marked_blocks", gamma_tan] and len(blocks) == n_blocks, rows
+    assert 700 < sum(blocks) <= 1000
 
 
 def test_runs_over_several_chunks_match_recorded_golden_values(block_points):
@@ -616,6 +631,125 @@ def test_two_walks_alive_in_one_thread_keep_their_bits():
                 if block is not None:
                     xi.append(block[5].copy())
         assert [_sha256(np.concatenate(xi)) for xi in together] == alone, elevs
+
+
+def test_a_helper_error_reaches_the_caller_and_no_thread_outlives_the_walk(monkeypatch):
+    # the third tangent fill raises on the walk's helper thread
+    tangents, fills = GammaTanElevation.sample_tan, []
+
+    def failing(elev, *args, **kwargs):
+        fills.append(elev)
+        if len(fills) == 3:
+            raise FloatingPointError("third fill")
+        return tangents(elev, *args, **kwargs)
+
+    monkeypatch.setattr(GammaTanElevation, "sample_tan", failing)
+    monkeypatch.setattr(mc, "_BLOCK_POINTS", 1000)
+    before = threading.active_count()
+    p = NetworkParams(density=1e-6)
+    with pytest.raises(FloatingPointError, match="third fill"):
+        estimate_downlink(p, GammaTanElevation(3.0, math.radians(20.0)), 200, 3)
+    assert len(fills) == 3 and threading.active_count() == before
+
+
+def test_a_reduction_error_stops_the_walk_and_its_helper(monkeypatch):
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise FloatingPointError("second block")
+        return first_max(*args)
+
+    first_max = mc._first_max_index
+    monkeypatch.setattr(mc, "_first_max_index", failing)
+    monkeypatch.setattr(mc, "_BLOCK_POINTS", 1000)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="second block") as raised:
+        estimate_downlink(NetworkParams(density=1e-6), GammaTanElevation(3.0, 0.3), 200, 3)
+    # the traceback still holds the walk's frames, but not its helper
+    assert raised.traceback and threading.active_count() == before
+
+
+def test_a_walk_closed_early_joins_its_helper_and_frees_its_buffers():
+    p = NetworkParams(density=1e-6)
+    gamma_tan = GammaTanElevation(3.0, math.radians(20.0))
+    radius = guard_radius(p, gamma_tan, 1e-3)
+    share = np.array([1.0, 0.0])
+
+    def walk():
+        return mc._draw(p, gamma_tan, radius, share, 3, 200, np.random.default_rng(18))[1]
+
+    def digest():
+        return _sha256(np.concatenate([block[5].copy() for block in walk()]))
+
+    alone = digest()
+    before = threading.active_count()
+    blocks = walk()
+    next(blocks), next(blocks)
+    assert threading.active_count() == before + 1  # the walk's helper
+    blocks.close()
+    assert threading.active_count() == before
+    # the next walk of the thread takes the buffers back and gives its bits alone
+    assert digest() == alone
+
+
+def test_a_constant_law_run_starts_no_thread(monkeypatch):
+    started = []
+
+    class Spy(threading.Thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(mc.threading, "Thread", Spy)
+    p = NetworkParams(density=1e-6, beta=1e4, n_antennas=2)
+    for call in _entry_points(sim_radius=5000.0):
+        call()
+    estimate_cellfree(p, E25, 10, 1, sim_radius=5000.0)
+    assert started == []
+    # a tangent law starts one helper per chunk walk
+    estimate_cellfree(p, GammaTanElevation(3.0, math.radians(20.0)), 10, 1, sim_radius=5000.0)
+    assert len(started) == 1
+
+
+def test_gamma_tan_marks_draw_no_los_uniform_at_unit_ell(block_points, monkeypatch):
+    # at ell = 1 a mark leaves every gain as it is, so the walk draws no LoS
+    # uniform and evaluates no LoS law; the LoS uniforms have a stream of
+    # their own, so every other draw keeps its bits (recorded when the marks
+    # were still drawn)
+    los_draws, mark = [], mc._mark
+
+    def spy_mark(params, radius, rng, los_rng, *args):
+        state = los_rng.bit_generator.state
+        try:
+            mark(params, radius, rng, los_rng, *args)
+        finally:
+            los_draws.append(los_rng.bit_generator.state != state)
+
+    def no_law(*args):
+        raise AssertionError("LoS law evaluated")
+
+    monkeypatch.setattr(mc, "_mark", spy_mark)
+    monkeypatch.setattr(mc, "los_probability", no_law)
+    gamma_tan = GammaTanElevation(3.0, math.radians(20.0))
+    p = NetworkParams(density=1e-6, ell=1.0)
+    assert estimate_downlink(p, gamma_tan, 3000, 12).mean == 0.8033333333333333
+    p_cf = NetworkParams(density=1e-6, ell=1.0, beta=1e4, n_antennas=2)
+    assert estimate_cellfree(p_cf, gamma_tan, 3000, 16).mean == 0.806
+    radius = guard_radius(p, gamma_tan, 1e-3)
+    _, blocks = mc._draw(p, gamma_tan, radius, np.array([1.0, 0.0]), 3, 200,
+                         np.random.default_rng(18))
+    xi = np.concatenate([block[5].copy() for block in blocks])
+    assert xi.size == 192618
+    assert _sha256(xi) == "7302acb574eeb2c63a4c43fe59628a9d29ade5f8475d2fc7fd051c6e40b10473"
+    assert _sha256(sample_peak_gain(p, gamma_tan, 3000, 14)) == (
+        "38c277787ce8c9395b0baed2523d6aa629767133be2f5d11a71de949648a86c4")
+    assert los_draws and not any(los_draws)
+    # an attenuating walk draws its LoS uniforms and reads the law
+    with pytest.raises(AssertionError, match="LoS law"):
+        estimate_downlink(replace(p, ell=0.25), gamma_tan, 10, 1, sim_radius=5000.0)
+    assert los_draws[-1]
 
 
 def test_nlos_attenuation_arithmetic_keeps_los_gains_exact():
