@@ -45,26 +45,29 @@ gives the same sequence as drawing them whole.
 Both laws walk a chunk in blocks of whole realizations, about
 _BLOCK_POINTS points each (a larger realization is a block of its own),
 reading every stream in realization order, so any block size gives the
-same bits.  A block's points live in two buffers of _BLOCK_POINTS floats
-that each thread keeps across blocks, chunks and runs (_block_buffers).  A
-tangent law's walk starts one helper thread, which draws the tangents one
-fill ahead (_tangent_fills): a fill holds whole blocks, about
-_BLOCK_POINTS points, and lies in one of two more kept buffers.  Only the
-helper reads the side stream, in realization order, so the bits do not
-depend on the thread; meanwhile the calling thread draws the radii and the
-LoS uniforms, forms the path gains and reduces the blocks.  The walk joins
-its helper when it ends, also when it is closed early or the reduction
-raises.  A constant law starts no thread.  Both walks yield one block
-form: points grouped by (realization, LoS class), with their path gains.
-A tangent law's points carry their secant and attenuation in that gain and
-all lie in one class, LoS at the draw's single column.  So one reduction
-(_row_operands) serves every law and every row.  A chunk's peak allocation
-is a fixed working set of a few MB under either law, whatever its point
-count: its per-realization counts, the thread's two buffers (four under a
-tangent law) and one block's temporaries (a tangent law's LoS law, the
-downlink's first-maximum search).  A block holds at least one whole
-realization, so a disk that would hold more than _MAX_POINTS points on
-average is refused before the first draw.
+same bits.  A block's bounds depend on the counts and the LoS classes
+only, never on the rows.  A block's points live in two buffers of
+_BLOCK_POINTS floats that each thread keeps across blocks, chunks and
+runs (_block_buffers).  A tangent law's walk starts one helper thread,
+which draws each block's tangents one block ahead (_tangent_fills) into
+one of two more kept buffers.  Only the helper reads the side stream, in
+realization order, so the bits do not depend on the thread; meanwhile the
+calling thread draws the radii and the LoS uniforms, forms the path gains
+and reduces the blocks.  The walk joins its helper when it ends, also when
+it is closed early or the reduction raises.  A constant law starts no
+thread.  Both walks yield one block form: points grouped by (realization,
+LoS class), with their path gains.  A tangent law's points carry their
+secant and attenuation in that gain and all lie in one class, LoS at the
+draw's single column.  So one reduction (_row_operands) serves every law
+and every row; it gathers the rows a block-sized slice of realizations at
+a time.  A chunk's peak allocation is a fixed working set of a few MB under
+either law, whatever its point count: its per-realization counts, the
+thread's two buffers (four under a tangent law), one block's temporaries
+(a tangent law's LoS law, the downlink's first-maximum search) and one
+slice of row grids.  A realization larger than a buffer gets fresh arrays,
+which die before the next block's are drawn.  A block holds at least one
+whole realization, so a disk that would hold more than _MAX_POINTS points
+on average is refused before the first draw.
 
 The reduction stops before the coverage test and returns per-realization
 operands for every row: the serving signal and the interference
@@ -96,10 +99,10 @@ from .model import ConstantElevation, InvalidParameterError, los_probability
 _POINTS_PER_CHUNK = 2_000_000  # batching target; fixed so chunking is reproducible
 _MIN_RADIUS_FACTOR = 10.0      # floor: R >= 10 / sqrt(pi * density)
 _BLOCK_POINTS = 65_536         # points per block of a chunk; any value gives the same bits
-_MAX_POINTS = 2**24            # mean points per realization; a chunk of one such realization
-                               # peaks at ~33 B/pt (~0.55 GB) under a tangent law, 25 constant;
-                               # of several, at ~57 B/pt (~0.96 GB) and 32
-_MAX_ROWS = 10_000             # rows of one run; bounds a class draw's grids per realization
+_MAX_POINTS = 2**24            # mean points per realization; a chunk of such realizations
+                               # peaks at ~25 B/pt (~0.42 GB) constant, ~33 (~0.55 GB) under a
+                               # tangent law, ~41 (~0.69 GB) with the next block's tangents drawn
+_MAX_ROWS = 10_000             # rows of one run; bounds a row grid of one realization
 _SPLIT_STEPS = 2**64           # outputs from a chunk's counts to its side stream
 
 
@@ -246,7 +249,7 @@ def _counts(params, radius, n, rng):
 
 
 def _block_bounds(counts, span):
-    """Realization and point bounds of a chunk's blocks.
+    """Realization bounds of a chunk's blocks, and their point counts.
 
     A block holds whole realizations, about _BLOCK_POINTS points (a larger
     realization is a block of its own) and at most span realizations.
@@ -258,7 +261,7 @@ def _block_bounds(counts, span):
         base = ends[a - 1] if a else 0
         b = int(np.searchsorted(ends, base + _BLOCK_POINTS, side="right"))
         bounds.append(min(max(b, a + 1), a + span))
-    return bounds, np.concatenate(([0], ends))[bounds]
+    return bounds, np.diff(np.concatenate(([0], ends))[bounds]).tolist()
 
 
 def _segment_starts(cnz):
@@ -268,20 +271,20 @@ def _segment_starts(cnz):
     return starts
 
 
-def _draw(params, elev, radius, share, width, n, rng):
+def _draw(params, elev, radius, share, n, rng):
     """One chunk of n realizations: (fade, blocks).
 
     fade is the stream of the chunk's fading draws and blocks its block walk,
     by LoS class at shares share of the density under a constant elevation
     (_class_blocks), point by point under a tangent law (_marked_blocks).
-    A block holds at most _BLOCK_POINTS // (8 width) realizations, so grids
-    of width numbers per realization stay small.  After the counts, rng
-    keeps the radii; the side stream (class splits or tangents) starts at
-    _SPLIT_STEPS, and a tangent law's LoS uniforms at total, which puts its
-    fading at 2 total (module docstring).
+    A block holds at most _BLOCK_POINTS // (8 classes) realizations, so its
+    grids of one number per (realization, class) stay small.  After the
+    counts, rng keeps the radii; the side stream (class splits or tangents)
+    starts at _SPLIT_STEPS, and a tangent law's LoS uniforms at total, which
+    puts its fading at 2 total (module docstring).
     """
     counts, total = _counts(params, radius, n, rng)
-    span = max(1, _BLOCK_POINTS // (8 * width))
+    span = max(1, _BLOCK_POINTS // (8 * share.size))
     side = _stream_at(rng, _SPLIT_STEPS)
     if isinstance(elev, ConstantElevation):
         return _stream_at(rng, total), _class_blocks(
@@ -313,12 +316,10 @@ def _block_buffers(count):
         _workspace.buffers = kept
 
 
-def _block_views(buffers, m):
-    """The first m floats of the first two buffers; fresh arrays, dropped
-    with the block, for a block of one realization larger than a buffer."""
-    if m > buffers[0].size:
-        return np.empty(m), np.empty(m)
-    return buffers[0][:m], buffers[1][:m]
+def _block_view(buffer, m):
+    """The first m floats of a kept buffer; a fresh array, dropped with the
+    block, for a block of one realization larger than the buffer."""
+    return buffer[:m] if m <= buffer.size else np.empty(m)
 
 
 def _class_blocks(params, radius, share, counts, span, rng, split):
@@ -330,78 +331,61 @@ def _class_blocks(params, radius, share, counts, span, rng, split):
     per block: its slice of the chunk's realizations, their nonzero mask,
     which (realization, class) cells hold a point, the point counts and
     segment starts of those, the points' planar r^-alpha class after class,
-    and a scratch buffer; the next block overwrites the last two.
+    and a scratch buffer; the next block overwrites the last two, so the
+    caller drops them before it takes the next block.
     """
-    bounds, points = _block_bounds(counts, span)
+    bounds, sizes = _block_bounds(counts, span)
     r_sq = radius * radius
     with _block_buffers(2) as buffers:
-        for a, b, lo, hi in zip(bounds, bounds[1:], points, points[1:]):
+        for a, b, m in zip(bounds, bounds[1:], sizes):
             c = counts[a:b]
             cells = split.multinomial(c, share).ravel()
             filled = cells > 0
             clen = cells[filled]
-            xi, spare = _block_views(buffers, int(hi - lo))
+            xi, spare = _block_view(buffers[0], m), _block_view(buffers[1], m)
             # (R^2 u)^(-alpha/2) is (R sqrt(u))^-alpha without the sqrt
             rng.random(out=xi)
             xi *= r_sq
             np.power(xi, -0.5 * params.alpha, out=xi)
             yield slice(a, b), c > 0, filled, clen, _segment_starts(clen), xi, spare
+            del xi, spare  # a large block's arrays die before the next block's
 
 
 def _marked_blocks(params, elev, radius, counts, span, rng, los_rng, side):
     """The block walk of a tangent-law chunk, in _class_blocks' form.
 
     Radii come from rng and LoS uniforms from los_rng, block by block, on
-    the calling thread; the tangents come from side, fill by fill, on a
-    helper thread (_tangent_fills).  A fill holds the tangents of whole
-    consecutive blocks, about _BLOCK_POINTS of them, whatever the span.  xi
-    holds each point's L ||U||^-alpha, its secant and attenuation included,
-    so every point lies in the first of two classes, LoS at the draw's one
-    column, and the second class stays empty.
+    the calling thread; each block's tangents come from side, drawn one
+    block ahead on a helper thread (_tangent_fills).  xi holds each point's
+    L ||U||^-alpha, its secant and attenuation included, so every point
+    lies in the first of two classes, LoS at the draw's one column, and the
+    second class stays empty.
     """
-    bounds, points = _block_bounds(counts, span)
-    firsts = _fill_bounds(points)
-    sizes = np.diff(points[firsts]).tolist()
-    opens = set(firsts)
-    with _block_buffers(4) as buffers, _tangent_fills(elev, side, sizes, buffers[2:]) as fills:
-        for i, (a, b, lo, hi) in enumerate(zip(bounds, bounds[1:], points, points[1:])):
-            if i in opens:
-                tan, base = next(fills), lo
-            xi, scratch = _block_views(buffers, int(hi - lo))
-            _mark(params, radius, rng, los_rng, tan[lo - base:hi - base], xi, scratch)
+    bounds, sizes = _block_bounds(counts, span)
+    with _block_buffers(4) as buffers, _tangent_fills(elev, side, sizes, buffers[2:]) as tans:
+        for a, b, m in zip(bounds, bounds[1:], sizes):
+            xi, scratch = _block_view(buffers[0], m), _block_view(buffers[1], m)
+            _mark(params, radius, rng, los_rng, next(tans), xi, scratch)
             c = counts[a:b]
             nz = c > 0
             filled = np.zeros(2 * nz.size, dtype=bool)
             filled[::2] = nz
             clen = c[nz]
             yield slice(a, b), nz, filled, clen, _segment_starts(clen), xi, scratch
-
-
-def _fill_bounds(points):
-    """Indices of the blocks that start a fill, then the block count.
-
-    A fill holds whole consecutive blocks, as many as fit in _BLOCK_POINTS
-    points, and at least one; points are the blocks' point bounds.
-    """
-    firsts = [0]
-    while firsts[-1] < points.size - 1:
-        f = firsts[-1]
-        g = int(np.searchsorted(points, points[f] + _BLOCK_POINTS, side="right")) - 1
-        firsts.append(max(g, f + 1))
-    return firsts
+            del xi, scratch  # a large block's arrays die before the next block's
 
 
 @contextmanager
 def _tangent_fills(elev, side, sizes, buffers):
-    """An iterator over tangent fills of the given sizes, drawn from side in
-    order by elev.sample_tan on a helper thread, one fill ahead.
+    """An iterator over the tangents of blocks of the given sizes, drawn
+    from side in order by elev.sample_tan on a helper thread, one block
+    ahead, into views of the two buffers in turn (_block_view).
 
-    Fill k lies in buffers[k % 2], or in a fresh array if it is larger.  A
-    fill is the caller's until it takes the next one, so the helper draws
-    fill k + 1 while the caller works on fill k.  Only the helper reads
-    side, and it calls nothing but sample_tan.  An exception the helper
-    raises reaches the caller at its next take.  On exit, also an early one,
-    the helper is stopped and joined, so the buffers are free again.
+    A block's tangents are the caller's until it takes the next block's.
+    Only the helper reads side, and it calls nothing but sample_tan.  An
+    exception the helper raises reaches the caller at its next take.  On
+    exit, also an early one, the helper is stopped and joined, so the
+    buffers are free again.
     """
     free = threading.Semaphore(len(buffers))
     ready = queue.SimpleQueue()
@@ -413,19 +397,20 @@ def _tangent_fills(elev, side, sizes, buffers):
                 free.acquire()
                 if stop.is_set():
                     return
-                buf = buffers[k % len(buffers)]
-                ready.put(elev.sample_tan(side, size, out=buf[:size] if size <= buf.size else None))
+                out = _block_view(buffers[k % len(buffers)], size)
+                ready.put(elev.sample_tan(side, size, out=out))
+                del out  # a fresh array dies with its block, not here
         except BaseException as exc:  # handed to the caller, which re-raises it
             ready.put(exc)
 
     def take():
-        for k in range(len(sizes)):
-            if k:
-                free.release()  # the caller is done with fill k - 1
-            fill = ready.get()
-            if isinstance(fill, BaseException):
-                raise fill
-            yield fill
+        for _ in sizes:
+            tan = ready.get()
+            if isinstance(tan, BaseException):
+                raise tan
+            yield tan
+            del tan  # the caller is done with it: only now may the helper draw on
+            free.release()
 
     helper = threading.Thread(target=draw, name="uavcov-tangents", daemon=True)
     helper.start()
@@ -528,32 +513,38 @@ def _row_operands(metric, params, elev, radius, rho, gain, tail, col, n, rng):
     prefix (LoS) and a suffix (NLoS) of these, so the rows cost
     O(realizations x rows), not a pass over the points each.  Yields
     (signal, interference) of the realizations that hold a UAV, or the
-    received sums of every realization, as (realizations, rows) arrays.
+    received sums of every realization, as (realizations, rows) arrays of
+    at most _BLOCK_POINTS // (8 rows) realizations (one at least).
     """
     share = np.diff(rho, prepend=0.0, append=1.0)
     width = share.size
-    fade, blocks = _draw(params, elev, radius, share, width + col.size, n, rng)
+    fade, blocks = _draw(params, elev, radius, share, n, rng)
     ell = params.ell
     if metric == "downlink":
         g_star = fade.standard_gamma(params.n_antennas, size=n)
+    step = max(1, _BLOCK_POINTS // (8 * col.size))
     with closing(blocks):  # a walk left early stops its helper at once
         for sl, nz, filled, clen, starts, xi, g in blocks:
             _gamma_fill(fade, 1 if metric == "downlink" else params.n_antennas, g)
             g *= xi
             sums = np.zeros(filled.size)
             sums[filled] = np.add.reduceat(g, starts)
+            if metric == "downlink":
+                xi_max = np.maximum.reduceat(xi, starts)
+                peak, at_peak = np.zeros(filled.size), np.zeros(filled.size)
+                peak[filled] = xi_max
+                # ties to the lowest index, as in associate
+                at_peak[filled] = g[_first_max_index(xi, xi_max, clen, starts)]
+            del xi, g  # a large block's arrays die before the next block's
             sums = sums.reshape(-1, width)
             # column j: LoS classes 0..j, NLoS classes j+1..K
             rest = np.cumsum(sums[:, :-1], axis=1)
             rest += ell * np.cumsum(sums[:, :0:-1], axis=1)[:, ::-1]
             if metric == "cellfree":
-                yield (gain * rest + params.n_antennas * tail)[:, col]
+                total = gain * rest + params.n_antennas * tail
+                for i in range(0, len(total), step):
+                    yield total[i:i + step, col]
                 continue
-            xi_max = np.maximum.reduceat(xi, starts)
-            peak, at_peak = np.zeros(filled.size), np.zeros(filled.size)
-            peak[filled] = xi_max
-            # ties to the lowest index, as in associate
-            at_peak[filled] = g[_first_max_index(xi, xi_max, clen, starts)]
             peak, at_peak = peak.reshape(-1, width)[nz], at_peak.reshape(-1, width)[nz]
             los_peak, los_served = _running_peak(peak[:, :-1], at_peak[:, :-1])
             nlos_peak, nlos_served = _running_peak(peak[:, :0:-1], at_peak[:, :0:-1])
@@ -561,7 +552,10 @@ def _row_operands(metric, params, elev, radius, rho, gain, tail, col, n, rng):
             by_los = los_peak >= nlos_peak
             served = np.where(by_los, los_served, ell * nlos_served[:, ::-1])
             signal = g_star[sl][nz, None] * (gain * np.where(by_los, los_peak, nlos_peak))
-            yield signal[:, col], (gain * (rest[nz] - served) + tail)[:, col]
+            interference = gain * (rest[nz] - served) + tail
+            # a block without a point still yields its empty operands once
+            for i in range(0, max(len(signal), 1), step):
+                yield signal[i:i + step, col], interference[i:i + step, col]
 
 
 def shares_draw(settings):
@@ -699,10 +693,11 @@ def _peak_gain(params, elev, n_samples, master_seed, radius):
     out = []
     for size, rng in _chunks(n_samples, radius, params.density, master_seed):
         peak = np.zeros((size, 2))
-        _, blocks = _draw(params, elev, radius, share, 2, size, rng)
+        _, blocks = _draw(params, elev, radius, share, size, rng)
         with closing(blocks):
-            for sl, _, filled, _, starts, xi, _ in blocks:
+            for sl, _, filled, _, starts, xi, spare in blocks:
                 peak[sl].reshape(-1)[filled] = np.maximum.reduceat(xi, starts)
+                del xi, spare  # a large block's arrays die before the next block's
         out.append(np.maximum(peak[:, 0], params.ell * peak[:, 1]))
     return scale * np.concatenate(out)
 

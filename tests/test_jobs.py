@@ -7,6 +7,7 @@ import math
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -64,20 +65,27 @@ def test_eight_threads_with_fast_switching_match_serial():
 
 
 def _tangent_job(job):
-    metric, n, seed = job
-    if metric == "downlink":
-        return estimate_downlink(NetworkParams(density=1e-6, n_antennas=n), GAMMA20, 300, seed)
-    params = NetworkParams(density=1e-6, beta=1e4, n_antennas=n)
-    return estimate_cellfree(params, GAMMA20, 300, seed)
+    metric, n, seed, rows = job
+    params = NetworkParams(density=1e-6, n_antennas=n)
+    if metric == "cellfree":
+        params = replace(params, beta=1e4)
+    if rows == 1:
+        estimate = estimate_downlink if metric == "downlink" else estimate_cellfree
+        return estimate(params, GAMMA20, 300, seed)
+    sweep = [replace(params, beta=params.beta * (0.5 + 0.01 * i)) for i in range(rows)]
+    return montecarlo.estimate_sweep(metric, sweep, GAMMA20, 300, seed)
 
 
 def test_tangent_walks_on_four_threads_with_fast_switching_match_serial(monkeypatch):
     # each gamma_tan walk draws its tangents on a helper thread of its own,
-    # fill by fill: four jobs at once run eight threads, and small blocks
-    # make many fills, so any state shared between walks or a fill taken
-    # out of order would show as a result that differs from the serial one
+    # block by block: four jobs at once run eight threads, and small blocks
+    # make many hand-offs, so any state shared between walks or a block's
+    # tangents taken out of order would show as a result that differs from
+    # the serial one.  The beta sweeps of 100 rows walk the same blocks as
+    # one row and gather their rows a few realizations at a time
     monkeypatch.setattr(montecarlo, "_BLOCK_POINTS", 4096)
-    job_list = [(("downlink", "cellfree")[i % 2], 1 + i % 3, 60 + i) for i in range(8)]
+    job_list = [(("downlink", "cellfree")[i % 2], 1 + i % 3, 60 + i, (1, 100)[i // 2 % 2])
+                for i in range(12)]
     serial = map_jobs(_tangent_job, job_list, 1)
     out = []
     runner = threading.Thread(target=lambda: out.append(map_jobs(_tangent_job, job_list, 4)))

@@ -207,7 +207,7 @@ def test_gamma_tan_outputs_match_recorded_golden_values(block_points):
     p = NetworkParams(density=1e-6)
     radius = guard_radius(p, gamma_tan, 1e-3)
     share = np.array([1.0, 0.0])
-    _, blocks = mc._draw(p, gamma_tan, radius, share, 3, 200, np.random.default_rng(18))
+    _, blocks = mc._draw(p, gamma_tan, radius, share, 200, np.random.default_rng(18))
     # each block's gains live in a buffer the next block overwrites
     xi = np.concatenate([block[5].copy() for block in blocks])
     assert xi.size == 204954
@@ -262,7 +262,7 @@ def test_chunks_without_points_yield_the_empty_outcome(block_points):
 def test_constant_elevation_never_reaches_the_marked_kernel(monkeypatch):
     # every constant-elevation draw is laid out by LoS class and draws no
     # tangent or LoS uniform; only a tangent law marks its points one by
-    # one, drawing its tangents fill by fill, each fill holding whole blocks
+    # one, drawing its tangents block by block
     seen, blocks = [], []
     marked, mark, tangents = mc._marked_blocks, mc._mark, GammaTanElevation.sample_tan
 
@@ -295,14 +295,14 @@ def test_constant_elevation_never_reaches_the_marked_kernel(monkeypatch):
     gamma_tan = GammaTanElevation(3.0, math.radians(20.0))
     estimate_cellfree(p, gamma_tan, 10, 1, sim_radius=5000.0)
     assert seen == ["_marked_blocks"] + [gamma_tan] * 10 and len(blocks) == 10
-    # at 1000 points a block, a one-row draw walks them in one block; 100
-    # rows cut them into 10 blocks of one realization, and still one fill
+    # at 1000 points a block, a one-row draw walks them in one block and
+    # one fill; 100 rows walk the same single block and fill as one row
     monkeypatch.setattr(mc, "_BLOCK_POINTS", 1000)
-    for rows, n_blocks in ((1, 1), (100, 10)):
+    for rows in (1, 100):
         seen.clear()
         blocks.clear()
         mc.estimate_sweep("cellfree", [p] * rows, gamma_tan, 10, 1, sim_radius=5000.0)
-        assert seen == ["_marked_blocks", gamma_tan] and len(blocks) == n_blocks, rows
+        assert seen == ["_marked_blocks", gamma_tan] and len(blocks) == 1, rows
     assert 700 < sum(blocks) <= 1000
 
 
@@ -551,28 +551,29 @@ def test_chunk_kernels_peak_allocation_per_point():
     # The kernel walks it in blocks of at most _BLOCK_POINTS points, on two
     # buffers reused from block to block, and draws every mark block by
     # block, so under either law the peak does not grow with the chunk,
-    # whose per-class grids are block-sized too: theta_bar draws of one
-    # row, 12 rows and 1000, and gamma_tan beta draws of one row and 1000.
+    # whose per-class grids are block-sized too, and the per-row grids are
+    # gathered a block-sized slice at a time: theta_bar draws of one row, 12
+    # rows and 1000, gamma_tan beta draws of one row and 1000, and beta
+    # draws of _MAX_ROWS rows under both laws.
     p = NetworkParams(density=1e-6)
     seed = 7
     gamma_tan = GammaTanElevation(3.0, math.radians(20.0))
-    for draws in (
-        [_constant(*np.linspace(25.0, 60.0, rows)) for rows in (1, 12, 1000)],
-        [[gamma_tan] * rows for rows in (1, 1000)],
-    ):
-        radius = guard_radius(p, draws[0][0], 1e-3)
-        for n in (500, 2000):
-            for metric in ("downlink", "cellfree"):
-                for elevs in draws:
-                    blocks = _row_blocks(metric, p, elevs, radius, n, np.random.default_rng(seed))
-                    tracemalloc.start()
-                    try:
-                        for _ in blocks:
-                            pass
-                        peak = tracemalloc.get_traced_memory()[1]
-                    finally:
-                        tracemalloc.stop()
-                    assert peak <= 3 * 2**20, (elevs[0], len(elevs), metric, n, peak)
+    draws = [_constant(*np.linspace(25.0, 60.0, rows)) for rows in (1, 12, 1000)]
+    draws += [[gamma_tan] * rows for rows in (1, 1000)]
+    cases = [(elevs, n) for elevs in draws for n in (500, 2000)]
+    cases += [([elev] * mc._MAX_ROWS, 500) for elev in (E25, gamma_tan)]
+    for elevs, n in cases:
+        radius = guard_radius(p, elevs[0], 1e-3)
+        for metric in ("downlink", "cellfree"):
+            blocks = _row_blocks(metric, p, elevs, radius, n, np.random.default_rng(seed))
+            tracemalloc.start()
+            try:
+                for _ in blocks:
+                    pass
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3 * 2**20, (elevs[0], len(elevs), metric, n, peak)
 
 
 def _traced_peaks(runs):
@@ -594,6 +595,29 @@ def _traced_peaks(runs):
     thread.join(timeout=120)
     assert not thread.is_alive() and len(peaks) == len(runs)
     return peaks
+
+
+def test_chunks_of_realizations_larger_than_a_block_peak_as_one(monkeypatch):
+    # ~5000-point realizations against 1000-point blocks: each is a block
+    # of its own, on fresh arrays that die before the next block's are
+    # drawn, so a chunk of three peaks no higher per point of its largest
+    # realization than a chunk of its first alone, give or take its
+    # per-realization grids.  A tangent law may hold one more tangent array
+    # (8 B/pt): the one its helper draws ahead
+    monkeypatch.setattr(mc, "_BLOCK_POINTS", 1000)
+    p = NetworkParams(density=1e-6, beta=1e4, n_antennas=2)
+    radius = 40e3
+    counts = np.random.default_rng(9).poisson(p.density * math.pi * radius**2, 3)
+    assert counts.min() > 4 * mc._BLOCK_POINTS
+
+    def walk(metric, elev, n):
+        return lambda: list(_row_blocks(metric, p, [elev], radius, n, np.random.default_rng(9)))
+
+    for elev, ahead in ((E25, 0.0), (GammaTanElevation(3.0, math.radians(20.0)), 8.0)):
+        for metric in ("downlink", "cellfree"):
+            runs = [walk(metric, elev, n) for n in (1, 1, 3)]  # the first, cold
+            _, one, three = _traced_peaks(runs)
+            assert three / counts.max() <= one / counts[0] + ahead + 1.0, (elev, metric)
 
 
 def test_a_second_run_in_a_thread_allocates_no_block_buffers():
@@ -620,7 +644,7 @@ def test_two_walks_alive_in_one_thread_keep_their_bits():
 
     def walk(elev, seed):
         radius = guard_radius(p, elev, 1e-3)
-        return mc._draw(p, elev, radius, share, 3, 200, np.random.default_rng(seed))[1]
+        return mc._draw(p, elev, radius, share, 200, np.random.default_rng(seed))[1]
 
     for elevs in ((E25, E25), (E25, gamma_tan), (gamma_tan, gamma_tan)):
         alone = [_sha256(np.concatenate([block[5].copy() for block in walk(elev, seed)]))
@@ -678,7 +702,7 @@ def test_a_walk_closed_early_joins_its_helper_and_frees_its_buffers():
     share = np.array([1.0, 0.0])
 
     def walk():
-        return mc._draw(p, gamma_tan, radius, share, 3, 200, np.random.default_rng(18))[1]
+        return mc._draw(p, gamma_tan, radius, share, 200, np.random.default_rng(18))[1]
 
     def digest():
         return _sha256(np.concatenate([block[5].copy() for block in walk()]))
@@ -738,7 +762,7 @@ def test_gamma_tan_marks_draw_no_los_uniform_at_unit_ell(block_points, monkeypat
     p_cf = NetworkParams(density=1e-6, ell=1.0, beta=1e4, n_antennas=2)
     assert estimate_cellfree(p_cf, gamma_tan, 3000, 16).mean == 0.806
     radius = guard_radius(p, gamma_tan, 1e-3)
-    _, blocks = mc._draw(p, gamma_tan, radius, np.array([1.0, 0.0]), 3, 200,
+    _, blocks = mc._draw(p, gamma_tan, radius, np.array([1.0, 0.0]), 200,
                          np.random.default_rng(18))
     xi = np.concatenate([block[5].copy() for block in blocks])
     assert xi.size == 192618
