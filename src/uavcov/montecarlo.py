@@ -46,26 +46,31 @@ Both laws walk a chunk in blocks of whole realizations, about
 _BLOCK_POINTS points each (a larger realization is a block of its own),
 reading every stream in realization order, so any block size gives the
 same bits.  A block's bounds depend on the counts and the LoS classes
-only, never on the rows.  A block's points live in two buffers of
+only, never on the rows.  A block's points live in four buffers of
 _BLOCK_POINTS floats that each thread keeps across blocks, chunks and
-runs (_block_buffers).  A tangent law's walk starts one helper thread,
-which draws each block's tangents one block ahead (_tangent_fills) into
-one of two more kept buffers.  Only the helper reads the side stream, in
-realization order, so the bits do not depend on the thread; meanwhile the
-calling thread draws the radii and the LoS uniforms, forms the path gains
-and reduces the blocks.  The walk joins its helper when it ends, also when
-it is closed early or the reduction raises.  A constant law starts no
-thread.  Both walks yield one block form: points grouped by (realization,
-LoS class), with their path gains.  A tangent law's points carry their
-secant and attenuation in that gain and all lie in one class, LoS at the
-draw's single column.  So one reduction (_row_operands) serves every law
-and every row; it gathers the rows a block-sized slice of realizations at
-a time.  A chunk's peak allocation is a fixed working set of a few MB under
-either law, whatever its point count: its per-realization counts, the
-thread's two buffers (four under a tangent law), one block's temporaries
-(a tangent law's LoS law, the downlink's first-maximum search) and one
-slice of row grids.  A realization larger than a buffer gets fresh arrays,
-which die before the next block's are drawn.  A block holds at least one
+runs (_block_buffers).  A point's fading and its position in the disk do
+not depend on any other point or mark (the marking theorem), so some of a
+block's draws need only its point count, and a walk draws them one block
+ahead (_block_fills): under a constant law the radius uniforms and the
+fading, under a tangent law the tangents.  On a thread with two cores or
+more (jobs.cores) a helper thread draws them; on one, the calling thread
+does, with the same bits.  Each stream is read by one thread in
+realization order: the helper reads its fills' streams, and the calling
+thread the rest (a constant law's class splits; a tangent law's radii,
+LoS uniforms and fading), forms the path gains and reduces the blocks.
+The walk joins its helper when it ends, also when it is closed early or
+the reduction raises.  Both walks yield one block form: points grouped by
+(realization, LoS class), with their path gains and fading.  A tangent
+law's points carry their secant and attenuation in that gain and all lie
+in one class, LoS at the draw's single column.  So one reduction
+(_row_operands) serves every law and every row; it gathers the rows a
+block-sized slice of realizations at a time.  A chunk's peak allocation is
+a fixed working set of a few MB under either law, whatever its point
+count: its per-realization counts, the thread's four buffers, one block's
+temporaries (a tangent law's LoS law, the downlink's first-maximum search)
+and one slice of row grids.  A realization larger than a buffer gets fresh
+arrays, which die before the next block's are drawn, so a chunk of such
+realizations peaks as its largest alone does.  A block holds at least one
 whole realization, so a disk that would hold more than _MAX_POINTS points
 on average is refused before the first draw.
 
@@ -94,14 +99,15 @@ from .analytic import (
     nearest_sq_rate,
     tail_gain_moment,
 )
+from .jobs import cores
 from .model import ConstantElevation, InvalidParameterError, los_probability
 
 _POINTS_PER_CHUNK = 2_000_000  # batching target; fixed so chunking is reproducible
 _MIN_RADIUS_FACTOR = 10.0      # floor: R >= 10 / sqrt(pi * density)
 _BLOCK_POINTS = 65_536         # points per block of a chunk; any value gives the same bits
-_MAX_POINTS = 2**24            # mean points per realization; a chunk of such realizations
-                               # peaks at ~25 B/pt (~0.42 GB) constant, ~33 (~0.55 GB) under a
-                               # tangent law, ~41 (~0.69 GB) with the next block's tangents drawn
+_MAX_POINTS = 2**24            # mean points per realization; a chunk of one or more such
+                               # realizations peaks at ~25 B/pt (~0.42 GB) constant, ~33
+                               # (~0.55 GB) under a tangent law
 _MAX_ROWS = 10_000             # rows of one run; bounds a row grid of one realization
 _SPLIT_STEPS = 2**64           # outputs from a chunk's counts to its side stream
 
@@ -271,26 +277,30 @@ def _segment_starts(cnz):
     return starts
 
 
-def _draw(params, elev, radius, share, n, rng):
+def _draw(params, elev, radius, share, n, rng, shape=None):
     """One chunk of n realizations: (fade, blocks).
 
     fade is the stream of the chunk's fading draws and blocks its block walk,
     by LoS class at shares share of the density under a constant elevation
     (_class_blocks), point by point under a tangent law (_marked_blocks).
-    A block holds at most _BLOCK_POINTS // (8 classes) realizations, so its
-    grids of one number per (realization, class) stay small.  After the
-    counts, rng keeps the radii; the side stream (class splits or tangents)
-    starts at _SPLIT_STEPS, and a tangent law's LoS uniforms at total, which
-    puts its fading at 2 total (module docstring).
+    The walk yields each block's Gamma(shape, 1) fading, or no fading at
+    shape None.  fade is the caller's only until it takes the first block;
+    the walk then reads it on.  A block holds at most _BLOCK_POINTS // (8
+    classes) realizations, so its grids of one number per (realization,
+    class) stay small.  After the counts, rng keeps the radii; the side
+    stream (class splits or tangents) starts at _SPLIT_STEPS, and a tangent
+    law's LoS uniforms at total, which puts its fading at 2 total (module
+    docstring).
     """
     counts, total = _counts(params, radius, n, rng)
     span = max(1, _BLOCK_POINTS // (8 * share.size))
     side = _stream_at(rng, _SPLIT_STEPS)
     if isinstance(elev, ConstantElevation):
-        return _stream_at(rng, total), _class_blocks(
-            params, radius, share, counts, span, rng, side)
-    return _stream_at(rng, 2 * total), _marked_blocks(
-        params, elev, radius, counts, span, rng, _stream_at(rng, total), side)
+        fade = _stream_at(rng, total)
+        return fade, _class_blocks(params, radius, share, counts, span, rng, side, fade, shape)
+    fade = _stream_at(rng, 2 * total)
+    return fade, _marked_blocks(
+        params, elev, radius, counts, span, rng, _stream_at(rng, total), side, fade, shape)
 
 
 _workspace = threading.local()  # a thread's block buffers while no walk holds them
@@ -322,50 +332,66 @@ def _block_view(buffer, m):
     return buffer[:m] if m <= buffer.size else np.empty(m)
 
 
-def _class_blocks(params, radius, share, counts, span, rng, split):
+def _class_blocks(params, radius, share, counts, span, rng, split, fade, shape):
     """The block walk of a constant-elevation chunk drawn by LoS class.
 
     counts are the chunk's point counts, just drawn from rng; share holds
     the classes' shares of the density, and split is the stream of their
-    multinomial splits.  Yields (sl, nz, filled, clen, starts, xi, spare)
-    per block: its slice of the chunk's realizations, their nonzero mask,
-    which (realization, class) cells hold a point, the point counts and
-    segment starts of those, the points' planar r^-alpha class after class,
-    and a scratch buffer; the next block overwrites the last two, so the
-    caller drops them before it takes the next block.
+    multinomial splits.  Each block's radius uniforms (from rng) and its
+    fading (from fade, at shape) are drawn one block ahead (_block_fills);
+    the calling thread draws the splits and forms the path gains.  Yields
+    (sl, nz, filled, clen, starts, xi, g) per block: its slice of the
+    chunk's realizations, their nonzero mask, which (realization, class)
+    cells hold a point, the point counts and segment starts of those, the
+    points' planar r^-alpha class after class, and their fading; the next
+    block overwrites the last two, so the caller drops them before it takes
+    the next block.
     """
     bounds, sizes = _block_bounds(counts, span)
     r_sq = radius * radius
-    with _block_buffers(2) as buffers:
-        for a, b, m in zip(bounds, bounds[1:], sizes):
+
+    def fill(u, g):
+        rng.random(out=u)
+        if shape is not None:
+            _gamma_fill(fade, shape, g)
+
+    with _block_buffers(4) as buffers, _block_fills(fill, sizes, buffers) as fills:
+        for a, b in zip(bounds, bounds[1:]):
             c = counts[a:b]
             cells = split.multinomial(c, share).ravel()
             filled = cells > 0
             clen = cells[filled]
-            xi, spare = _block_view(buffers[0], m), _block_view(buffers[1], m)
+            xi, g = next(fills)
             # (R^2 u)^(-alpha/2) is (R sqrt(u))^-alpha without the sqrt
-            rng.random(out=xi)
             xi *= r_sq
             np.power(xi, -0.5 * params.alpha, out=xi)
-            yield slice(a, b), c > 0, filled, clen, _segment_starts(clen), xi, spare
-            del xi, spare  # a large block's arrays die before the next block's
+            yield slice(a, b), c > 0, filled, clen, _segment_starts(clen), xi, g
+            del xi, g  # a large block's arrays die before the next block's
 
 
-def _marked_blocks(params, elev, radius, counts, span, rng, los_rng, side):
+def _marked_blocks(params, elev, radius, counts, span, rng, los_rng, side, fade, shape):
     """The block walk of a tangent-law chunk, in _class_blocks' form.
 
-    Radii come from rng and LoS uniforms from los_rng, block by block, on
-    the calling thread; each block's tangents come from side, drawn one
-    block ahead on a helper thread (_tangent_fills).  xi holds each point's
-    L ||U||^-alpha, its secant and attenuation included, so every point
-    lies in the first of two classes, LoS at the draw's one column, and the
-    second class stays empty.
+    Each block's tangents come from side, drawn one block ahead
+    (_block_fills); its radii (from rng), LoS uniforms (from los_rng) and
+    fading (from fade, at shape) are drawn on the calling thread, the
+    fading into the scratch buffer once the marks are made.  xi holds each
+    point's L ||U||^-alpha, its secant and attenuation included, so every
+    point lies in the first of two classes, LoS at the draw's one column,
+    and the second class stays empty.
     """
     bounds, sizes = _block_bounds(counts, span)
-    with _block_buffers(4) as buffers, _tangent_fills(elev, side, sizes, buffers[2:]) as tans:
+
+    def fill(tan):
+        elev.sample_tan(side, tan.size, out=tan)
+
+    with _block_buffers(4) as buffers, _block_fills(fill, sizes, buffers[2:]) as fills:
         for a, b, m in zip(bounds, bounds[1:], sizes):
             xi, scratch = _block_view(buffers[0], m), _block_view(buffers[1], m)
-            _mark(params, radius, rng, los_rng, next(tans), xi, scratch)
+            tan, = next(fills)
+            _mark(params, radius, rng, los_rng, tan, xi, scratch)
+            if shape is not None:
+                _gamma_fill(fade, shape, scratch)
             c = counts[a:b]
             nz = c > 0
             filled = np.zeros(2 * nz.size, dtype=bool)
@@ -376,18 +402,29 @@ def _marked_blocks(params, elev, radius, counts, span, rng, los_rng, side):
 
 
 @contextmanager
-def _tangent_fills(elev, side, sizes, buffers):
-    """An iterator over the tangents of blocks of the given sizes, drawn
-    from side in order by elev.sample_tan on a helper thread, one block
-    ahead, into views of the two buffers in turn (_block_view).
+def _block_fills(fill, sizes, buffers):
+    """An iterator over the fills of blocks of the given sizes: per block,
+    views of half of buffers at its size (_block_view), which fill(*views)
+    draws.
 
-    A block's tangents are the caller's until it takes the next block's.
-    Only the helper reads side, and it calls nothing but sample_tan.  An
-    exception the helper raises reaches the caller at its next take.  On
-    exit, also an early one, the helper is stopped and joined, so the
-    buffers are free again.
+    fill reads streams that nothing else reads while the walk lasts, each
+    in block order, so the bits do not depend on the thread that runs it.
+    On a thread with two cores or more (jobs.cores) a helper thread runs it
+    one block ahead, into the two halves of buffers in turn; on one, the
+    calling thread runs it into the first half as it takes each block.  A
+    block's fill is the caller's until it takes the next block's.  A block
+    larger than the buffers gets fresh arrays, which the helper draws only
+    once the caller has handed back the block before, so no two such
+    blocks are alive at once.  An exception the helper raises reaches the
+    caller at its next take.  On exit, also an early one, the helper is
+    stopped and joined, so the buffers are free again.
     """
-    free = threading.Semaphore(len(buffers))
+    width = len(buffers) // 2
+    halves = buffers[:width], buffers[width:]
+    if cores() < 2:
+        yield _inline_fills(fill, sizes, halves[0])
+        return
+    free = threading.Semaphore(2)  # blocks the helper may draw before the caller hands one back
     ready = queue.SimpleQueue()
     stop = threading.Event()
 
@@ -395,31 +432,47 @@ def _tangent_fills(elev, side, sizes, buffers):
         try:
             for k, size in enumerate(sizes):
                 free.acquire()
+                oversized = size > _BLOCK_POINTS
+                if oversized:
+                    free.acquire()  # the block before is handed back
                 if stop.is_set():
                     return
-                out = _block_view(buffers[k % len(buffers)], size)
-                ready.put(elev.sample_tan(side, size, out=out))
+                out = [_block_view(buffer, size) for buffer in halves[k % 2]]
+                fill(*out)
+                ready.put(out)
                 del out  # a fresh array dies with its block, not here
+                if oversized:
+                    free.release()
         except BaseException as exc:  # handed to the caller, which re-raises it
             ready.put(exc)
 
     def take():
         for _ in sizes:
-            tan = ready.get()
-            if isinstance(tan, BaseException):
-                raise tan
-            yield tan
-            del tan  # the caller is done with it: only now may the helper draw on
+            out = ready.get()
+            if isinstance(out, BaseException):
+                raise out
+            yield out
+            del out  # the caller is done with it: only now may the helper draw on
             free.release()
 
-    helper = threading.Thread(target=draw, name="uavcov-tangents", daemon=True)
+    helper = threading.Thread(target=draw, name="uavcov-fills", daemon=True)
     helper.start()
     try:
         yield take()
     finally:
         stop.set()
-        free.release()
+        free.release(2)  # past both of an oversized block's waits
         helper.join()
+
+
+def _inline_fills(fill, sizes, buffers):
+    """_block_fills on the calling thread: each block's fill drawn into
+    views of buffers as the caller takes it."""
+    for size in sizes:
+        out = [_block_view(buffer, size) for buffer in buffers]
+        fill(*out)
+        yield out
+        del out  # a fresh array dies before the next block's
 
 
 def _mark(params, radius, rng, los_rng, tan, xi, scratch):
@@ -518,14 +571,14 @@ def _row_operands(metric, params, elev, radius, rho, gain, tail, col, n, rng):
     """
     share = np.diff(rho, prepend=0.0, append=1.0)
     width = share.size
-    fade, blocks = _draw(params, elev, radius, share, n, rng)
+    fade, blocks = _draw(params, elev, radius, share, n, rng,
+                         1 if metric == "downlink" else params.n_antennas)
     ell = params.ell
     if metric == "downlink":
         g_star = fade.standard_gamma(params.n_antennas, size=n)
     step = max(1, _BLOCK_POINTS // (8 * col.size))
     with closing(blocks):  # a walk left early stops its helper at once
         for sl, nz, filled, clen, starts, xi, g in blocks:
-            _gamma_fill(fade, 1 if metric == "downlink" else params.n_antennas, g)
             g *= xi
             sums = np.zeros(filled.size)
             sums[filled] = np.add.reduceat(g, starts)

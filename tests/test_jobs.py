@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from uavcov import montecarlo, validation
+from uavcov import jobs, montecarlo, validation
 from uavcov.analytic import downlink_coverage
 from uavcov.jobs import map_jobs
 from uavcov.model import ConstantElevation, GammaTanElevation, NetworkParams
@@ -64,31 +64,33 @@ def test_eight_threads_with_fast_switching_match_serial():
     assert out == [serial]
 
 
-def _tangent_job(job):
-    metric, n, seed, rows = job
+def _walk_job(job):
+    metric, elev, n, seed, rows = job
     params = NetworkParams(density=1e-6, n_antennas=n)
     if metric == "cellfree":
         params = replace(params, beta=1e4)
     if rows == 1:
         estimate = estimate_downlink if metric == "downlink" else estimate_cellfree
-        return estimate(params, GAMMA20, 300, seed)
+        return estimate(params, elev, 300, seed)
     sweep = [replace(params, beta=params.beta * (0.5 + 0.01 * i)) for i in range(rows)]
-    return montecarlo.estimate_sweep(metric, sweep, GAMMA20, 300, seed)
+    return montecarlo.estimate_sweep(metric, sweep, elev, 300, seed)
 
 
 def test_tangent_walks_on_four_threads_with_fast_switching_match_serial(monkeypatch):
-    # each gamma_tan walk draws its tangents on a helper thread of its own,
-    # block by block: four jobs at once run eight threads, and small blocks
-    # make many hand-offs, so any state shared between walks or a block's
-    # tangents taken out of order would show as a result that differs from
-    # the serial one.  The beta sweeps of 100 rows walk the same blocks as
-    # one row and gather their rows a few realizations at a time
+    # on 8 CPUs each of four pool threads has two cores, so every walk, of
+    # either law, draws its fills on a helper thread of its own, block by
+    # block: four jobs at once run eight threads, and small blocks make many
+    # hand-offs, so any state shared between walks or a block's fills taken
+    # out of order would show as a result that differs from the serial one.
+    # The beta sweeps of 100 rows walk the same blocks as one row and
+    # gather their rows a few realizations at a time
     monkeypatch.setattr(montecarlo, "_BLOCK_POINTS", 4096)
-    job_list = [(("downlink", "cellfree")[i % 2], 1 + i % 3, 60 + i, (1, 100)[i // 2 % 2])
-                for i in range(12)]
-    serial = map_jobs(_tangent_job, job_list, 1)
+    monkeypatch.setattr(jobs.os, "cpu_count", lambda: 8)
+    job_list = [(("downlink", "cellfree")[i % 2], elev, 1 + i % 3, 60 + i, (1, 100)[i // 2 % 2])
+                for elev in (GAMMA20, E25) for i in range(12)]
+    serial = map_jobs(_walk_job, job_list, 1)
     out = []
-    runner = threading.Thread(target=lambda: out.append(map_jobs(_tangent_job, job_list, 4)))
+    runner = threading.Thread(target=lambda: out.append(map_jobs(_walk_job, job_list, 4)))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+import uavcov.jobs as jobs
 import uavcov.montecarlo as mc
 from uavcov.analytic import (
     cellfree_coverage,
@@ -44,6 +45,7 @@ from uavcov.montecarlo import (
 )
 
 E25 = ConstantElevation(math.radians(25.0))
+GAMMA20 = GammaTanElevation(3.0, math.radians(20.0))
 
 
 def _make_realization(x, y, theta, los):
@@ -275,7 +277,7 @@ def test_constant_elevation_never_reaches_the_marked_kernel(monkeypatch):
         return mark(*args)
 
     def spy_tangents(elev, *args, **kwargs):
-        seen.append(elev)  # on the walk's helper thread
+        seen.append(elev)  # on the walk's helper thread, or inline on one core
         return tangents(elev, *args, **kwargs)
 
     monkeypatch.setattr(mc, "_marked_blocks", spy_blocks)
@@ -602,9 +604,10 @@ def test_chunks_of_realizations_larger_than_a_block_peak_as_one(monkeypatch):
     # of its own, on fresh arrays that die before the next block's are
     # drawn, so a chunk of three peaks no higher per point of its largest
     # realization than a chunk of its first alone, give or take its
-    # per-realization grids.  A tangent law may hold one more tangent array
-    # (8 B/pt): the one its helper draws ahead
+    # per-realization grids.  Under either law the helper draws such a
+    # block only once the block before is handed back
     monkeypatch.setattr(mc, "_BLOCK_POINTS", 1000)
+    monkeypatch.setattr(jobs.os, "cpu_count", lambda: 2)
     p = NetworkParams(density=1e-6, beta=1e4, n_antennas=2)
     radius = 40e3
     counts = np.random.default_rng(9).poisson(p.density * math.pi * radius**2, 3)
@@ -613,11 +616,11 @@ def test_chunks_of_realizations_larger_than_a_block_peak_as_one(monkeypatch):
     def walk(metric, elev, n):
         return lambda: list(_row_blocks(metric, p, [elev], radius, n, np.random.default_rng(9)))
 
-    for elev, ahead in ((E25, 0.0), (GammaTanElevation(3.0, math.radians(20.0)), 8.0)):
+    for elev in (E25, GammaTanElevation(3.0, math.radians(20.0))):
         for metric in ("downlink", "cellfree"):
             runs = [walk(metric, elev, n) for n in (1, 1, 3)]  # the first, cold
             _, one, three = _traced_peaks(runs)
-            assert three / counts.max() <= one / counts[0] + ahead + 1.0, (elev, metric)
+            assert three / counts.max() <= one / counts[0] + 1.0, (elev, metric)
 
 
 def test_a_second_run_in_a_thread_allocates_no_block_buffers():
@@ -657,26 +660,63 @@ def test_two_walks_alive_in_one_thread_keep_their_bits():
         assert [_sha256(np.concatenate(xi)) for xi in together] == alone, elevs
 
 
-def test_a_helper_error_reaches_the_caller_and_no_thread_outlives_the_walk(monkeypatch):
-    # the third tangent fill raises on the walk's helper thread
-    tangents, fills = GammaTanElevation.sample_tan, []
+@pytest.fixture
+def two_cores(monkeypatch):
+    """A host of two CPUs, so that a walk on the calling thread starts its
+    helper on any host."""
+    monkeypatch.setattr(jobs.os, "cpu_count", lambda: 2)
 
-    def failing(elev, *args, **kwargs):
-        fills.append(elev)
+
+def _helpers_started(runs):
+    """Names of the helper threads that runs, called in order, start."""
+    started = []
+    spawn = threading.Thread.start
+
+    def spy_start(thread):
+        if thread.name == "uavcov-fills":
+            started.append(thread.name)
+        spawn(thread)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(threading.Thread, "start", spy_start)
+        for run in runs:
+            run()
+    return started
+
+
+def _failing_third_fill(monkeypatch, elev, fills):
+    """Make the third fill of elev's walk helper raise: a constant law's
+    fading, a tangent law's tangents.  fills records each fill's thread."""
+    if isinstance(elev, ConstantElevation):
+        owner, name = mc, "_gamma_fill"
+    else:
+        owner, name = GammaTanElevation, "sample_tan"
+    fill = getattr(owner, name)
+
+    def failing(*args, **kwargs):
+        fills.append(threading.current_thread().name)
         if len(fills) == 3:
             raise FloatingPointError("third fill")
-        return tangents(elev, *args, **kwargs)
+        return fill(*args, **kwargs)
 
-    monkeypatch.setattr(GammaTanElevation, "sample_tan", failing)
+    monkeypatch.setattr(owner, name, failing)
+
+
+def test_a_helper_error_reaches_the_caller_and_no_thread_outlives_the_walk(
+        two_cores, monkeypatch):
     monkeypatch.setattr(mc, "_BLOCK_POINTS", 1000)
-    before = threading.active_count()
-    p = NetworkParams(density=1e-6)
-    with pytest.raises(FloatingPointError, match="third fill"):
-        estimate_downlink(p, GammaTanElevation(3.0, math.radians(20.0)), 200, 3)
-    assert len(fills) == 3 and threading.active_count() == before
+    for elev in (E25, GAMMA20):
+        fills = []
+        with monkeypatch.context() as patch:
+            _failing_third_fill(patch, elev, fills)
+            before = threading.active_count()
+            with pytest.raises(FloatingPointError, match="third fill"):
+                estimate_downlink(NetworkParams(density=1e-6), elev, 200, 3)
+        assert fills == ["uavcov-fills"] * 3, elev
+        assert threading.active_count() == before, elev
 
 
-def test_a_reduction_error_stops_the_walk_and_its_helper(monkeypatch):
+def test_a_reduction_error_stops_the_walk_and_its_helper(two_cores, monkeypatch):
     calls = []
 
     def failing(*args):
@@ -685,56 +725,80 @@ def test_a_reduction_error_stops_the_walk_and_its_helper(monkeypatch):
             raise FloatingPointError("second block")
         return first_max(*args)
 
+    def run(elev):
+        calls.clear()
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="second block") as raised:
+            estimate_downlink(NetworkParams(density=1e-6), elev, 200, 3)
+        # the traceback still holds the walk's frames, but not its helper
+        assert raised.traceback and threading.active_count() == before, elev
+
     first_max = mc._first_max_index
     monkeypatch.setattr(mc, "_first_max_index", failing)
     monkeypatch.setattr(mc, "_BLOCK_POINTS", 1000)
-    before = threading.active_count()
-    with pytest.raises(FloatingPointError, match="second block") as raised:
-        estimate_downlink(NetworkParams(density=1e-6), GammaTanElevation(3.0, 0.3), 200, 3)
-    # the traceback still holds the walk's frames, but not its helper
-    assert raised.traceback and threading.active_count() == before
+    started = _helpers_started([lambda: run(E25), lambda: run(GAMMA20)])
+    assert started == ["uavcov-fills"] * 2
 
 
-def test_a_walk_closed_early_joins_its_helper_and_frees_its_buffers():
-    p = NetworkParams(density=1e-6)
-    gamma_tan = GammaTanElevation(3.0, math.radians(20.0))
-    radius = guard_radius(p, gamma_tan, 1e-3)
-    share = np.array([1.0, 0.0])
+def test_a_walk_closed_early_joins_its_helper_and_frees_its_buffers(two_cores):
+    p = NetworkParams(density=1e-6, n_antennas=2)
+    share = np.array([0.6, 0.4])
 
-    def walk():
-        return mc._draw(p, gamma_tan, radius, share, 200, np.random.default_rng(18))[1]
+    def walk(elev):
+        radius = guard_radius(p, elev, 1e-3)
+        return mc._draw(p, elev, radius, share, 200, np.random.default_rng(18), 2)[1]
 
-    def digest():
-        return _sha256(np.concatenate([block[5].copy() for block in walk()]))
+    def digest(elev):
+        return _sha256(np.concatenate(
+            [np.concatenate((block[5], block[6])) for block in walk(elev)]))
 
-    alone = digest()
-    before = threading.active_count()
-    blocks = walk()
-    next(blocks), next(blocks)
-    assert threading.active_count() == before + 1  # the walk's helper
-    blocks.close()
-    assert threading.active_count() == before
-    # the next walk of the thread takes the buffers back and gives its bits alone
-    assert digest() == alone
+    for elev in (E25, GAMMA20):
+        alone = digest(elev)
+        before = threading.active_count()
+        blocks = walk(elev)
+        next(blocks), next(blocks)
+        assert threading.active_count() == before + 1, elev  # the walk's helper
+        blocks.close()
+        assert threading.active_count() == before, elev
+        # the next walk of the thread takes the buffers back and gives its bits alone
+        assert digest(elev) == alone, elev
 
 
-def test_a_constant_law_run_starts_no_thread(monkeypatch):
-    started = []
-
-    class Spy(threading.Thread):
-        def start(self):
-            started.append(self.name)
-            super().start()
-
-    monkeypatch.setattr(mc.threading, "Thread", Spy)
+def test_a_walk_starts_a_helper_only_on_a_thread_with_two_cores(monkeypatch):
+    # each call below walks one chunk
     p = NetworkParams(density=1e-6, beta=1e4, n_antennas=2)
-    for call in _entry_points(sim_radius=5000.0):
-        call()
-    estimate_cellfree(p, E25, 10, 1, sim_radius=5000.0)
-    assert started == []
-    # a tangent law starts one helper per chunk walk
-    estimate_cellfree(p, GammaTanElevation(3.0, math.radians(20.0)), 10, 1, sim_radius=5000.0)
-    assert len(started) == 1
+    calls = [call for elev in (E25, GAMMA20) for call in _entry_points(elev, sim_radius=5000.0)]
+    calls += [lambda elev=elev: estimate_cellfree(p, elev, 10, 1, sim_radius=5000.0)
+              for elev in (E25, GAMMA20)]
+    monkeypatch.setattr(jobs.os, "cpu_count", lambda: 2)
+    # the calling thread of a two-CPU host: every chunk walk starts one helper
+    assert len(_helpers_started(calls)) == len(calls) == 12
+    # a 2-worker pool on two CPUs gives each of its threads one core: none does
+    assert _helpers_started([lambda: jobs.map_jobs(lambda call: call(), calls, 2)]) == []
+
+
+def test_estimates_keep_their_bits_with_and_without_a_helper(monkeypatch):
+    # a walk on one core draws its fills inline, on the calling thread, from
+    # the same streams in the same order.  At blocks of 1000 points some
+    # realizations are blocks of their own, on fresh arrays
+    monkeypatch.setattr(mc, "_BLOCK_POINTS", 1000)
+
+    def outputs():
+        out = []
+        for elev in (E25, GAMMA20):
+            out += [pickle.dumps(call()) for call in _entry_points(elev, n_samples=200)]
+            for metric, p in (("downlink", NetworkParams(density=1e-6)),
+                              ("cellfree", NetworkParams(density=1e-6, beta=1e4))):
+                rows = [replace(p, beta=p.beta * (0.5 + 0.01 * i)) for i in range(100)]
+                out.append(pickle.dumps(mc.estimate_sweep(metric, rows, elev, 300, 7)))
+        return out
+
+    runs = {}
+    for n_cores in (1, 2):
+        monkeypatch.setattr(jobs.os, "cpu_count", lambda: n_cores)
+        started = _helpers_started([lambda: runs.setdefault(n_cores, outputs())])
+        assert len(started) == (14 if n_cores == 2 else 0)  # one chunk per call
+    assert runs[1] == runs[2]
 
 
 def test_gamma_tan_marks_draw_no_los_uniform_at_unit_ell(block_points, monkeypatch):
@@ -925,16 +989,16 @@ def test_estimators_validate_sample_count():
         estimate_downlink(p, E25, 0, 1)
 
 
-def _entry_points(**kwargs):
+def _entry_points(elev=E25, **kwargs):
     """Every Monte Carlo entry point that takes n_samples and sim_radius."""
     p = NetworkParams(density=1e-6)
     args = {"n_samples": 10, "master_seed": 1, **kwargs}
     return [
-        lambda: estimate_downlink(p, E25, **args),
-        lambda: estimate_cellfree(p, E25, **args),
-        lambda: mc.estimate_sweep("downlink", [p, p], E25, **args),
-        lambda: sample_peak_gain(p, E25, **args),
-        lambda: sample_nearest_sq(p, E25, "pure-los", **args),
+        lambda: estimate_downlink(p, elev, **args),
+        lambda: estimate_cellfree(p, elev, **args),
+        lambda: mc.estimate_sweep("downlink", [p, p], elev, **args),
+        lambda: sample_peak_gain(p, elev, **args),
+        lambda: sample_nearest_sq(p, elev, "pure-los", **args),
     ]
 
 
