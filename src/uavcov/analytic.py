@@ -95,6 +95,8 @@ def effective_density_factor(params, elev):
     Scaling the planar density by this factor gives the equivalent 2D
     process of attenuation-adjusted distances; it is the single number
     through which the elevation law touches every coverage expression.
+    It lies in (0, 1]; an expectation outside (0, inf), as a gamma_tan
+    shape of 1e20 gives, raises AccuracyError.
     """
     lv = params.ell ** (2.0 / params.alpha)
 
@@ -102,7 +104,11 @@ def effective_density_factor(params, elev):
         rho = los_probability(theta, params.c1, params.c2)
         return np.cos(theta) ** 2 * (rho * (1.0 - lv) + lv)
 
-    return elev.expect(fn)
+    w_eff = elev.expect(fn)
+    if not 0.0 < w_eff < math.inf:
+        raise AccuracyError(f"w_eff = {w_eff!r} is not finite and positive: "
+                            f"the expectation over {elev!r} failed", estimate=w_eff)
+    return w_eff
 
 
 def tail_gain_moment(params, elev, order):

@@ -1,16 +1,19 @@
 """Flat key-value run configuration.
 
 The on-disk format is UTF-8 text, one `key = value` per line, `#` comments.
-Human units are accepted on input (noise_dbm, beta_db, theta_bar_deg) and
-converted to the internal linear-mW / linear-ratio / radian conventions at
-parse time; their exact-unit twins (noise_mw, beta, theta_bar_rad) are
-accepted as well.  An empty document is valid and yields the default
-scenario: density 1e-6, 50 mW, one antenna, suburban LoS constants,
-constant 25 deg elevation, mode 'both'.
+`_KEYS` maps each key to the value it sets and the parser that reads it.
+Keys that set the same value are unit twins, and a document holds at most
+one of each pair: the human units noise_dbm, beta_db and theta_bar_deg
+convert at parse time to the linear mW, linear ratio and radians of
+noise_mw, beta and theta_bar_rad.  A value that the document does not set
+keeps its dataclass default; the config itself owns only density 1e-6,
+theta_bar 25 deg and the density sweep's axis.  So an empty document is
+the default scenario: density 1e-6, 50 mW, one antenna, suburban LoS
+constants, constant 25 deg elevation, mode 'both'.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -31,12 +34,6 @@ class ConfigError(ValueError):
         super().__init__(f"config key '{key}': {message}" if key else message)
         self.key = key
 
-
-_MODES = ("analytic", "montecarlo", "both")
-_METRICS = ("downlink", "cellfree")
-_SWEEP_VARS = ("lambda", "theta_bar", "beta", "n_antennas", "shape")
-_SCALES = ("linear", "log", "db", "degrees")
-_FORMATS = ("csv", "json")
 
 _DEFAULT_SCALES = {
     "lambda": "log",
@@ -79,12 +76,86 @@ class RunConfig:
     output_format: str = "csv"
 
 
-_KNOWN_KEYS = {
-    "lambda", "power_mw", "n_antennas", "noise_dbm", "noise_mw", "alpha",
-    "ell", "beta", "beta_db", "c1", "c2", "elevation", "theta_bar_deg",
-    "theta_bar_rad", "shape", "metric", "mode", "n_samples", "master_seed",
-    "guard_tolerance", "sweep_variable", "sweep_start", "sweep_stop",
-    "sweep_steps", "sweep_scale", "output_path", "output_format",
+def _number(text):
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"expected a number, got {text!r}") from None
+
+
+def _integer(text):
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {text!r}") from None
+
+
+def _db(text):
+    try:
+        return 10.0 ** (_number(text) / 10.0)
+    except OverflowError:
+        raise ValueError(f"{text} dB overflows a double") from None
+
+
+def _degrees(text):
+    return math.radians(_number(text))
+
+
+def _choice(*choices):
+    def parse(text):
+        if text.lower() not in choices:
+            raise ValueError(f"expected one of {choices}, got {text!r}")
+        return text.lower()
+
+    return parse
+
+
+def _where(parse, rule, holds):
+    """parse, refusing a value for which holds(value) is false."""
+
+    def checked(text):
+        value = parse(text)
+        if not holds(value):
+            raise ValueError(f"must {rule}, got {value}")
+        return value
+
+    return checked
+
+
+_finite = _where(_number, "be finite", math.isfinite)
+
+# key -> (name of the value it sets, parser); unit twins set the same value,
+# and a document holding both is blamed on the later one
+_KEYS = {
+    "lambda": ("density", _number),
+    "power_mw": ("power", _number),
+    "n_antennas": ("n_antennas", _integer),
+    "noise_dbm": ("noise", _db),
+    "noise_mw": ("noise", _number),
+    "alpha": ("alpha", _number),
+    "ell": ("ell", _number),
+    "beta_db": ("beta", _db),
+    "beta": ("beta", _number),
+    "c1": ("c1", _number),
+    "c2": ("c2", _number),
+    "elevation": ("elevation", _choice("constant", "gamma_tan")),
+    "theta_bar_deg": ("theta_bar", _degrees),
+    "theta_bar_rad": ("theta_bar", _number),
+    "shape": ("shape", _number),
+    "metric": ("metric", _choice("downlink", "cellfree")),
+    "mode": ("mode", _choice("analytic", "montecarlo", "both")),
+    "n_samples": ("n_samples", _where(_integer, "be >= 1", lambda n: n >= 1)),
+    "master_seed": ("master_seed", _where(_integer, "be >= 0", lambda n: n >= 0)),
+    "guard_tolerance": (
+        "guard_tolerance", _where(_number, "lie in (0, 1)", lambda x: 0.0 < x < 1.0)),
+    "sweep_variable": ("variable", _choice(*_DEFAULT_SCALES)),
+    "sweep_start": ("start", _finite),
+    "sweep_stop": ("stop", _finite),
+    "sweep_steps": (
+        "steps", _where(_integer, f"lie in 1..{_MAX_ROWS}", lambda n: 1 <= n <= _MAX_ROWS)),
+    "sweep_scale": ("scale", _choice("linear", "log", "db", "degrees")),
+    "output_path": ("output_path", str),
+    "output_format": ("output_format", _choice("csv", "json")),
 }
 
 
@@ -99,53 +170,12 @@ def _parse_lines(text):
         key, value = line.split("=", 1)
         key = key.strip()
         value = value.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError(key, "unknown key")
         if key in pairs:
             raise ConfigError(key, "duplicate key")
         pairs[key] = value
     return pairs
-
-
-def _get_float(pairs, key, default=None):
-    if key not in pairs:
-        return default
-    try:
-        return float(pairs[key])
-    except ValueError:
-        raise ConfigError(key, f"expected a number, got {pairs[key]!r}") from None
-
-
-def _from_db(pairs, key):
-    try:
-        return 10.0 ** (_get_float(pairs, key) / 10.0)
-    except OverflowError:
-        raise ConfigError(key, f"{pairs[key]} dB overflows a double") from None
-
-
-def _get_int(pairs, key, default=None):
-    if key not in pairs:
-        return default
-    try:
-        return int(pairs[key])
-    except ValueError:
-        raise ConfigError(key, f"expected an integer, got {pairs[key]!r}") from None
-
-
-def _get_choice(pairs, key, choices, default=None):
-    if key not in pairs:
-        return default
-    value = pairs[key].lower()
-    if value not in choices:
-        raise ConfigError(key, f"expected one of {choices}, got {pairs[key]!r}")
-    return value
-
-
-def _exclusive(pairs, *keys):
-    present = [k for k in keys if k in pairs]
-    if len(present) > 1:
-        raise ConfigError(present[1], f"mutually exclusive with '{present[0]}'")
-    return present[0] if present else None
 
 
 def parse_config(text):
@@ -157,110 +187,62 @@ def parse_config(text):
     over the point cap.
     """
     pairs = _parse_lines(text)
+    values = {"density": 1e-6, "theta_bar": math.radians(25.0)}
+    source = {}  # value name -> the key that set it
+    for key, (name, parse) in _KEYS.items():
+        if key not in pairs:
+            continue
+        if name in source:
+            raise ConfigError(key, f"mutually exclusive with '{source[name]}'")
+        source[name] = key
+        try:
+            values[name] = parse(pairs[key])
+        except ValueError as exc:
+            raise ConfigError(key, str(exc)) from None
 
-    noise_key = _exclusive(pairs, "noise_dbm", "noise_mw")
-    if noise_key == "noise_dbm":
-        noise = _from_db(pairs, "noise_dbm")
-    elif noise_key == "noise_mw":
-        noise = _get_float(pairs, "noise_mw")
-    else:
-        noise = 10.0 ** -9.25
-
-    beta_key = _exclusive(pairs, "beta_db", "beta")
-    if beta_key == "beta_db":
-        beta = _from_db(pairs, "beta_db")
-    elif beta_key == "beta":
-        beta = _get_float(pairs, "beta")
-    else:
-        beta = 0.1
+    def take(cls):
+        return {f.name: values.pop(f.name) for f in fields(cls) if f.name in values}
 
     try:
-        params = NetworkParams(
-            density=_get_float(pairs, "lambda", 1e-6),
-            power=_get_float(pairs, "power_mw", 50.0),
-            n_antennas=_get_int(pairs, "n_antennas", 1),
-            noise=noise,
-            alpha=_get_float(pairs, "alpha", 2.75),
-            ell=_get_float(pairs, "ell", 0.25),
-            beta=beta,
-            c1=_get_float(pairs, "c1", 24.5811),
-            c2=_get_float(pairs, "c2", 39.5971),
-        )
-    except InvalidParameterError as exc:
-        raise ConfigError(_blame_param(str(exc), noise_key, beta_key), str(exc)) from None
-
-    theta_key = _exclusive(pairs, "theta_bar_deg", "theta_bar_rad")
-    if theta_key == "theta_bar_rad":
-        theta_bar = _get_float(pairs, "theta_bar_rad")
-    elif theta_key == "theta_bar_deg":
-        theta_bar = math.radians(_get_float(pairs, "theta_bar_deg"))
-    else:
-        theta_bar = math.radians(25.0)
-
-    kind = _get_choice(pairs, "elevation", ("constant", "gamma_tan"), "constant")
-    try:
-        if kind == "constant":
-            if "shape" in pairs:
-                raise ConfigError("shape", "only valid with elevation = gamma_tan")
-            elevation = ConstantElevation(theta_bar)
-        else:
-            shape = _get_float(pairs, "shape")
+        params = NetworkParams(**take(NetworkParams))
+        gamma_tan = values.pop("elevation", None) == "gamma_tan"
+        shape = values.pop("shape", None)
+        theta_bar = values.pop("theta_bar")
+        if gamma_tan:
             if shape is None:
                 raise ConfigError("shape", "required when elevation = gamma_tan")
             elevation = GammaTanElevation(shape=shape, theta_bar=theta_bar)
+        elif shape is not None:
+            raise ConfigError("shape", "only valid with elevation = gamma_tan")
+        else:
+            elevation = ConstantElevation(theta_bar)
     except InvalidParameterError as exc:
-        raise ConfigError(theta_key or "theta_bar_deg", str(exc)) from None
+        # every range check's message starts with the name of its value
+        raise ConfigError(source.get(str(exc).split()[0]), str(exc)) from None
 
     sweep = None
-    if "sweep_variable" in pairs:
-        variable = _get_choice(pairs, "sweep_variable", _SWEEP_VARS)
-        scale = _get_choice(pairs, "sweep_scale", _SCALES, _DEFAULT_SCALES[variable])
-        if variable == "lambda" and "sweep_start" not in pairs and "sweep_stop" not in pairs:
-            start, stop, default_steps = 1e-7, 1e-5, 9
-        else:
-            start = _get_float(pairs, "sweep_start")
-            stop = _get_float(pairs, "sweep_stop")
-            if start is None or stop is None:
-                missing = "sweep_start" if start is None else "sweep_stop"
-                raise ConfigError(missing, "required for a sweep")
-            default_steps = 10
-        steps = _get_int(pairs, "sweep_steps", default_steps)
-        if not 1 <= steps <= _MAX_ROWS:
-            raise ConfigError("sweep_steps", f"must lie in 1..{_MAX_ROWS}, got {steps}")
-        if scale in ("db", "degrees") and scale != _DEFAULT_SCALES[variable]:
-            raise ConfigError("sweep_scale", f"{scale!r} does not apply to a {variable} sweep")
-        if scale == "log" and (start <= 0 or stop <= 0):
+    axis = take(SweepAxis)
+    if "variable" in axis:
+        variable = axis["variable"]
+        defaults = {"steps": 10, "scale": _DEFAULT_SCALES[variable]}
+        if variable == "lambda" and "start" not in axis and "stop" not in axis:
+            defaults.update(start=1e-7, stop=1e-5, steps=9)
+        axis = defaults | axis
+        for bound in ("start", "stop"):
+            if bound not in axis:
+                raise ConfigError(f"sweep_{bound}", "required for a sweep")
+        sweep = SweepAxis(**axis)
+        if sweep.scale in ("db", "degrees") and sweep.scale != _DEFAULT_SCALES[variable]:
+            raise ConfigError(
+                "sweep_scale", f"{sweep.scale!r} does not apply to a {variable} sweep")
+        if sweep.scale == "log" and (sweep.start <= 0 or sweep.stop <= 0):
             raise ConfigError("sweep_scale", "log spacing needs positive bounds")
-        if variable == "shape" and not isinstance(elevation, GammaTanElevation):
+        if variable == "shape" and not gamma_tan:
             raise ConfigError("sweep_variable", "shape sweeps need elevation = gamma_tan")
-        sweep = SweepAxis(variable, start, stop, steps, scale)
-    else:
-        for key in ("sweep_start", "sweep_stop", "sweep_steps", "sweep_scale"):
-            if key in pairs:
-                raise ConfigError(key, "requires sweep_variable")
+    elif axis:
+        raise ConfigError(source[next(iter(axis))], "requires sweep_variable")
 
-    n_samples = _get_int(pairs, "n_samples", 100_000)
-    if n_samples < 1:
-        raise ConfigError("n_samples", f"must be >= 1, got {n_samples}")
-    master_seed = _get_int(pairs, "master_seed", 1)
-    if master_seed < 0:
-        raise ConfigError("master_seed", f"must be >= 0, got {master_seed}")
-    guard_tolerance = _get_float(pairs, "guard_tolerance", 1e-3)
-    if not 0.0 < guard_tolerance < 1.0:
-        raise ConfigError("guard_tolerance", f"must lie in (0, 1), got {guard_tolerance}")
-
-    cfg = RunConfig(
-        params=params,
-        elevation=elevation,
-        metric=_get_choice(pairs, "metric", _METRICS, "downlink"),
-        mode=_get_choice(pairs, "mode", _MODES, "both"),
-        n_samples=n_samples,
-        master_seed=master_seed,
-        guard_tolerance=guard_tolerance,
-        sweep=sweep,
-        output_path=pairs.get("output_path"),
-        output_format=_get_choice(pairs, "output_format", _FORMATS, "csv"),
-    )
+    cfg = RunConfig(params=params, elevation=elevation, sweep=sweep, **values)
     check_caps(cfg)
     return cfg
 
@@ -298,24 +280,6 @@ def check_caps(cfg):
                 "guard_tolerance",
                 f"{cfg.guard_tolerance:g} gives a guard disk{where} where {exc}; "
                 "raise guard_tolerance") from None
-
-
-def _blame_param(message, noise_key, beta_key):
-    # map a NetworkParams complaint back to the config key the document used
-    for word, key in (
-        ("density", "lambda"),
-        ("power", "power_mw"),
-        ("n_antennas", "n_antennas"),
-        ("noise", noise_key),
-        ("alpha", "alpha"),
-        ("ell", "ell"),
-        ("beta", beta_key),
-        ("c1", "c1"),
-        ("c2", "c2"),
-    ):
-        if word in message:
-            return key
-    return None
 
 
 def points(cfg):

@@ -77,8 +77,10 @@ class NetworkParams:
             raise InvalidParameterError(f"ell must lie in [0, 1], got {self.ell!r}")
         if not self.beta > 0.0:
             raise InvalidParameterError(f"beta must be positive, got {self.beta!r}")
-        if not (self.c1 > 0.0 and self.c2 > 0.0):
-            raise InvalidParameterError("c1 and c2 must be positive")
+        if not self.c1 > 0.0:
+            raise InvalidParameterError(f"c1 must be positive, got {self.c1!r}")
+        if not self.c2 > 0.0:
+            raise InvalidParameterError(f"c2 must be positive, got {self.c2!r}")
 
 
 def los_probability(theta, c1=SUBURBAN_C1, c2=SUBURBAN_C2):
@@ -140,8 +142,8 @@ class GammaTanElevation:
     theta_bar: float
 
     def __post_init__(self):
-        if not self.shape > 0.0:
-            raise InvalidParameterError(f"shape must be positive, got {self.shape!r}")
+        if not 0.0 < self.shape < math.inf:
+            raise InvalidParameterError(f"shape must be positive and finite, got {self.shape!r}")
         if not 0.0 < self.theta_bar < math.pi / 2:
             raise InvalidParameterError(
                 f"theta_bar must lie in (0, pi/2) radians, got {self.theta_bar!r}"

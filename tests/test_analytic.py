@@ -374,6 +374,17 @@ def test_w_eff_quadrature_failure_keeps_its_type_in_the_jensen_bound(monkeypatch
                            GammaTanElevation(3.0, math.radians(20.0)))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("shape,value", [(1e20, "inf"), (1e100, "0.0")])
+def test_w_eff_outside_zero_to_infinity_is_an_accuracy_error(shape, value):
+    # w_eff lies in (0, 1]; these shapes break the expectation's quadrature,
+    # which once gave the same downlink value at every theta_bar (1e20) or
+    # blamed alpha and lambda for the double range (1e100)
+    with pytest.raises(quadrature.AccuracyError, match=f"w_eff = {value} "):
+        effective_density_factor(NetworkParams(density=1e-6),
+                                 GammaTanElevation(shape, math.radians(25.0)))
+
+
 # a fixed slice of the north-star grid: alpha, N and ell in full, theta and
 # the elevation law cycling through (1, 10, 25, 60) deg x (constant, gamma_tan)
 _NORTH_STAR_SLICE = [

@@ -407,6 +407,30 @@ def test_bad_sweep_point_exits_numeric_but_completes(tmp_path, capsys):
     assert float(parsed[2]["p_analytic"]) > 0.5
 
 
+@pytest.mark.parametrize("metric", ["downlink", "cellfree"])
+@pytest.mark.parametrize("mode", ["analytic", "montecarlo", "both"])
+def test_point_refuses_an_infinite_gamma_tan_shape(tmp_path, capsys, mode, metric):
+    # an infinite shape once printed 0.0 (analytic downlink) or 1.0
+    # (cell-free) with exit 0, and blamed guard_tolerance in Monte Carlo
+    cfg = _cfg_file(tmp_path, f"elevation = gamma_tan\nshape = inf\nmode = {mode}\n"
+                              f"metric = {metric}\n")
+    assert main(["point", cfg]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and "config key 'shape'" in captured.err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("metric", ["downlink", "cellfree"])
+@pytest.mark.parametrize("mode", ["analytic", "montecarlo", "both"])
+def test_point_with_a_failed_w_eff_exits_numeric(tmp_path, capsys, mode, metric):
+    # shape 1e20 gives w_eff = inf: the analytic downlink once read 0.7929
+    # at every theta_bar and cell-free 1.0, both with exit 0
+    cfg = _cfg_file(tmp_path, f"elevation = gamma_tan\nshape = 1e20\nmode = {mode}\n"
+                              f"metric = {metric}\nn_samples = 100\n")
+    assert main(["point", cfg]) == EXIT_NUMERIC
+    assert "w_eff = inf" in capsys.readouterr().err
+
+
 def test_point_reports_json(tmp_path, capsys):
     cfg = _cfg_file(tmp_path, "mode = analytic\ntheta_bar_deg = 20\n")
     assert main(["point", cfg]) == EXIT_OK

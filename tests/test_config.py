@@ -1,11 +1,14 @@
 """Config parsing: defaults, unit conversion, validation."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import uavcov.analytic as analytic
+import uavcov.config as config
 from uavcov.config import (
     ConfigError,
     RunConfig,
@@ -121,6 +124,11 @@ def test_parameter_range_violation_blames_config_key():
     ("c2 = -inf\n", "c2"),
     ("guard_tolerance = inf\n", "guard_tolerance"),
     ("guard_tolerance = nan\n", "guard_tolerance"),
+    ("elevation = gamma_tan\nshape = nan\n", "shape"),
+    ("elevation = gamma_tan\nshape = inf\n", "shape"),
+    ("sweep_variable = beta\nsweep_start = nan\nsweep_stop = 10\n", "sweep_start"),
+    ("sweep_variable = lambda\nsweep_start = -inf\nsweep_stop = 1e-5\n", "sweep_start"),
+    ("sweep_variable = lambda\nsweep_start = 1e-7\nsweep_stop = inf\n", "sweep_stop"),
 ])
 def test_non_finite_values_blame_the_key_used(doc, key):
     with pytest.raises(ConfigError) as exc:
@@ -156,6 +164,9 @@ def test_invalid_choice_rejected():
     ("guard_tolerance = 1\n", "guard_tolerance"),
     ("guard_tolerance = 5\n", "guard_tolerance"),
     ("master_seed = -1\n", "master_seed"),
+    ("c2 = -1\n", "c2"),
+    ("elevation = gamma_tan\nshape = -1\n", "shape"),
+    ("elevation = gamma_tan\nshape = 0\n", "shape"),
 ])
 def test_positivity_checks(doc, key):
     with pytest.raises(ConfigError) as exc:
@@ -347,6 +358,18 @@ def test_apply_sweep_value_guards_antenna_integrality():
 def test_apply_sweep_value_without_sweep_raises():
     with pytest.raises(ConfigError):
         apply_sweep_value(parse_config(""), 1.0)
+
+
+def test_readme_config_table_lists_exactly_the_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.split("### Config keys", 1)[1].splitlines()
+    start = lines.index("| key | meaning | default |")
+    keys = set()
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        keys.update(re.findall(r"`(\w+)`", line.split("|")[1]))
+    assert keys == set(config._KEYS)
 
 
 def test_runconfig_is_plain_data():
