@@ -104,18 +104,15 @@ def effective_density_factor(params, elev):
         rho = los_probability(theta, params.c1, params.c2)
         return np.cos(theta) ** 2 * (rho * (1.0 - lv) + lv)
 
-    w_eff = elev.expect(fn)
-    if not 0.0 < w_eff < math.inf:
-        raise AccuracyError(f"w_eff = {w_eff!r} is not finite and positive: "
-                            f"the expectation over {elev!r} failed", estimate=w_eff)
-    return w_eff
+    return _expectation(elev, fn, "w_eff")
 
 
 def tail_gain_moment(params, elev, order):
     """E[E[L^order | Theta] cos^(order*alpha)(Theta)] for far-field moments.
 
     order=1 gives the mean path-gain mass per unit area at large range,
-    order=2 the matching second moment; both enter truncation control.
+    order=2 the matching second moment; both enter truncation control.  An
+    expectation outside (0, inf) raises AccuracyError.
     """
     lk = params.ell**order
 
@@ -123,7 +120,17 @@ def tail_gain_moment(params, elev, order):
         rho = los_probability(theta, params.c1, params.c2)
         return (rho + (1.0 - rho) * lk) * np.cos(theta) ** (order * params.alpha)
 
-    return elev.expect(fn)
+    return _expectation(elev, fn, f"the order-{order} tail gain moment")
+
+
+def _expectation(elev, fn, name):
+    """elev.expect(fn), which every angle moment needs in (0, inf); outside
+    it the expectation failed, and AccuracyError names the moment."""
+    value = elev.expect(fn)
+    if not 0.0 < value < math.inf:
+        raise AccuracyError(f"{name} = {value!r} is not finite and positive: "
+                            f"the expectation over {elev!r} failed", estimate=value)
+    return value
 
 
 # -- distance laws ----------------------------------------------------------

@@ -165,36 +165,40 @@ class GammaTanElevation:
     def expect(self, fn):
         # E[fn(arctan(G/rate))] with G ~ Gamma(shape, 1); integrate against
         # the standardized density on a window holding all but ~1e-15 of mass
-        a = self.shape
-        rate = self.rate
-        lognorm = math.lgamma(a)
-        spread = 12.0 * math.sqrt(a) + 35.0
-        lo = max(0.0, a - spread)
-        hi = a + spread
+        # at shapes of about 1e20 the log-density cancels catastrophically
+        # and overflows; callers refuse a value outside (0, inf), so numpy
+        # need not warn on the way
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = self.shape
+            rate = self.rate
+            lognorm = math.lgamma(a)
+            spread = 12.0 * math.sqrt(a) + 35.0
+            lo = max(0.0, a - spread)
+            hi = a + spread
 
-        def integrand(u):
-            u = np.asarray(u, dtype=float)
-            dens = np.exp((a - 1.0) * np.log(u) - u - lognorm)
-            return fn(np.arctan(u / rate)) * dens
+            def integrand(u):
+                u = np.asarray(u, dtype=float)
+                dens = np.exp((a - 1.0) * np.log(u) - u - lognorm)
+                return fn(np.arctan(u / rate)) * dens
 
-        if a >= 1.0:
-            return integrate(integrand, lo, hi)
+            if a >= 1.0:
+                return integrate(integrand, lo, hi)
 
-        # below u = 1 the density's u^(a-1) singularity spreads the mass over
-        # y = -log(u) on the scale 1/a; in y it is the smooth
-        # exp(-e^-y - a y)/Gamma(a).  Past y0, arctan(u/rate) < e^-40, so fn
-        # is constant to double precision and that mass, P[G < e^-y0], is
-        # e^(-a y0)/Gamma(a + 1) up to a factor 1 - O(e^-y0)
-        y0 = max(0.0, -math.log(rate)) + 40.0
+            # below u = 1 the density's u^(a-1) singularity spreads the mass over
+            # y = -log(u) on the scale 1/a; in y it is the smooth
+            # exp(-e^-y - a y)/Gamma(a).  Past y0, arctan(u/rate) < e^-40, so fn
+            # is constant to double precision and that mass, P[G < e^-y0], is
+            # e^(-a y0)/Gamma(a + 1) up to a factor 1 - O(e^-y0)
+            y0 = max(0.0, -math.log(rate)) + 40.0
 
-        def head(y):
-            y = np.asarray(y, dtype=float)
-            u = np.exp(-y)
-            return fn(np.arctan(u / rate)) * np.exp(-u - a * y - lognorm)
+            def head(y):
+                y = np.asarray(y, dtype=float)
+                u = np.exp(-y)
+                return fn(np.arctan(u / rate)) * np.exp(-u - a * y - lognorm)
 
-        below = float(fn(np.arctan(math.exp(-y0) / rate)))
-        below *= math.exp(-a * y0 - math.lgamma(a + 1.0))
-        return below + integrate(head, 0.0, y0) + integrate(integrand, 1.0, hi)
+            below = float(fn(np.arctan(math.exp(-y0) / rate)))
+            below *= math.exp(-a * y0 - math.lgamma(a + 1.0))
+            return below + integrate(head, 0.0, y0) + integrate(integrand, 1.0, hi)
 
 
 @dataclass(frozen=True)

@@ -50,20 +50,22 @@ only, never on the rows.  A block's points live in four buffers of
 _BLOCK_POINTS floats that each thread keeps across blocks, chunks and
 runs (_block_buffers).  A point's fading and its position in the disk do
 not depend on any other point or mark (the marking theorem), so some of a
-block's draws need only its point count, and a walk draws them one block
-ahead (_block_fills): under a constant law the radius uniforms and the
-fading, under a tangent law the tangents.  On a thread with two cores or
-more (jobs.cores) a helper thread draws them; on one, the calling thread
-does, with the same bits.  Each stream is read by one thread in
-realization order: the helper reads its fills' streams, and the calling
-thread the rest (a constant law's class splits; a tangent law's radii,
-LoS uniforms and fading), forms the path gains and reduces the blocks.
-The walk joins its helper when it ends, also when it is closed early or
-the reduction raises.  Both walks yield one block form: points grouped by
-(realization, LoS class), with their path gains and fading.  A tangent
-law's points carry their secant and attenuation in that gain and all lie
-in one class, LoS at the draw's single column.  So one reduction
-(_row_operands) serves every law and every row; it gathers the rows a
+block's draws need only its point count (_block_fills): under a constant
+law the radius uniforms and the fading, under a tangent law the tangents.
+On two cores or more (jobs.cores) a helper thread draws them one block
+ahead: the walk asks for block k + 1 as it takes block k, or, for a block
+larger than the buffers, once it hands block k back.  On one core the
+calling thread draws each block's as it takes it, with the same bits.
+Each stream is read by one thread in realization order: the helper reads
+its fills' streams, and the calling thread the rest (a constant law's
+class splits; a tangent law's radii, LoS uniforms and fading), forms the
+path gains and reduces the blocks.  The walk joins its helper when it
+ends, also when it is closed early or the reduction raises.  Both walks
+yield one block form: points grouped by (realization, LoS class), with
+their path gains and fading.  A tangent law's points carry their secant
+and attenuation in that gain and all lie in one class, LoS at the draw's
+single column.  So one reduction (_row_operands) serves every law and
+every row; it gathers the rows a
 block-sized slice of realizations at a time.  A chunk's peak allocation is
 a fixed working set of a few MB under either law, whatever its point
 count: its per-realization counts, the thread's four buffers, one block's
@@ -405,74 +407,60 @@ def _marked_blocks(params, elev, radius, counts, span, rng, los_rng, side, fade,
 def _block_fills(fill, sizes, buffers):
     """An iterator over the fills of blocks of the given sizes: per block,
     views of half of buffers at its size (_block_view), which fill(*views)
-    draws.
+    draws.  fill reads streams that nothing else reads while the walk
+    lasts, each in block order, so the bits do not depend on its thread.
 
-    fill reads streams that nothing else reads while the walk lasts, each
-    in block order, so the bits do not depend on the thread that runs it.
-    On a thread with two cores or more (jobs.cores) a helper thread runs it
-    one block ahead, into the two halves of buffers in turn; on one, the
-    calling thread runs it into the first half as it takes each block.  A
-    block's fill is the caller's until it takes the next block's.  A block
-    larger than the buffers gets fresh arrays, which the helper draws only
-    once the caller has handed back the block before, so no two such
-    blocks are alive at once.  An exception the helper raises reaches the
-    caller at its next take.  On exit, also an early one, the helper is
-    stopped and joined, so the buffers are free again.
+    On one core (jobs.cores) the caller runs fill into the first half as it
+    takes each block.  On two or more a helper thread runs it into the two
+    halves in turn, on request: block 0 when the walk starts, block k + 1
+    when the caller takes block k, or, if that block gets fresh arrays
+    (larger than the buffers), once the caller hands block k back by
+    taking the next; so no two such blocks are alive at once.  A helper
+    exception reaches the caller at its next take.  On exit, also an early
+    one, the helper is sent None and joined, so the buffers are free again.
     """
     width = len(buffers) // 2
     halves = buffers[:width], buffers[width:]
-    if cores() < 2:
-        yield _inline_fills(fill, sizes, halves[0])
-        return
-    free = threading.Semaphore(2)  # blocks the helper may draw before the caller hands one back
-    ready = queue.SimpleQueue()
-    stop = threading.Event()
 
-    def draw():
+    def draw(k, half):
+        views = [_block_view(buffer, sizes[k]) for buffer in halves[half]]
+        fill(*views)
+        return views
+
+    if cores() < 2:
+        yield (draw(k, 0) for k in range(len(sizes)))
+        return
+    requests, ready = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def serve():
         try:
-            for k, size in enumerate(sizes):
-                free.acquire()
-                oversized = size > _BLOCK_POINTS
-                if oversized:
-                    free.acquire()  # the block before is handed back
-                if stop.is_set():
-                    return
-                out = [_block_view(buffer, size) for buffer in halves[k % 2]]
-                fill(*out)
-                ready.put(out)
-                del out  # a fresh array dies with its block, not here
-                if oversized:
-                    free.release()
+            for k in iter(requests.get, None):
+                ready.put(draw(k, k % 2))
         except BaseException as exc:  # handed to the caller, which re-raises it
             ready.put(exc)
 
     def take():
-        for _ in sizes:
-            out = ready.get()
-            if isinstance(out, BaseException):
-                raise out
-            yield out
-            del out  # the caller is done with it: only now may the helper draw on
-            free.release()
+        for k in range(len(sizes)):
+            ahead = k + 1 < len(sizes)
+            late = ahead and sizes[k + 1] > _BLOCK_POINTS  # asked for once block k is back
+            if ahead and not late:
+                requests.put(k + 1)
+            views = ready.get()
+            if isinstance(views, BaseException):
+                raise views
+            yield views
+            del views  # handed back
+            if late:
+                requests.put(k + 1)
 
-    helper = threading.Thread(target=draw, name="uavcov-fills", daemon=True)
+    requests.put(0)
+    helper = threading.Thread(target=serve, name="uavcov-fills", daemon=True)
     helper.start()
     try:
         yield take()
     finally:
-        stop.set()
-        free.release(2)  # past both of an oversized block's waits
+        requests.put(None)
         helper.join()
-
-
-def _inline_fills(fill, sizes, buffers):
-    """_block_fills on the calling thread: each block's fill drawn into
-    views of buffers as the caller takes it."""
-    for size in sizes:
-        out = [_block_view(buffer, size) for buffer in buffers]
-        fill(*out)
-        yield out
-        del out  # a fresh array dies before the next block's
 
 
 def _mark(params, radius, rng, los_rng, tan, xi, scratch):

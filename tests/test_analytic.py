@@ -374,7 +374,6 @@ def test_w_eff_quadrature_failure_keeps_its_type_in_the_jensen_bound(monkeypatch
                            GammaTanElevation(3.0, math.radians(20.0)))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("shape,value", [(1e20, "inf"), (1e100, "0.0")])
 def test_w_eff_outside_zero_to_infinity_is_an_accuracy_error(shape, value):
     # w_eff lies in (0, 1]; these shapes break the expectation's quadrature,

@@ -419,7 +419,6 @@ def test_point_refuses_an_infinite_gamma_tan_shape(tmp_path, capsys, mode, metri
     assert captured.out == "" and "config key 'shape'" in captured.err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("metric", ["downlink", "cellfree"])
 @pytest.mark.parametrize("mode", ["analytic", "montecarlo", "both"])
 def test_point_with_a_failed_w_eff_exits_numeric(tmp_path, capsys, mode, metric):

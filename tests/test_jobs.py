@@ -4,6 +4,7 @@ job errors reach the caller, and an interrupted caller cancels queued jobs."""
 import _thread
 import json
 import math
+import signal
 import sys
 import threading
 import time
@@ -125,8 +126,14 @@ def test_a_job_error_or_interrupt_reaches_the_caller_and_cancels_queued_jobs(int
 
     expected = (pytest.raises(RuntimeError, match="job 0") if interrupt == "job-error"
                 else pytest.raises(KeyboardInterrupt))
-    with expected:
-        map_jobs(job, range(10), 2)
+    # interrupt_main does nothing while SIGINT is ignored, as it is in a
+    # suite launched in the background; Python's default handler raises
+    old = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with expected:
+            map_jobs(job, range(10), 2)
+    finally:
+        signal.signal(signal.SIGINT, old)
     assert second.is_set()
     assert 0 in started and set(started) <= {0, 1, 2}
     for thread in set(threading.enumerate()) - before:  # the pool's threads end

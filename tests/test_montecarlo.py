@@ -6,6 +6,7 @@ import itertools
 import math
 import pickle
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -43,6 +44,7 @@ from uavcov.montecarlo import (
     sample_nearest_sq,
     sample_peak_gain,
 )
+from uavcov.numerics.quadrature import AccuracyError
 
 E25 = ConstantElevation(math.radians(25.0))
 GAMMA20 = GammaTanElevation(3.0, math.radians(20.0))
@@ -150,6 +152,16 @@ def test_tail_mean_decreasing_in_radius():
     radii = [2e3, 1e4, 1e5]
     vals = [interference_tail_mean(p, E25, r) for r in radii]
     assert vals[0] > vals[1] > vals[2] > 0.0
+
+
+@pytest.mark.parametrize("estimate", [estimate_downlink, estimate_cellfree])
+def test_a_failed_tail_moment_at_a_given_radius_is_an_accuracy_error(estimate):
+    # with sim_radius given no w_eff is formed, so only the tail moment sees
+    # the failed expectation of shape 1e20; its inf once read as a downlink
+    # mean of 0.0 with std_error 0, and a cell-free 1.0
+    with pytest.raises(AccuracyError, match="order-1 tail gain moment = inf "):
+        estimate(NetworkParams(density=1e-6), GammaTanElevation(1e20, math.radians(20.0)),
+                 100, 1, sim_radius=3000.0)
 
 
 # -- estimator behavior -----------------------------------------------------------
@@ -762,6 +774,55 @@ def test_a_walk_closed_early_joins_its_helper_and_frees_its_buffers(two_cores):
         assert threading.active_count() == before, elev
         # the next walk of the thread takes the buffers back and gives its bits alone
         assert digest(elev) == alone, elev
+
+
+@pytest.mark.parametrize("n_cores", [1, 2])
+def test_a_walk_draws_each_fill_at_most_one_block_ahead(monkeypatch, n_cores):
+    # the two halves of the buffers take turns, so block k + 2's fill may
+    # start only once block k is handed back; a block larger than the
+    # buffers gets fresh arrays, and its fill starts only once the block
+    # before is handed back, so no two such blocks are alive at once.  The
+    # sizes are distinct, so a fill's size names its block
+    monkeypatch.setattr(mc, "_BLOCK_POINTS", 100)
+    monkeypatch.setattr(jobs.os, "cpu_count", lambda: n_cores)
+    sizes = [10, 20, 105, 30, 107, 109, 40]
+    events, threads, lock = [], set(), threading.Lock()
+
+    def log(event, k):
+        with lock:
+            events.append((event, k))
+
+    def fill(*views):
+        log("fill", sizes.index(views[0].size))
+        threads.add(threading.current_thread().name)
+        time.sleep(0.002)  # a window for the caller to race into
+        for view in views:
+            view.fill(view.size)
+
+    def walk():
+        with mc._block_fills(fill, sizes, [np.empty(100) for _ in range(4)]) as fills:
+            for k, views in enumerate(fills):
+                log("take", k)
+                time.sleep(0.002)  # a window for the helper to race into
+                seen.append([(v.size, *np.unique(v)) for v in views])
+                log("back", k)
+                del views
+
+    seen = []
+    caller = threading.Thread(target=walk, name="caller", daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert seen == [[(size, size)] * 2 for size in sizes]
+    at = {event: i for i, event in enumerate(events)}
+    assert len(at) == len(events) == 3 * len(sizes)
+    assert threads == {"uavcov-fills" if n_cores == 2 else "caller"}
+    for k in range(len(sizes) - 1):
+        assert at["take", k] > at["fill", k]
+        if k + 2 < len(sizes):
+            assert at["fill", k + 2] > at["back", k], k
+        if sizes[k + 1] > mc._BLOCK_POINTS:
+            assert at["fill", k + 1] > at["back", k], k
 
 
 def test_a_walk_starts_a_helper_only_on_a_thread_with_two_cores(monkeypatch):
